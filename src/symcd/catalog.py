@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import (
-    BivariateSeries,
     factorial,
     gen_binomial,
     inv_factorial,
@@ -153,17 +152,25 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
         sum_{b=0}^{a} (-1)^(a+b)/(b!(a-b)!) *
             [t1*t2] (1 + (g-d+1)t1 + d*t2)^(2-g+b) * (1 + (g-d+1)^2 t1 + d^2 t2)^(g-b)
 
-    all times the same 2:1 multiplicity correction as the closed form.  This
-    route shares no algebra with :func:`bipartition_diagonal_class` and serves
-    as its oracle.
+    all times the same 2:1 multiplicity correction as the closed form.  For
+    any integers n and m the mixed coefficient is
+
+        [t1*t2] (1 + a*t1 + b*t2)^n (1 + c*t1 + e*t2)^m
+            = n(n-1)ab + m(m-1)ce + nm(ae + bc)
+
+    (only the t1 and t2 terms of each binomial series reach t1*t2), here with
+    (a, b) = (u, v), (c, e) = (u^2, v^2), u = g-d+1 and v = d.  This route
+    shares no algebra with :func:`bipartition_diagonal_class` and serves as
+    its oracle.
     """
     _check_bipartition_range(g, d)
-    base_linear = BivariateSeries.linear(1, g - d + 1, d)
-    base_square = BivariateSeries.linear(1, (g - d + 1) ** 2, d**2)
-    mixed = [
-        (base_linear ** (2 - g + beta) * base_square ** (g - beta)).coefficient(1, 1)
-        for beta in range(g)
-    ]
+    u, v = g - d + 1, d
+    ab, ce, ae_bc = u * v, u * u * v * v, u * v * (u + v)
+
+    def mixed_coefficient(n: int, m: int) -> int:
+        return n * (n - 1) * ab + m * (m - 1) * ce + n * m * ae_bc
+
+    mixed = [mixed_coefficient(2 - g + beta, g - beta) for beta in range(g)]
     scale = _bipartition_multiplicity(g, d)
     coeffs = [Fraction(0)] * g
     for alpha in range(g):
@@ -341,15 +348,21 @@ def binomial_convolution_identity(m: int) -> tuple[Fraction, Fraction]:
     """
     if m < 1:
         raise PreconditionError(f"the identity needs m >= 1 (got {m})")
-    lhs = (2 * m + 3) * sum(
-        (-1) ** l * (l + 1) * gen_binomial(2 * m - l, m) * gen_binomial(2 * m + 2, l + 3)
-        for l in range(m + 1)
-    )
-    rhs = -(m + 2) * sum(
-        (-1) ** l * l * (l + 1) * gen_binomial(2 * m - l, m) * gen_binomial(2 * m + 3, l + 3)
-        for l in range(m + 1)
-    )
-    return Fraction(lhs), Fraction(rhs)
+    # The three binomials start at l = 0 and step in l by exact ratios:
+    # C(n-1, m) = C(n, m)(n-m)/n and C(n, j+1) = C(n, j)(n-j)/(j+1).  Each
+    # quotient is a binomial coefficient, so floor division is exact.
+    shared = gen_binomial(2 * m, m)
+    left = gen_binomial(2 * m + 2, 3)
+    right = gen_binomial(2 * m + 3, 3)
+    lhs_sum = rhs_sum = 0
+    for l in range(m + 1):
+        signed = -shared if l & 1 else shared
+        lhs_sum += (l + 1) * signed * left
+        rhs_sum += l * (l + 1) * signed * right
+        shared = shared * (m - l) // (2 * m - l)
+        left = left * (2 * m - 1 - l) // (l + 4)
+        right = right * (2 * m - l) // (l + 4)
+    return Fraction((2 * m + 3) * lhs_sum), Fraction(-(m + 2) * rhs_sum)
 
 
 def convolution_residual(m: int) -> Fraction:

@@ -1,10 +1,11 @@
 """Exact combinatorial primitives.
 
-Everything downstream is built from three ingredients: arbitrary-precision
-factorials, binomial coefficients with arbitrary (possibly negative) integer
-upper index, and a tiny bivariate polynomial type truncated at total degree 2,
-which is all that coefficient extraction of the form [t1*t2] (1 + a*t1 +
-b*t2)^n ever needs.
+Everything downstream is built from arbitrary-precision factorials and
+binomial coefficients with arbitrary (possibly negative) integer upper index.
+A tiny bivariate polynomial type truncated at total degree 2 is kept as the
+brute-force reference for the closed-form [t1*t2] extraction in
+:func:`symcd.catalog.bipartition_diagonal_extraction`; the library itself no
+longer expands series.
 
 All scalars are ``fractions.Fraction`` (re-exported as ``Rational``); nothing
 in this package touches floating point.
@@ -84,6 +85,11 @@ def linear_power_coefficient(c0: int | Fraction, c1: int | Fraction, n: int, m: 
 
 class BivariateSeries:
     """Polynomial in two formal variables t1, t2 truncated at total degree 2.
+
+    This is the reference that the closed form
+    [t1*t2] (1 + a*t1 + b*t2)^n (1 + c*t1 + e*t2)^m
+    = n(n-1)ab + m(m-1)ce + nm(ae + bc) is tested against; no library route
+    multiplies series any more.
 
     Exponent pairs (i, j) with i + j > 2 are never stored; multiplication drops
     them.  Integer powers of series with unit-like constant term are supported

@@ -20,6 +20,7 @@ package computes, including those on C_(g+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,8 +71,12 @@ class CycleClass:
             raise PreconditionError(f"genus must be at least 2 (got {self.genus})")
         if self.d < 2:
             raise PreconditionError(f"symmetric power index must be at least 2 (got {self.d})")
-        coeffs = tuple(as_rational(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = self.coeffs
+        # Products and sums already hand over a tuple of Fractions; only other
+        # inputs are coerced (which also refuses floats).
+        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
+            coeffs = tuple(as_rational(c) for c in coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
         if not coeffs:
             raise PreconditionError("a class needs at least one coefficient")
         if self.codim > self.d:
@@ -200,30 +205,53 @@ def x_class(genus: int, d: int) -> DivisorClass:
     return divisor_class(genus, d, 0, -1)
 
 
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over their least common denominator."""
+    denominator = math.lcm(*[c.denominator for c in coeffs])
+    if denominator == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (denominator // c.denominator) for c in coeffs], denominator
+
+
+def _fractions(numerators: list[int], denominator: int) -> tuple[Fraction, ...]:
+    if denominator == 1:
+        return tuple(map(Fraction, numerators))
+    return tuple(Fraction(n, denominator) for n in numerators)
+
+
 def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
-    """Formal product: convolution of coefficient vectors; codimensions add."""
+    """Formal product: convolution of coefficient vectors; codimensions add.
+
+    The convolution runs on integer numerators over one common denominator,
+    so each output coefficient is reduced to lowest terms only once.
+    """
     p._check_same_space(q)
     codim = p.codim + q.codim
     if codim > p.d:
         raise PreconditionError(
             f"product has codimension {codim}, beyond the dimension of C_{p.d}"
         )
-    coeffs = [Fraction(0)] * (codim + 1)
-    for i, a in enumerate(p.coeffs):
+    p_nums, p_den = _numerators(p.coeffs)
+    q_nums, q_den = _numerators(q.coeffs)
+    sums = [0] * (codim + 1)
+    for i, a in enumerate(p_nums):
         if not a:
             continue
-        for j, b in enumerate(q.coeffs):
-            coeffs[i + j] += a * b
-    return CycleClass(p.genus, p.d, tuple(coeffs))
+        for j, b in enumerate(q_nums):
+            sums[i + j] += a * b
+    return CycleClass(p.genus, p.d, _fractions(sums, p_den * q_den))
 
 
 def evaluate_top(p: CycleClass) -> Fraction:
-    """Intersection number of a top-codimension class, via the Poincare formula."""
+    """Intersection number of a top-codimension class, via the Poincare formula.
+
+    x^k * theta^(d-k) is the integer g!/(g-d+k)! = perm(g, d-k), which is 0
+    once d - k exceeds g, so the sum is one integer over the common denominator.
+    """
     if p.codim != p.d:
         raise PreconditionError(
             f"only top-degree classes can be evaluated (codim {p.codim} on C_{p.d})"
         )
-    return sum(
-        (c * monomial_value(p.genus, p.d, k) for k, c in enumerate(p.coeffs) if c),
-        Fraction(0),
-    )
+    nums, denominator = _numerators(p.coeffs)
+    total = sum(a * math.perm(p.genus, p.d - k) for k, a in enumerate(nums) if a)
+    return Fraction(total, denominator)

@@ -90,8 +90,11 @@ def sweep(name: str, parameter_range: str, cases: Iterable, sides: Callable) -> 
 
     ``sides(params)`` returns a (lhs, rhs) pair; the first inequality turns
     into a FAIL report carrying the counterexample, otherwise the check passes.
+    A sweep without a single case is refused rather than passed vacuously.
     """
+    checked = 0
     for params in cases:
+        checked += 1
         lhs, rhs = sides(params)
         if lhs != rhs:
             return CheckReport(
@@ -100,6 +103,8 @@ def sweep(name: str, parameter_range: str, cases: Iterable, sides: Callable) -> 
                 CheckStatus.FAIL,
                 Counterexample(params if isinstance(params, tuple) else (params,), str(lhs), str(rhs)),
             )
+    if not checked:
+        raise PreconditionError(f"{name}: the range {parameter_range} holds no cases")
     return CheckReport(name, parameter_range, CheckStatus.PASS)
 
 

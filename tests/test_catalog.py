@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,7 +17,7 @@ from symcd.catalog import (
     subordinate_class,
     subordinate_pencil_intersections,
 )
-from symcd.combinatorics import BivariateSeries
+from symcd.combinatorics import BivariateSeries, gen_binomial
 from symcd.cycles import divisor_class, evaluate_top, multiply, theta_class, x_class
 from symcd.errors import PreconditionError
 
@@ -105,6 +106,30 @@ def test_extraction_per_beta_coefficients():
     for beta, value in enumerate(expected):
         series = BivariateSeries.linear(1, 2, 3) ** (2 - 4 + beta) * BivariateSeries.linear(1, 4, 9) ** (4 - beta)
         assert series.coefficient(1, 1) == value
+
+
+def _series_extraction(g, d):
+    """The extraction with every [t1*t2] taken from truncated series powers."""
+    base_linear = BivariateSeries.linear(1, g - d + 1, d)
+    base_square = BivariateSeries.linear(1, (g - d + 1) ** 2, d**2)
+    mixed = [
+        (base_linear ** (2 - g + beta) * base_square ** (g - beta)).coefficient(1, 1)
+        for beta in range(g)
+    ]
+    scale = Fraction(1, 2) if 2 * d == g + 1 else 1
+    coeffs = [Fraction(0)] * g
+    for alpha in range(g):
+        coeffs[g - 1 - alpha] = scale * sum(
+            Fraction((-1) ** (alpha + beta), factorial(beta) * factorial(alpha - beta)) * mixed[beta]
+            for beta in range(alpha + 1)
+        )
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("g", range(3, 13))
+def test_closed_form_extraction_matches_series_powers(g):
+    for d in range(2, g):
+        assert bipartition_diagonal_extraction(g, d).coeffs == _series_extraction(g, d), (g, d)
 
 
 def test_bipartition_top_theta_coefficients_vanish():
@@ -274,6 +299,19 @@ def test_convolution_identity_sweep():
         lhs, rhs = binomial_convolution_identity(m)
         assert lhs == rhs, m
         assert convolution_residual(m) == 0
+
+
+def test_stepped_convolution_sums_match_binomial_sums():
+    for m in range(1, 61):
+        lhs = (2 * m + 3) * sum(
+            (-1) ** l * (l + 1) * gen_binomial(2 * m - l, m) * gen_binomial(2 * m + 2, l + 3)
+            for l in range(m + 1)
+        )
+        rhs = -(m + 2) * sum(
+            (-1) ** l * l * (l + 1) * gen_binomial(2 * m - l, m) * gen_binomial(2 * m + 3, l + 3)
+            for l in range(m + 1)
+        )
+        assert binomial_convolution_identity(m) == (lhs, rhs), m
 
 
 def test_convolution_links_to_pencil_residual():

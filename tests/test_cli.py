@@ -1,8 +1,11 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from symcd.cli import main
+from symcd.cones import volume_general
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +134,39 @@ def test_intersect_syntax_error(capsys):
     assert code == 2
 
 
+def _assert_one_line(err):
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_intersect_zero_denominator_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "intersect", "1/0 * theta^3", "--g", "4", "--d", "3")
+    assert code == 2
+    assert out == ""
+    assert "1/0" in err
+    _assert_one_line(err)
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(" * 2000 + "theta^3" + ")" * 2000, "1*" + "-" * 2000 + "theta^3"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_intersect_nesting_depth_is_limited(capsys, expression):
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", "4", "--d", "3")
+    assert code == 2
+    assert out == ""
+    assert "nested" in err
+    _assert_one_line(err)
+
+
+def test_intersect_moderate_nesting_still_evaluates(capsys):
+    expression = "(" * 50 + "theta^3" + ")" * 50
+    code, doc, _ = run_json(capsys, "intersect", expression, "--g", "4", "--d", "3")
+    assert code == 0
+    assert doc["result"]["value"] == "24"  # 4!/1!
+
+
 def test_cone_hyperelliptic(capsys):
     code, doc, _ = run_json(capsys, "cone", "--g", "5", "--d", "3", "--curve", "hyperelliptic")
     assert code == 0
@@ -189,6 +225,23 @@ def test_volume_wrong_power_is_precondition(capsys):
     assert code == 3
 
 
+def test_volume_prints_numbers_beyond_the_int_str_digit_limit(capsys):
+    # t = 10^-50 at g = 100 gives a denominator of about 4,950 digits, past
+    # Python's default 4,300-digit cap on int-to-str conversion.
+    t = "1/1" + "0" * 50
+    limit = sys.get_int_max_str_digits()
+    code, doc, err = run_json(capsys, "volume", "--g", "100", "--d", "99", "--t", t)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit  # the cap is restored
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(volume_general(100, Fraction(t)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > limit
+    assert doc["result"]["value"] == expected
+
+
 def test_volume_malformed_t_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["volume", "--g", "4", "--d", "3", "--curve", "general", "--t", "one"])
@@ -210,6 +263,35 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert len(doc["result"]["reports"]) == 1
     assert doc["result"]["reports"][0]["status"] == "pass"
+
+
+SUITE_MINIMUMS = {
+    "all": 4,
+    "combsum": 1,
+    "pencil-link": 3,
+    "orth": 2,
+    "diagonal": 4,
+    "dd-system": 4,
+    "volume": 4,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MINIMUMS))
+def test_verify_max_below_suite_minimum_is_refused(capsys, suite):
+    for bound in (SUITE_MINIMUMS[suite] - 1, 0, -5):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max", str(bound))
+        assert code == 3, (suite, bound)
+        assert out == ""
+        assert "--max" in err
+        _assert_one_line(err)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MINIMUMS))
+def test_verify_max_at_suite_minimum_runs(capsys, suite):
+    code, doc, _ = run_json(capsys, "verify", "--suite", suite, "--max", str(SUITE_MINIMUMS[suite]))
+    assert code == 0
+    assert doc["inputs"]["max"] == SUITE_MINIMUMS[suite]
+    assert doc["result"]["all_passed"] is True
 
 
 def test_json_output_is_deterministic_and_round_trips(capsys):

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symcd.catalog import subordinate_class
 from symcd.cycles import (
     CycleClass,
     DivisorClass,
@@ -132,3 +134,55 @@ def test_string_rendering():
         "(1/2)*theta^2 - 2*x*theta + 3*x^2"
     )
     assert str(CycleClass(4, 3, (Fraction(0), Fraction(0)))) == "0"
+
+
+def _plain_convolution(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _plain_poincare_sum(g, d, coeffs):
+    return sum(
+        (c * Fraction(factorial(g), factorial(g - d + k)) for k, c in enumerate(coeffs) if g - d + k >= 0),
+        Fraction(0),
+    )
+
+
+@st.composite
+def top_degree_pairs(draw):
+    """Two classes on one C_d whose codimensions add up to d; d may exceed g."""
+    g = draw(st.integers(min_value=2, max_value=12))
+    d = draw(st.integers(min_value=2, max_value=g + 2))
+    if draw(st.booleans()):
+        # a subordinate locus: coefficients C(n-g-r, k)/(d-r-k)!
+        r = draw(st.integers(min_value=0, max_value=d))
+        n = draw(st.integers(min_value=d, max_value=d + 2 * g))
+        first = subordinate_class(g, d, n, r)
+    else:
+        codim = draw(st.integers(min_value=0, max_value=d))
+        coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=720)
+        first = CycleClass(g, d, tuple(draw(st.lists(coeffs, min_size=codim + 1, max_size=codim + 1))))
+    rest = d - first.codim
+    coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=120)
+    second = CycleClass(g, d, tuple(draw(st.lists(coeffs, min_size=rest + 1, max_size=rest + 1))))
+    return first, second
+
+
+@given(top_degree_pairs())
+def test_integer_kernels_match_plain_fraction_arithmetic(pair):
+    p, q = pair
+    product = multiply(p, q)
+    assert product.coeffs == _plain_convolution(p.coeffs, q.coeffs)
+    assert all(type(c) is Fraction for c in product.coeffs)
+    assert evaluate_top(product) == _plain_poincare_sum(p.genus, p.d, product.coeffs)
+
+
+def test_class_coerces_non_fraction_coefficients_and_refuses_floats():
+    cls = CycleClass(4, 3, [1, "1/2"])
+    assert cls.coeffs == (Fraction(1), Fraction(1, 2))
+    assert type(cls.coeffs) is tuple and all(type(c) is Fraction for c in cls.coeffs)
+    with pytest.raises(TypeError):
+        CycleClass(4, 3, (Fraction(1), 0.5))

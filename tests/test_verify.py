@@ -46,6 +46,15 @@ def test_sweep_reports_first_counterexample():
     assert report.counterexample.rhs == "-30"
 
 
+def test_sweep_refuses_an_empty_range():
+    with pytest.raises(PreconditionError):
+        sweep("empty", "1 <= m <= 0", range(1, 1), lambda m: (m, m))
+    with pytest.raises(PreconditionError):
+        check_combsum(-5)
+    with pytest.raises(PreconditionError):
+        check_pencil_residual_link(2)
+
+
 def test_discrepancy_report_is_not_a_failure():
     report = diagonal_statement_discrepancy()
     assert report.status is CheckStatus.DISCREPANCY
