@@ -30,12 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import (
-    factorial,
-    gen_binomial,
-    inv_factorial,
-    linear_power_coefficient,
-)
+from .combinatorics import factorial, gen_binomial, linear_power_coefficient
 from .cycles import CycleClass, DivisorClass, divisor_class, evaluate_top, multiply
 from .errors import PreconditionError
 
@@ -73,11 +68,17 @@ def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:
             f"subordinate locus needs n >= d >= r >= 0 (got n={n}, d={d}, r={r})"
         )
     codim = d - r
-    coeffs = tuple(
-        Fraction(gen_binomial(n - g - r, k)) * inv_factorial(codim - k)
-        for k in range(codim + 1)
-    )
-    return CycleClass(g, d, coeffs)
+    # Over the common denominator codim!, 1/(codim-k)! is perm(codim, k).
+    # Both factors step in k: C(N, k+1) = C(N, k)(N-k)/(k+1), exactly, for
+    # any integer N, and perm(codim, k+1) = perm(codim, k)(codim-k).
+    upper = n - g - r
+    binomial, falling = 1, 1
+    numerators = []
+    for k in range(codim + 1):
+        numerators.append(binomial * falling)
+        binomial = binomial * (upper - k) // (k + 1)
+        falling *= codim - k
+    return CycleClass.from_numerators(g, d, numerators, factorial(codim))
 
 
 def small_diagonal_class(g: int, d: int) -> CycleClass:
@@ -152,8 +153,10 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
         sum_{b=0}^{a} (-1)^(a+b)/(b!(a-b)!) *
             [t1*t2] (1 + (g-d+1)t1 + d*t2)^(2-g+b) * (1 + (g-d+1)^2 t1 + d^2 t2)^(g-b)
 
-    all times the same 2:1 multiplicity correction as the closed form.  For
-    any integers n and m the mixed coefficient is
+    all times the same 2:1 multiplicity correction as the closed form.  Times
+    a!, the sum over b is the integer sum_b (-1)^(a+b) C(a, b) [t1*t2](...),
+    so each coefficient is one integer over a!.  For any integers n and m the
+    mixed coefficient is
 
         [t1*t2] (1 + a*t1 + b*t2)^n (1 + c*t1 + e*t2)^m
             = n(n-1)ab + m(m-1)ce + nm(ae + bc)
@@ -171,17 +174,21 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
         return n * (n - 1) * ab + m * (m - 1) * ce + n * m * ae_bc
 
     mixed = [mixed_coefficient(2 - g + beta, g - beta) for beta in range(g)]
-    scale = _bipartition_multiplicity(g, d)
-    coeffs = [Fraction(0)] * g
-    for alpha in range(g):
-        total = Fraction(0)
+    # Numerators over (g-1)!: the integer sum for alpha times (g-1)!/alpha!,
+    # which is perm(g-1, g-1-alpha), stepped down from alpha = g-1.
+    numerators = [0] * g
+    falling = 1
+    for alpha in range(g - 1, -1, -1):
+        total, signed = 0, (-1) ** alpha  # (-1)^(alpha+beta) C(alpha, beta) at beta = 0
         for beta in range(alpha + 1):
-            total += (
-                Fraction((-1) ** (alpha + beta), factorial(beta) * factorial(alpha - beta))
-                * mixed[beta]
-            )
-        coeffs[g - 1 - alpha] = scale * total
-    return CycleClass(g, g + 1, tuple(coeffs))
+            total += signed * mixed[beta]
+            signed = -signed * (alpha - beta) // (beta + 1)
+        numerators[g - 1 - alpha] = total * falling
+        falling *= alpha
+    multiplicity = _bipartition_multiplicity(g, d)
+    return CycleClass.from_numerators(
+        g, g + 1, [multiplicity.numerator * n for n in numerators], multiplicity.denominator * factorial(g - 1)
+    )
 
 
 def _check_ramification_range(g: int, d: int) -> None:
@@ -271,15 +278,29 @@ def pencil_residual_sums(k: int) -> tuple[int, int]:
     """
     if k < 3:
         raise PreconditionError(f"pencil-residual divisor needs k >= 3 (got {k})")
-    a_sum = sum(
-        (-1) ** l * (l + 1) * gen_binomial(2 * k - 4 - l, k - 2) * gen_binomial(2 * k - 2, l + 3)
-        for l in range(k - 1)
-    )
-    b_sum = sum(
-        (-1) ** l * l * (l + 1) * gen_binomial(2 * k - 4 - l, k - 2) * gen_binomial(2 * k - 1, l + 3)
-        for l in range(k - 1)
-    )
-    return a_sum, b_sum
+    return _residual_sums(k - 2)
+
+
+def _residual_sums(m: int) -> tuple[int, int]:
+    """sum_{l=0}^m (-1)^l (l+1) C(2m-l, m) C(2m+2, l+3) and
+    sum_{l=0}^m (-1)^l l(l+1) C(2m-l, m) C(2m+3, l+3), for m >= 1.
+
+    The three binomials start at l = 0 and step in l by exact ratios:
+    C(n-1, m) = C(n, m)(n-m)/n and C(n, j+1) = C(n, j)(n-j)/(j+1).  Each
+    quotient is a binomial coefficient, so floor division is exact.
+    """
+    shared = gen_binomial(2 * m, m)
+    left = gen_binomial(2 * m + 2, 3)
+    right = gen_binomial(2 * m + 3, 3)
+    left_sum = right_sum = 0
+    for l in range(m + 1):
+        signed = -shared if l & 1 else shared
+        left_sum += (l + 1) * signed * left
+        right_sum += l * (l + 1) * signed * right
+        shared = shared * (m - l) // (2 * m - l)
+        left = left * (2 * m - 1 - l) // (l + 4)
+        right = right * (2 * m - l) // (l + 4)
+    return left_sum, right_sum
 
 
 def pencil_residual_divisor_class(k: int) -> DivisorClass:
@@ -307,7 +328,7 @@ def hyperelliptic_pencil_locus_class(g: int, d: int) -> DivisorClass:
             f"hyperelliptic pencil locus needs 2 <= d <= g (got g={g}, d={d})"
         )
     locus = subordinate_class(g, d, 2 * (d - 1), d - 1)
-    return DivisorClass(g, d, locus.coeffs)
+    return DivisorClass.from_numerators(g, d, locus.numerators, locus.denominator)
 
 
 def subordinate_pencil_intersections(k: int) -> tuple[Fraction, Fraction]:
@@ -324,14 +345,19 @@ def subordinate_pencil_intersections(k: int) -> tuple[Fraction, Fraction]:
     """
     if k < 2:
         raise PreconditionError(f"pencil intersections need k >= 2 (got {k})")
-    theta_sum = sum(
-        (-1) ** j * gen_binomial(k - 2 + j, j) * gen_binomial(2 * k - 2, k - 1 - j)
-        for j in range(k)
-    )
-    x_sum = sum(
-        (-1) ** j * gen_binomial(k - 2 + j, j) * gen_binomial(2 * k - 1, k - 1 - j)
-        for j in range(k)
-    )
+    # The binomials start at j = 0 and step by exact ratios:
+    # C(n+1, j+1) = C(n, j)(n+1)/(j+1) and C(n, i-1) = C(n, i) i/(n-i+1).
+    shared = 1
+    theta_binomial = gen_binomial(2 * k - 2, k - 1)
+    x_binomial = gen_binomial(2 * k - 1, k - 1)
+    theta_sum = x_sum = 0
+    for j in range(k):
+        signed = -shared if j & 1 else shared
+        theta_sum += signed * theta_binomial
+        x_sum += signed * x_binomial
+        shared = shared * (k - 1 + j) // (j + 1)
+        theta_binomial = theta_binomial * (k - 1 - j) // (k + j)
+        x_binomial = x_binomial * (k - 1 - j) // (k + 1 + j)
     return Fraction((2 * k - 1) * theta_sum), Fraction(x_sum)
 
 
@@ -348,20 +374,7 @@ def binomial_convolution_identity(m: int) -> tuple[Fraction, Fraction]:
     """
     if m < 1:
         raise PreconditionError(f"the identity needs m >= 1 (got {m})")
-    # The three binomials start at l = 0 and step in l by exact ratios:
-    # C(n-1, m) = C(n, m)(n-m)/n and C(n, j+1) = C(n, j)(n-j)/(j+1).  Each
-    # quotient is a binomial coefficient, so floor division is exact.
-    shared = gen_binomial(2 * m, m)
-    left = gen_binomial(2 * m + 2, 3)
-    right = gen_binomial(2 * m + 3, 3)
-    lhs_sum = rhs_sum = 0
-    for l in range(m + 1):
-        signed = -shared if l & 1 else shared
-        lhs_sum += (l + 1) * signed * left
-        rhs_sum += l * (l + 1) * signed * right
-        shared = shared * (m - l) // (2 * m - l)
-        left = left * (2 * m - 1 - l) // (l + 4)
-        right = right * (2 * m - l) // (l + 4)
+    lhs_sum, rhs_sum = _residual_sums(m)
     return Fraction((2 * m + 3) * lhs_sum), Fraction(-(m + 2) * rhs_sum)
 
 

@@ -159,6 +159,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 _MAX_NESTING = 100
+_MAX_SCALAR_POWER_BITS = 100_000
 
 
 class _ExpressionParser:
@@ -168,7 +169,13 @@ class _ExpressionParser:
     factor := atom (('^'|'**') INT)?; atom := NUMBER | NAME | '(' expr ')' |
     '-' atom.  Values are exact rationals or cycle classes.  Parentheses and
     unary minus together may nest at most ``_MAX_NESTING`` levels deep, which
-    keeps the recursion far from the interpreter's limit.
+    keeps the recursion far from the interpreter's limit.  A scalar power p^e,
+    with p the larger of the base's numerator and denominator, is a usage
+    error when e * (bit length of p - 1) exceeds ``_MAX_SCALAR_POWER_BITS``:
+    the power's numerator or denominator would then exceed 2^100000 (about
+    30,000 decimal digits), and computing and printing it takes time
+    quadratic in that size.  2^100000 is the largest power of 2 accepted.  A
+    power of a class is bounded by its codimension instead.
     """
 
     def __init__(self, text: str, env: dict[str, Callable[[], CycleClass]]):
@@ -198,7 +205,7 @@ class _ExpressionParser:
         while self.peek() in ("+", "-"):
             op = self.advance()
             right = self.term()
-            value = _add(value, right) if op == "+" else _add(value, _negate(right))
+            value = _add(value, right if op == "+" else -right)
         return value
 
     def term(self):
@@ -215,7 +222,15 @@ class _ExpressionParser:
             exponent_token = self.advance()
             if not exponent_token.isdigit():
                 raise UsageError(f"exponent must be a non-negative integer (got {exponent_token!r})")
-            value = _power(value, int(exponent_token))
+            exponent = int(exponent_token)
+            if not isinstance(value, CycleClass):
+                bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+                if (bits - 1) * exponent > _MAX_SCALAR_POWER_BITS:
+                    raise UsageError(
+                        f"scalar power {exponent_token} is too large: its value would exceed "
+                        f"2^{_MAX_SCALAR_POWER_BITS}"
+                    )
+            value = value**exponent
         return value
 
     def atom(self):
@@ -229,7 +244,7 @@ class _ExpressionParser:
                 if self.advance() != ")":
                     raise UsageError("unbalanced parentheses in expression")
             else:
-                value = _negate(self.atom())
+                value = -self.atom()
             self.depth -= 1
             return value
         if re.fullmatch(r"\d+(/\d+)?", token):
@@ -240,10 +255,6 @@ class _ExpressionParser:
         if token in self.env:
             return self.env[token]()
         raise UsageError(f"unknown name in expression: {token!r}")
-
-
-def _negate(value):
-    return -value
 
 
 def _add(left, right):
@@ -260,10 +271,6 @@ def _multiply(left, right):
     if isinstance(right, CycleClass):
         return right.scale(left)
     return left * right
-
-
-def _power(value, exponent: int):
-    return value**exponent
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,11 @@ brute-force reference for the closed-form [t1*t2] extraction in
 :func:`symcd.catalog.bipartition_diagonal_extraction`; the library itself no
 longer expands series.
 
-All scalars are ``fractions.Fraction`` (re-exported as ``Rational``); nothing
-in this package touches floating point.
+Every number is exact: public results are ``int`` or ``fractions.Fraction``
+(re-exported as ``Rational``), and the hot kernels -- cycle-class arithmetic
+and the stepped binomial sums in :mod:`symcd.catalog` -- run on integers and
+build a ``Fraction`` only for a result.  Nothing in this package touches
+floating point.
 """
 
 from __future__ import annotations

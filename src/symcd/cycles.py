@@ -6,10 +6,14 @@ divisor classes
 * ``x``     -- the class of the embedding C_(d-1) -> C_d, D |-> D + p;
 * ``theta`` -- the pullback of a theta divisor under the Abel map.
 
-A homogeneous class of codimension c is stored as the coefficient vector of
-the monomials x^k * theta^(c-k), k = 0..c.  Products are purely formal
-(coefficient convolution); no relations are imposed below the top degree.
-Only top-degree evaluation invokes the Poincare formula
+A homogeneous class of codimension c is the coefficient vector of the
+monomials x^k * theta^(c-k), k = 0..c.  It is held as integer numerators over
+one positive denominator, in lowest terms, so sums, scalings and products are
+integer arithmetic with one reduction per result; the ``Fraction``
+coefficients are built only when ``coeffs`` is first read, and then kept.
+Products are purely formal (coefficient convolution); no relations are
+imposed below the top degree.  Only top-degree evaluation invokes the
+Poincare formula
 
     x^k * theta^(d-k) = g! / (g - d + k)!        (0 <= k <= d <= g)
 
@@ -21,7 +25,8 @@ package computes, including those on C_(g+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from .combinatorics import as_rational, factorial, inv_factorial
@@ -38,6 +43,12 @@ __all__ = [
     "divisor_class",
 ]
 
+# Fields of the frozen classes below are written only through this.  Their
+# tuples are built from lists, not generators: on CPython 3.11, growing tuples
+# of varying length from generators fragments the heap, and the resident
+# memory of a long sweep creeps up by megabytes.
+_set = object.__setattr__
+
 
 def monomial_value(g: int, d: int, k: int) -> Fraction:
     """Top-degree value of x^k * theta^(d-k) on C_d: g!/(g-d+k)!.
@@ -53,40 +64,114 @@ def monomial_value(g: int, d: int, k: int) -> Fraction:
     return factorial(g) * inv_factorial(g - d + k)
 
 
-@dataclass(frozen=True)
 class CycleClass:
     """Homogeneous codimension-c class on C_d, coefficients over x^k*theta^(c-k).
 
-    ``coeffs[k]`` is the coefficient of x^k * theta^(codim - k).  Instances are
-    immutable value objects; arithmetic returns new instances and refuses to
-    mix classes living on different (genus, d).
+    ``coeffs[k]`` is the coefficient of x^k * theta^(codim - k).  The class is
+    stored as ``numerators[k] / denominator``: a tuple of integers and one
+    positive integer with ``gcd(denominator, *numerators) == 1``, so equal
+    classes have equal fields however they were built.  ``coeffs``, the tuple
+    of ``Fraction``s, is built from them on first access (or kept from the
+    constructor's input) and cached.
+
+    Instances are immutable value objects; arithmetic returns new instances
+    and refuses to mix classes living on different (genus, d).  Equality and
+    hashing behave like a frozen dataclass over (genus, d, coeffs): two
+    instances are equal only when they are of the same class.
     """
 
-    genus: int
-    d: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("genus", "d", "numerators", "denominator", "_coeffs")
+
+    def __init__(self, genus: int, d: int, coeffs: Iterable[int | Fraction | str]):
+        # A tuple of Fractions is kept as given; anything else is coerced,
+        # which also refuses floats.
+        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
+            coeffs = tuple([as_rational(c) for c in coeffs])
+        # Over the least common denominator of Fractions in lowest terms the
+        # numerators share no factor with it, so no further reduction is due.
+        denominator = math.lcm(*[c.denominator for c in coeffs])
+        numerators = tuple([c.numerator * (denominator // c.denominator) for c in coeffs])
+        self._fill(genus, d, numerators, denominator, coeffs)
+
+    @classmethod
+    def from_numerators(cls, genus: int, d: int, numerators: Iterable[int], denominator: int = 1):
+        """The class with coefficients ``numerators[k] / denominator``.
+
+        The integer constructor behind every arithmetic result: the vector is
+        reduced to lowest terms once, and no ``Fraction`` is built.
+        """
+        numerators = tuple(numerators)
+        if denominator != 1:
+            if not denominator:
+                raise ZeroDivisionError("a class needs a nonzero denominator")
+            common = math.gcd(denominator, *numerators)
+            if denominator < 0:
+                common = -common
+            if common != 1:
+                numerators = tuple([n // common for n in numerators])
+                denominator //= common
+        self = object.__new__(cls)
+        self._fill(genus, d, numerators, denominator, None)
+        return self
+
+    def _fill(self, genus, d, numerators, denominator, coeffs) -> None:
+        _set(self, "genus", genus)
+        _set(self, "d", d)
+        _set(self, "numerators", numerators)
+        _set(self, "denominator", denominator)
+        _set(self, "_coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate a new instance; every construction runs this exactly once."""
         if self.genus < 2:
             raise PreconditionError(f"genus must be at least 2 (got {self.genus})")
         if self.d < 2:
             raise PreconditionError(f"symmetric power index must be at least 2 (got {self.d})")
-        coeffs = self.coeffs
-        # Products and sums already hand over a tuple of Fractions; only other
-        # inputs are coerced (which also refuses floats).
-        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
-            coeffs = tuple(as_rational(c) for c in coeffs)
-            object.__setattr__(self, "coeffs", coeffs)
-        if not coeffs:
+        if not self.numerators:
             raise PreconditionError("a class needs at least one coefficient")
-        if self.codim > self.d:
+        if len(self.numerators) - 1 > self.d:
             raise PreconditionError(
                 f"codimension {self.codim} exceeds the dimension of C_{self.d}"
             )
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        coeffs = self._coeffs
+        if coeffs is None:
+            denominator = self.denominator
+            coeffs = tuple([Fraction(n, denominator) for n in self.numerators])
+            _set(self, "_coeffs", coeffs)
+        return coeffs
+
+    @property
     def codim(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.genus, self.d, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.genus, self.d, self.numerators, self.denominator) == (
+            other.genus,
+            other.d,
+            other.numerators,
+            other.denominator,
+        )
+
+    def __hash__(self):
+        return hash((self.genus, self.d, self.numerators, self.denominator))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(genus={self.genus!r}, d={self.d!r}, coeffs={self.coeffs!r})"
 
     def _check_same_space(self, other: "CycleClass") -> None:
         if self.genus != other.genus or self.d != other.d:
@@ -103,17 +188,30 @@ class CycleClass:
             raise PreconditionError(
                 f"cannot add classes of codimension {self.codim} and {other.codim}"
             )
-        return CycleClass(self.genus, self.d, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        denominator = math.lcm(self.denominator, other.denominator)
+        left = denominator // self.denominator
+        right = denominator // other.denominator
+        return CycleClass.from_numerators(
+            self.genus,
+            self.d,
+            [a * left + b * right for a, b in zip(self.numerators, other.numerators)],
+            denominator,
+        )
 
     def __sub__(self, other: "CycleClass") -> "CycleClass":
         return self + (-other)
 
     def __neg__(self) -> "CycleClass":
-        return CycleClass(self.genus, self.d, tuple(-c for c in self.coeffs))
+        return CycleClass.from_numerators(self.genus, self.d, [-n for n in self.numerators], self.denominator)
 
     def scale(self, scalar: int | Fraction) -> "CycleClass":
         scalar = as_rational(scalar)
-        return CycleClass(self.genus, self.d, tuple(scalar * c for c in self.coeffs))
+        return CycleClass.from_numerators(
+            self.genus,
+            self.d,
+            [scalar.numerator * n for n in self.numerators],
+            scalar.denominator * self.denominator,
+        )
 
     def __mul__(self, other):
         if isinstance(other, CycleClass):
@@ -126,7 +224,7 @@ class CycleClass:
     def __pow__(self, exponent: int) -> "CycleClass":
         if not isinstance(exponent, int) or exponent < 0:
             raise PreconditionError("class exponent must be a non-negative integer")
-        result = CycleClass(self.genus, self.d, (Fraction(1),))
+        result = CycleClass.from_numerators(self.genus, self.d, (1,))
         for _ in range(exponent):
             result = multiply(result, self)
         return result
@@ -172,9 +270,10 @@ def _monomial_name(x_power: int, theta_power: int) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
 class DivisorClass(CycleClass):
     """A codimension-1 class, conventionally written a*theta - b*x."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         super().__post_init__()
@@ -205,25 +304,11 @@ def x_class(genus: int, d: int) -> DivisorClass:
     return divisor_class(genus, d, 0, -1)
 
 
-def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators of ``coeffs`` over their least common denominator."""
-    denominator = math.lcm(*[c.denominator for c in coeffs])
-    if denominator == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (denominator // c.denominator) for c in coeffs], denominator
-
-
-def _fractions(numerators: list[int], denominator: int) -> tuple[Fraction, ...]:
-    if denominator == 1:
-        return tuple(map(Fraction, numerators))
-    return tuple(Fraction(n, denominator) for n in numerators)
-
-
 def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     """Formal product: convolution of coefficient vectors; codimensions add.
 
-    The convolution runs on integer numerators over one common denominator,
-    so each output coefficient is reduced to lowest terms only once.
+    The convolution runs on the integer numerators; the product's denominator
+    is the product of the two, and the result is reduced once.
     """
     p._check_same_space(q)
     codim = p.codim + q.codim
@@ -231,27 +316,31 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
         raise PreconditionError(
             f"product has codimension {codim}, beyond the dimension of C_{p.d}"
         )
-    p_nums, p_den = _numerators(p.coeffs)
-    q_nums, q_den = _numerators(q.coeffs)
+    q_terms = [(j, b) for j, b in enumerate(q.numerators) if b]
     sums = [0] * (codim + 1)
-    for i, a in enumerate(p_nums):
-        if not a:
-            continue
-        for j, b in enumerate(q_nums):
-            sums[i + j] += a * b
-    return CycleClass(p.genus, p.d, _fractions(sums, p_den * q_den))
+    for i, a in enumerate(p.numerators):
+        if a:
+            for j, b in q_terms:
+                sums[i + j] += a * b
+    return CycleClass.from_numerators(p.genus, p.d, sums, p.denominator * q.denominator)
 
 
 def evaluate_top(p: CycleClass) -> Fraction:
     """Intersection number of a top-codimension class, via the Poincare formula.
 
-    x^k * theta^(d-k) is the integer g!/(g-d+k)! = perm(g, d-k), which is 0
-    once d - k exceeds g, so the sum is one integer over the common denominator.
+    x^k * theta^(d-k) is the integer g!/(g-d+k)! = perm(g, d-k).  Walking k
+    down from d, each value is the previous one times g-d+k+1, so the values
+    stay 0 once that factor reaches 0 (theta^j = 0 for j > g); the sum is one
+    integer over the class's denominator.
     """
     if p.codim != p.d:
         raise PreconditionError(
             f"only top-degree classes can be evaluated (codim {p.codim} on C_{p.d})"
         )
-    nums, denominator = _numerators(p.coeffs)
-    total = sum(a * math.perm(p.genus, p.d - k) for k, a in enumerate(nums) if a)
-    return Fraction(total, denominator)
+    nums = p.numerators
+    offset = p.genus - p.d
+    total, value = 0, 1
+    for k in range(p.d, -1, -1):
+        total += nums[k] * value
+        value *= offset + k
+    return Fraction(total, p.denominator)

@@ -228,13 +228,13 @@ def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
 
 def volume_polynomial(g: int) -> list[Fraction]:
     """Coefficients in t of sum_k C(g-1,k) * g!/(k+1)! * t^k (1-t)^(g-1-k)."""
-    coeffs = [Fraction(0)] * g
+    coeffs = [0] * g
     for k in range(g):
-        scale = gen_binomial(g - 1, k) * Fraction(factorial(g), factorial(k + 1))
+        scale = gen_binomial(g - 1, k) * (factorial(g) // factorial(k + 1))
         # t^k * (1-t)^(g-1-k) contributes scale * C(g-1-k, j) * (-1)^j at degree k+j.
         for j in range(g - k):
             coeffs[k + j] += scale * gen_binomial(g - 1 - k, j) * (-1) ** j
-    return coeffs
+    return [Fraction(c) for c in coeffs]
 
 
 def pencil_expansion_polynomial(g: int) -> list[Fraction]:

@@ -234,6 +234,19 @@ def test_pencil_residual_sums_are_signed():
     assert (a_sum, b_sum) == (6, -10)
 
 
+def test_stepped_pencil_residual_sums_match_binomial_sums():
+    for k in range(3, 61):
+        a_sum = sum(
+            (-1) ** l * (l + 1) * gen_binomial(2 * k - 4 - l, k - 2) * gen_binomial(2 * k - 2, l + 3)
+            for l in range(k - 1)
+        )
+        b_sum = sum(
+            (-1) ** l * l * (l + 1) * gen_binomial(2 * k - 4 - l, k - 2) * gen_binomial(2 * k - 1, l + 3)
+            for l in range(k - 1)
+        )
+        assert pencil_residual_sums(k) == (a_sum, b_sum), k
+
+
 def test_pencil_residual_needs_k_three():
     with pytest.raises(PreconditionError):
         pencil_residual_divisor_class(2)
@@ -275,6 +288,15 @@ def test_pencil_intersections_match_evaluation():
         x_value = evaluate_top(multiply(locus, x_class(g, k)))
         assert subordinate_pencil_intersections(k) == (theta_value, x_value)
         assert (theta_value, x_value) == (2 * k - 1, k)
+
+
+def test_stepped_pencil_intersections_match_binomial_sums():
+    for k in range(2, 61):
+        theta_sum = sum(
+            (-1) ** j * gen_binomial(k - 2 + j, j) * gen_binomial(2 * k - 2, k - 1 - j) for j in range(k)
+        )
+        x_sum = sum((-1) ** j * gen_binomial(k - 2 + j, j) * gen_binomial(2 * k - 1, k - 1 - j) for j in range(k))
+        assert subordinate_pencil_intersections(k) == ((2 * k - 1) * theta_sum, x_sum), k
 
 
 def test_pencil_orthogonality():

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,49 @@ def test_intersect_moderate_nesting_still_evaluates(capsys):
     code, doc, _ = run_json(capsys, "intersect", expression, "--g", "4", "--d", "3")
     assert code == 0
     assert doc["result"]["value"] == "24"  # 4!/1!
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["2^3000000 * theta^3", "2^100001 * theta^3", "(1/2)^100001 * theta^3", "(2^50000)^3 * theta^3"],
+)
+def test_intersect_scalar_power_is_capped(capsys, expression):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", "4", "--d", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "too large" in err
+    _assert_one_line(err)
+
+
+@pytest.mark.parametrize(
+    "expression, value",
+    [
+        ("2^10 * theta^3", 24 * 2**10),
+        ("2^100000 * theta^3", 24 * 2**100000),
+        ("(1/3)^5 * theta^3", Fraction(24, 3**5)),
+        ("0^99999999999 * theta^3", 0),
+        ("1^99999999999 * theta^3", 24),
+    ],
+    ids=["2^10", "2^100000", "(1/3)^5", "0^huge", "1^huge"],
+)
+def test_intersect_scalar_powers_within_the_cap_answer(capsys, expression, value):
+    code, doc, err = run_json(capsys, "intersect", expression, "--g", "4", "--d", "3")
+    assert code == 0, err
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert doc["result"]["value"] == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_intersect_class_power_keeps_codimension_refusal(capsys):
+    code, out, err = run_cli(capsys, "intersect", "theta^4", "--g", "4", "--d", "3")
+    assert code == 3
+    assert "codimension" in err
+    _assert_one_line(err)
 
 
 def test_cone_hyperelliptic(capsys):

@@ -1,3 +1,7 @@
+import copy
+import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import factorial
 
@@ -5,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symcd import cycles
 from symcd.catalog import subordinate_class
+from symcd.combinatorics import gen_binomial, inv_factorial
 from symcd.cycles import (
     CycleClass,
     DivisorClass,
@@ -186,3 +192,149 @@ def test_class_coerces_non_fraction_coefficients_and_refuses_floats():
     assert type(cls.coeffs) is tuple and all(type(c) is Fraction for c in cls.coeffs)
     with pytest.raises(TypeError):
         CycleClass(4, 3, (Fraction(1), 0.5))
+
+
+def _assert_lowest_terms(cls):
+    assert cls.denominator > 0
+    assert math.gcd(cls.denominator, *cls.numerators) == 1
+    assert all(type(n) is int for n in cls.numerators)
+
+
+def _plain_power(coeffs, exponent):
+    result = (Fraction(1),)
+    for _ in range(exponent):
+        result = _plain_convolution(result, coeffs)
+    return result
+
+
+@st.composite
+def same_space_pairs(draw):
+    """Two classes of one codimension c on one C_d, with 2c <= d."""
+    g = draw(st.integers(min_value=2, max_value=8))
+    d = draw(st.integers(min_value=2, max_value=g + 2))
+    codim = draw(st.integers(min_value=0, max_value=d // 2))
+    coeffs = st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=60), min_size=codim + 1, max_size=codim + 1
+    )
+    return CycleClass(g, d, tuple(draw(coeffs))), CycleClass(g, d, draw(coeffs))
+
+
+@given(same_space_pairs(), st.fractions(max_denominator=30), st.integers(min_value=0, max_value=4))
+def test_arithmetic_matches_plain_fraction_arithmetic(pair, scalar, exponent):
+    p, q = pair
+    if p.codim:
+        exponent = min(exponent, p.d // p.codim)
+    cases = [
+        (p + q, tuple(a + b for a, b in zip(p.coeffs, q.coeffs))),
+        (p - q, tuple(a - b for a, b in zip(p.coeffs, q.coeffs))),
+        (-p, tuple(-a for a in p.coeffs)),
+        (p.scale(scalar), tuple(scalar * a for a in p.coeffs)),
+        (multiply(p, q), _plain_convolution(p.coeffs, q.coeffs)),
+        (p**exponent, _plain_power(p.coeffs, exponent)),
+    ]
+    for result, expected in cases:
+        _assert_lowest_terms(result)
+        assert result.coeffs == expected
+        assert all(type(c) is Fraction for c in result.coeffs)
+
+
+def test_arithmetic_never_coerces_through_as_rational(monkeypatch):
+    p = CycleClass(5, 4, (Fraction(1, 2), Fraction(-2, 3)))
+    q = CycleClass(5, 4, (Fraction(3), Fraction(5, 6)))
+
+    def refuse(value):
+        raise AssertionError(f"as_rational called on {value!r}")
+
+    monkeypatch.setattr(cycles, "as_rational", refuse)
+    CycleClass(5, 4, (Fraction(1), Fraction(1, 3)))  # a tuple of Fractions is kept as given
+    for result in (p + q, p - q, -p, multiply(p, q), p**4):
+        _assert_lowest_terms(result)
+    assert evaluate_top(p**4) == evaluate_top(CycleClass(5, 4, _plain_power(p.coeffs, 4)))
+
+
+def test_equal_classes_from_different_routes_compare_and_hash_equal():
+    parsed = CycleClass(4, 3, ["2/4", 1])
+    scaled = divisor_class(4, 3, Fraction(1, 4), Fraction(-1, 2)).scale(2)
+    summed = CycleClass(4, 3, [Fraction(1, 6), Fraction(1, 3)]) + CycleClass(4, 3, [Fraction(1, 3), Fraction(2, 3)])
+    integer = CycleClass.from_numerators(4, 3, [-3, -6], -6)
+    for cls in (scaled, summed, integer):
+        assert cls == parsed
+        assert hash(cls) == hash(parsed)
+        assert (cls.numerators, cls.denominator) == ((1, 2), 2)
+    assert len({parsed, scaled, summed, integer}) == 1
+    assert CycleClass(4, 3, [1, 2]) != parsed
+    assert CycleClass(5, 3, ["1/2", 1]) != parsed
+
+
+def test_from_numerators_reduces_and_refuses_a_zero_denominator():
+    cls = CycleClass.from_numerators(6, 4, [4, -6, 0], 8)
+    assert (cls.numerators, cls.denominator) == ((2, -3, 0), 4)
+    assert cls.coeffs == (Fraction(1, 2), Fraction(-3, 4), Fraction(0))
+    zero = CycleClass.from_numerators(6, 4, [0, 0], 7)
+    assert (zero.numerators, zero.denominator) == ((0, 0), 1)
+    with pytest.raises(ZeroDivisionError):
+        CycleClass.from_numerators(6, 4, [1, 2], 0)
+    with pytest.raises(PreconditionError):
+        CycleClass.from_numerators(6, 4, [1] * 6, 3)  # codim 5 > d = 4
+    with pytest.raises(PreconditionError):
+        DivisorClass.from_numerators(6, 4, [1, 0, 0])
+
+
+def test_divisor_and_cycle_classes_stay_distinct():
+    div = divisor_class(4, 3, 1, 1)
+    plain = CycleClass(4, 3, (1, -1))
+    assert div.coeffs == plain.coeffs
+    assert div != plain and plain != div
+    assert div == DivisorClass.from_numerators(4, 3, [1, -1])
+    assert type(-div) is CycleClass and type(multiply(div, div)) is CycleClass
+
+
+def test_classes_are_frozen():
+    cls = divisor_class(4, 3, 1, 1)
+    for field in ("genus", "d", "coeffs", "numerators", "denominator"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cls, field, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(cls, field)
+    assert cls == divisor_class(4, 3, 1, 1)
+
+
+def test_repr_keeps_the_dataclass_layout():
+    assert repr(CycleClass(4, 3, ["1/2", 1])) == (
+        "CycleClass(genus=4, d=3, coeffs=(Fraction(1, 2), Fraction(1, 1)))"
+    )
+    assert repr(theta_class(5, 2)) == "DivisorClass(genus=5, d=2, coeffs=(Fraction(1, 1), Fraction(0, 1)))"
+
+
+def test_classes_survive_pickle_and_copy():
+    for cls in (CycleClass(5, 3, ["1/2", -2, 3]), divisor_class(4, 3, 10, 12)):
+        for clone in (pickle.loads(pickle.dumps(cls)), copy.copy(cls), copy.deepcopy(cls)):
+            assert clone == cls and type(clone) is type(cls)
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_stepped_evaluate_top_matches_monomial_values(g):
+    # d runs past g, where theta^j = 0 for j > g
+    for d in range(2, g + 3):
+        for k in range(d + 1):
+            monomial = CycleClass.from_numerators(g, d, [int(i == k) for i in range(d + 1)])
+            assert evaluate_top(monomial) == monomial_value(g, d, k), (g, d, k)
+        coeffs = [Fraction(k - 3, k + 2) for k in range(d + 1)]
+        expected = sum(c * monomial_value(g, d, k) for k, c in enumerate(coeffs))
+        assert evaluate_top(CycleClass(g, d, coeffs)) == expected, (g, d)
+
+
+def _fraction_subordinate_coeffs(g, d, n, r):
+    """The subordinate-locus coefficients C(n-g-r, k)/(d-r-k)! in plain Fractions."""
+    codim = d - r
+    return tuple(Fraction(gen_binomial(n - g - r, k)) * inv_factorial(codim - k) for k in range(codim + 1))
+
+
+def test_integer_subordinate_class_matches_fraction_formula():
+    for g in range(2, 9):
+        for d in range(2, g + 3):
+            for r in range(d + 1):
+                for n in range(d, d + 2 * g + 1):
+                    cls = subordinate_class(g, d, n, r)
+                    _assert_lowest_terms(cls)
+                    assert cls.coeffs == _fraction_subordinate_coeffs(g, d, n, r), (g, d, n, r)
