@@ -88,16 +88,14 @@ def small_diagonal_class(g: int, d: int) -> CycleClass:
     """
     if d < 2:
         raise PreconditionError(f"the small diagonal needs d >= 2 (got {d})")
-    coeffs = [Fraction(0)] * d
-    coeffs[d - 1] = Fraction(d * ((d - 1) * g + 1))
-    coeffs[d - 2] = Fraction(-d * (d - 1))
-    return CycleClass(g, d, tuple(coeffs))
+    return CycleClass.from_numerators(g, d, [0] * (d - 2) + [-d * (d - 1), d * ((d - 1) * g + 1)])
 
 
-def _bipartition_multiplicity(g: int, d: int) -> Fraction:
+def _bipartition_halving(g: int, d: int) -> int:
     # The parametrization (p, q) |-> (g-d+1)p + dq is 2:1 onto its image
-    # exactly when the two parts coincide, i.e. d = (g+1)/2.
-    return Fraction(1, 2) if 2 * d == g + 1 else Fraction(1)
+    # exactly when the two parts coincide, i.e. d = (g+1)/2; the class is
+    # then halved.
+    return 2 if 2 * d == g + 1 else 1
 
 
 def _check_bipartition_range(g: int, d: int) -> None:
@@ -136,12 +134,13 @@ def bipartition_diagonal_class(g: int, d: int, variant: str = "proof") -> CycleC
     else:
         b_coeff = (2 - 2 * d) * g**2 + (2 * d * d - 3) * g - (2 * d * d - d - 2)
     c_coeff = (d - 1) * (g - d)
-    scale = _bipartition_multiplicity(g, d) * d * (g - d + 1)
-    coeffs = [Fraction(0)] * g
-    coeffs[g - 1] = scale * a_coeff
-    coeffs[g - 2] = scale * b_coeff
-    coeffs[g - 3] = scale * c_coeff
-    return CycleClass(g, g + 1, tuple(coeffs))
+    scale = d * (g - d + 1)
+    return CycleClass.from_numerators(
+        g,
+        g + 1,
+        [0] * (g - 3) + [scale * c_coeff, scale * b_coeff, scale * a_coeff],
+        _bipartition_halving(g, d),
+    )
 
 
 def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
@@ -185,10 +184,7 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
             signed = -signed * (alpha - beta) // (beta + 1)
         numerators[g - 1 - alpha] = total * falling
         falling *= alpha
-    multiplicity = _bipartition_multiplicity(g, d)
-    return CycleClass.from_numerators(
-        g, g + 1, [multiplicity.numerator * n for n in numerators], multiplicity.denominator * factorial(g - 1)
-    )
+    return CycleClass.from_numerators(g, g + 1, numerators, _bipartition_halving(g, d) * factorial(g - 1))
 
 
 def _check_ramification_range(g: int, d: int) -> None:
@@ -285,21 +281,22 @@ def _residual_sums(m: int) -> tuple[int, int]:
     """sum_{l=0}^m (-1)^l (l+1) C(2m-l, m) C(2m+2, l+3) and
     sum_{l=0}^m (-1)^l l(l+1) C(2m-l, m) C(2m+3, l+3), for m >= 1.
 
-    The three binomials start at l = 0 and step in l by exact ratios:
-    C(n-1, m) = C(n, m)(n-m)/n and C(n, j+1) = C(n, j)(n-j)/(j+1).  Each
-    quotient is a binomial coefficient, so floor division is exact.
+    One term product P_l = C(2m-l, m) C(2m+2, l+3) is stepped in l: by
+    C(n-1, m) = C(n, m)(n-m)/n and C(n, j+1) = C(n, j)(n-j)/(j+1),
+
+        P_(l+1) = P_l (m-l)(2m-1-l) / ((2m-l)(l+4)),
+
+    and the right-hand term is C(2m-l, m) C(2m+3, l+3) = P_l (2m+3)/(2m-l).
+    Each quotient is a product of binomial coefficients, so every floor
+    division is exact.
     """
-    shared = gen_binomial(2 * m, m)
-    left = gen_binomial(2 * m + 2, 3)
-    right = gen_binomial(2 * m + 3, 3)
+    product = gen_binomial(2 * m, m) * gen_binomial(2 * m + 2, 3)
     left_sum = right_sum = 0
     for l in range(m + 1):
-        signed = -shared if l & 1 else shared
-        left_sum += (l + 1) * signed * left
-        right_sum += l * (l + 1) * signed * right
-        shared = shared * (m - l) // (2 * m - l)
-        left = left * (2 * m - 1 - l) // (l + 4)
-        right = right * (2 * m - l) // (l + 4)
+        signed = -product if l & 1 else product
+        left_sum += (l + 1) * signed
+        right_sum += l * (l + 1) * (2 * m + 3) * signed // (2 * m - l)
+        product = product * ((m - l) * (2 * m - 1 - l)) // ((2 * m - l) * (l + 4))
     return left_sum, right_sum
 
 

@@ -159,7 +159,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 _MAX_NESTING = 100
-_MAX_SCALAR_POWER_BITS = 100_000
+_MAX_SCALAR_BITS = 100_000
+_MAX_SCALAR = 1 << _MAX_SCALAR_BITS
 
 
 class _ExpressionParser:
@@ -169,13 +170,20 @@ class _ExpressionParser:
     factor := atom (('^'|'**') INT)?; atom := NUMBER | NAME | '(' expr ')' |
     '-' atom.  Values are exact rationals or cycle classes.  Parentheses and
     unary minus together may nest at most ``_MAX_NESTING`` levels deep, which
-    keeps the recursion far from the interpreter's limit.  A scalar power p^e,
-    with p the larger of the base's numerator and denominator, is a usage
-    error when e * (bit length of p - 1) exceeds ``_MAX_SCALAR_POWER_BITS``:
-    the power's numerator or denominator would then exceed 2^100000 (about
-    30,000 decimal digits), and computing and printing it takes time
-    quadratic in that size.  2^100000 is the largest power of 2 accepted.  A
-    power of a class is bounded by its codimension instead.
+    keeps the recursion far from the interpreter's limit.
+
+    Every value the parser builds is bounded: a scalar's numerator and
+    denominator, and a class's integer numerators and common denominator,
+    may not exceed 2^``_MAX_SCALAR_BITS`` (about 30,000 decimal digits) in
+    absolute value, or the expression is a usage error.  Computing and
+    printing larger numbers takes time quadratic in their size, so without
+    the bound a long product of large scalars runs for hours.  Literals,
+    sums, products and powers are checked; a negation keeps the size of a
+    value already checked.  A scalar power p^e, with p the larger of the
+    base's numerator and denominator, is refused before it is computed when
+    e * (bit length of p - 1) exceeds the bound, since p^e is then at least
+    2^(that product).  A power of a class is bounded by its codimension
+    instead.
     """
 
     def __init__(self, text: str, env: dict[str, Callable[[], CycleClass]]):
@@ -205,14 +213,14 @@ class _ExpressionParser:
         while self.peek() in ("+", "-"):
             op = self.advance()
             right = self.term()
-            value = _add(value, right if op == "+" else -right)
+            value = _bounded(_add(value, right if op == "+" else -right))
         return value
 
     def term(self):
         value = self.factor()
         while self.peek() == "*":
             self.advance()
-            value = _multiply(value, self.factor())
+            value = _bounded(_multiply(value, self.factor()))
         return value
 
     def factor(self):
@@ -225,12 +233,12 @@ class _ExpressionParser:
             exponent = int(exponent_token)
             if not isinstance(value, CycleClass):
                 bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-                if (bits - 1) * exponent > _MAX_SCALAR_POWER_BITS:
+                if (bits - 1) * exponent > _MAX_SCALAR_BITS:
                     raise UsageError(
                         f"scalar power {exponent_token} is too large: its value would exceed "
-                        f"2^{_MAX_SCALAR_POWER_BITS}"
+                        f"2^{_MAX_SCALAR_BITS}"
                     )
-            value = value**exponent
+            value = _bounded(value**exponent)
         return value
 
     def atom(self):
@@ -249,12 +257,23 @@ class _ExpressionParser:
             return value
         if re.fullmatch(r"\d+(/\d+)?", token):
             try:
-                return Fraction(token)
+                return _bounded(Fraction(token))
             except ZeroDivisionError:
                 raise UsageError(f"zero denominator in {token!r}") from None
         if token in self.env:
             return self.env[token]()
         raise UsageError(f"unknown name in expression: {token!r}")
+
+
+def _bounded(value):
+    """``value`` itself, unless a number it is built from exceeds 2^_MAX_SCALAR_BITS."""
+    if isinstance(value, CycleClass):
+        numbers, what = (value.denominator, *value.numerators), "class coefficient"
+    else:
+        numbers, what = (value.numerator, value.denominator), "scalar"
+    if any(abs(n) > _MAX_SCALAR for n in numbers):
+        raise UsageError(f"a {what} in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
+    return value
 
 
 def _add(left, right):

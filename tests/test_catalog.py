@@ -18,7 +18,7 @@ from symcd.catalog import (
     subordinate_pencil_intersections,
 )
 from symcd.combinatorics import BivariateSeries, gen_binomial
-from symcd.cycles import divisor_class, evaluate_top, multiply, theta_class, x_class
+from symcd.cycles import CycleClass, divisor_class, evaluate_top, multiply, theta_class, x_class
 from symcd.errors import PreconditionError
 
 
@@ -71,6 +71,20 @@ def test_small_diagonal_matches_first_degeneration():
     # at d = 2 the class is 2(-theta + (g+1)x)
     for g in range(2, 31):
         assert small_diagonal_class(g, 2).coeffs == (Fraction(-2), Fraction(2 * (g + 1)))
+
+
+def _fraction_small_diagonal(g, d):
+    """The small diagonal as built from Fraction coefficients before it was integer."""
+    coeffs = [Fraction(0)] * d
+    coeffs[d - 1] = Fraction(d * ((d - 1) * g + 1))
+    coeffs[d - 2] = Fraction(-d * (d - 1))
+    return CycleClass(g, d, tuple(coeffs))
+
+
+def test_integer_small_diagonal_matches_fraction_formula():
+    for g in range(2, 21):
+        for d in range(2, g + 3):
+            assert small_diagonal_class(g, d) == _fraction_small_diagonal(g, d), (g, d)
 
 
 def test_small_diagonal_rejects_points():
@@ -149,6 +163,31 @@ def test_bipartition_halving_at_equal_parts():
     assert closed.coeffs == extracted.coeffs
     doubled = bipartition_diagonal_class(5, 3)
     assert doubled.coeffs[4] == Fraction(9, 2) * (2 * 125 - 7 * 25 + 5 * 5 + 2)
+
+
+def _fraction_bipartition(g, d, variant):
+    """The two-part diagonal as built from Fraction coefficients before it was integer."""
+    a_coeff = (d - 1) * g**3 - (d * d - 2) * g**2 + (d * d - d - 1) * g + 2
+    if variant == "proof":
+        b_coeff = (2 - 2 * d) * g**2 + (2 * d * d - 3) * g - (2 * d * d - 2 * d - 1)
+    else:
+        b_coeff = (2 - 2 * d) * g**2 + (2 * d * d - 3) * g - (2 * d * d - d - 2)
+    c_coeff = (d - 1) * (g - d)
+    scale = (Fraction(1, 2) if 2 * d == g + 1 else Fraction(1)) * d * (g - d + 1)
+    coeffs = [Fraction(0)] * g
+    coeffs[g - 1] = scale * a_coeff
+    coeffs[g - 2] = scale * b_coeff
+    coeffs[g - 3] = scale * c_coeff
+    return CycleClass(g, g + 1, tuple(coeffs))
+
+
+@pytest.mark.parametrize("variant", ["proof", "statement"])
+def test_integer_bipartition_matches_fraction_formula(variant):
+    cases = [(g, d) for g in range(3, 21) for d in range(2, g)]
+    for g, d in cases:
+        assert bipartition_diagonal_class(g, d, variant) == _fraction_bipartition(g, d, variant), (g, d)
+    # the halved classes at d = (g+1)/2 are among them
+    assert sum(2 * d == g + 1 for g, d in cases) == 9
 
 
 def test_bipartition_agreement_sweep():
@@ -324,7 +363,7 @@ def test_convolution_identity_sweep():
 
 
 def test_stepped_convolution_sums_match_binomial_sums():
-    for m in range(1, 61):
+    for m in range(1, 121):
         lhs = (2 * m + 3) * sum(
             (-1) ** l * (l + 1) * gen_binomial(2 * m - l, m) * gen_binomial(2 * m + 2, l + 3)
             for l in range(m + 1)

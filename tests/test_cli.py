@@ -190,8 +190,13 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
         ("(1/3)^5 * theta^3", Fraction(24, 3**5)),
         ("0^99999999999 * theta^3", 0),
         ("1^99999999999 * theta^3", 24),
+        ("2^50000 * 2^50000 * theta^3", 24 * 2**100000),
+        ("theta^3 * 2^50000 * 2^50000", 24 * 2**100000),
+        ("-(2^100000) * theta^3", -24 * 2**100000),
+        ("(1/2)^50000 * theta^3 * (1/2)^50000", Fraction(24, 2**100000)),
+        ("2^99999 * theta^3 + 2^99999 * theta^3", 24 * 2**100000),
     ],
-    ids=["2^10", "2^100000", "(1/3)^5", "0^huge", "1^huge"],
+    ids=["2^10", "2^100000", "(1/3)^5", "0^huge", "1^huge", "product", "class-product", "negated", "reciprocal", "sum"],
 )
 def test_intersect_scalar_powers_within_the_cap_answer(capsys, expression, value):
     code, doc, err = run_json(capsys, "intersect", expression, "--g", "4", "--d", "3")
@@ -202,6 +207,32 @@ def test_intersect_scalar_powers_within_the_cap_answer(capsys, expression, value
         assert doc["result"]["value"] == str(value)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+_LONG = " * ".join(["2^100000"] * 20)
+
+
+@pytest.mark.parametrize(
+    "expression, refused",
+    [
+        (_LONG + " * theta^3", "a scalar"),
+        ("theta^3 * " + _LONG, "a class coefficient"),
+        ("3^100000 * theta^3", "a scalar"),
+        ("(2^100000 + 2^100000) * theta^3", "a scalar"),
+        ("-(2^100000 * 2) * theta^3", "a scalar"),
+        ("1" + "0" * 30200 + " * theta^3", "a scalar"),
+        ("theta^3 * 2^100000 + theta^3 * 2^100000", "a class coefficient"),
+    ],
+    ids=["scalar-first", "class-first", "power", "sum", "negated-product", "literal", "class-sum"],
+)
+def test_intersect_scalars_beyond_the_bound_are_refused(capsys, expression, refused):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", "4", "--d", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert f"{refused} in the expression is too large" in err
+    _assert_one_line(err)
 
 
 def test_intersect_class_power_keeps_codimension_refusal(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from symcd.catalog import binomial_convolution_identity
+from symcd.cycles import evaluate_top, multiply, theta_class, x_class
 from symcd.errors import PreconditionError
 from symcd.verify import (
     CheckLimits,
@@ -99,6 +100,31 @@ def test_volume_polynomials_match_and_evaluate():
     for c in reversed(coeffs):
         value = value * Fraction(1, 2) + c
     assert value == Fraction(73, 8)
+
+
+def _class_product_expansion(g):
+    """((1-t)theta + t*x)^(g-1) expanded with one class per power of t, by
+    class products, as the expansion was computed before it ran over Z[t]."""
+    d = g - 1
+    theta = theta_class(g, d)
+    x_minus_theta = x_class(g, d) - theta
+    classes = [theta**0]
+    for _ in range(d):
+        longer = []
+        for j in range(len(classes) + 1):
+            terms = []
+            if j < len(classes):
+                terms.append(multiply(classes[j], theta))
+            if j >= 1:
+                terms.append(multiply(classes[j - 1], x_minus_theta))
+            longer.append(sum(terms[1:], terms[0]))
+        classes = longer
+    return [evaluate_top(c) for c in classes]
+
+
+def test_integer_expansion_matches_class_products():
+    for g in range(4, 26):
+        assert pencil_expansion_polynomial(g) == _class_product_expansion(g), g
 
 
 def test_volume_polynomial_constant_term_is_factorial():
