@@ -21,80 +21,104 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
-from .catalog import (
-    bipartition_diagonal_class,
-    hyperelliptic_pencil_locus_class,
-    pencil_residual_divisor_class,
-    ramification_divisor_class,
-    small_diagonal_class,
-    subordinate_class,
-)
-from .cones import (
-    CurveContext,
-    CurveType,
-    Ray,
-    effective_cone,
-    nef_facts,
-    volume_general,
-    volume_hyperelliptic,
-)
-from .cycles import CycleClass, evaluate_top, theta_class, x_class
 from .errors import OutOfProvenDomainError, PreconditionError
-from .verify import (
-    CheckLimits,
-    CheckReport,
-    CheckStatus,
-    all_passed,
-    check_combsum,
-    check_diagonal_agreement,
-    check_dd_system,
-    check_orth,
-    check_pencil_residual_link,
-    check_volume_identity,
-    diagonal_statement_discrepancy,
-    run_all,
-)
 
 FORMAT_ENV_VAR = "SYMCD_FORMAT"
 
-_PROVENANCE = {
-    "poincare": "Poincare formula: x^k * theta^(d-k) = g!/(g-d+k)! on C_d",
-    "subordinate": (
+# --------------------------------------------------------------------------
+# registries: the named classes and the verify suites, each listed once
+
+_Entry = namedtuple("_Entry", "class_name intersect_name constructor flags provenance")
+
+# One row per named class: its name for ``class``, its name in ``intersect``
+# expressions (None where it has none), its constructor as "module.function",
+# the flags the constructor takes in order, and its provenance line.
+_CATALOG = (
+    _Entry(None, "theta", "cycles.theta_class", ("g", "d"), None),
+    _Entry(None, "x", "cycles.x_class", ("g", "d"), None),
+    _Entry(
+        "subordinate",
+        "subordinate",
+        "catalog.subordinate_class",
+        ("g", "d", "n", "r"),
         "degeneracy-locus formula for loci subordinate to a linear series "
-        "(Arbarello-Cornalba-Griffiths-Harris)"
+        "(Arbarello-Cornalba-Griffiths-Harris)",
     ),
-    "small-diagonal": "pushforward of the curve under p |-> d*p",
-    "bipartition-diagonal": (
-        "pushforward of C x C under (p, q) |-> (g-d+1)p + d*q, by coefficient extraction"
+    _Entry(
+        "small-diagonal",
+        "smalldiag",
+        "catalog.small_diagonal_class",
+        ("g", "d"),
+        "pushforward of the curve under p |-> d*p",
     ),
-    "ramification": (
-        "Gauss-map ramification divisor, solved from small-diagonal and moving-point test curves"
+    _Entry(
+        "bipartition-diagonal",
+        None,
+        "catalog.bipartition_diagonal_class",
+        ("g", "d"),
+        "pushforward of C x C under (p, q) |-> (g-d+1)p + d*q, by coefficient extraction",
     ),
-    "e-k": "pushforward to C_k of the pencil locus C^(k-2)_(3k-5) in genus 2k-1",
-    "hyperelliptic-c1d": (
-        "C^1_d equals the locus subordinate to the (d-1)-st power of the hyperelliptic pencil"
+    _Entry(
+        "ramification",
+        "ramification",
+        "catalog.ramification_divisor_class",
+        ("g", "d"),
+        "Gauss-map ramification divisor, solved from small-diagonal and moving-point test curves",
     ),
-    "volume-general": (
-        "volume of theta - t*x on C_(g-1): residuation onto the nef subcone, then top self-intersection"
+    _Entry(
+        "e-k",
+        "ek",
+        "catalog.pencil_residual_divisor_class",
+        ("k",),
+        "pushforward to C_k of the pencil locus C^(k-2)_(3k-5) in genus 2k-1",
     ),
-    "volume-hyperelliptic": "Zariski decomposition with positive part proportional to theta",
-    "verify": "exact re-derivation of the identity catalog; no tolerances",
+    _Entry(
+        "hyperelliptic-c1d",
+        "c1d",
+        "catalog.hyperelliptic_pencil_locus_class",
+        ("g", "d"),
+        "C^1_d equals the locus subordinate to the (d-1)-st power of the hyperelliptic pencil",
+    ),
+)
+_CLASSES = {entry.class_name: entry for entry in _CATALOG if entry.class_name}
+_INTERSECT_NAMES = {entry.intersect_name: entry for entry in _CATALOG if entry.intersect_name}
+
+_Suite = namedtuple("_Suite", "check limit minimum cap")
+
+# One row per verify suite, in the order run_all runs them: its check in
+# ``verify``, the CheckLimits field that bounds it under ``all``, the smallest
+# --max whose sweeps all hold at least one case, and the cap on that field
+# under ``all`` (None for no cap).
+_SUITES = {
+    "combsum": _Suite("check_combsum", "m_max", 1, None),
+    "pencil-link": _Suite("check_pencil_residual_link", "link_k_max", 3, 50),
+    "orth": _Suite("check_orth", "k_max", 2, None),
+    "diagonal": _Suite("check_diagonal_agreement", "diagonal_g_max", 4, 12),
+    "dd-system": _Suite("check_dd_system", "g_max", 4, None),
+    "volume": _Suite("check_volume_identity", "g_max", 4, None),
 }
+
+
+def _build(entry: _Entry, *args):
+    """Call ``entry``'s constructor, importing its module on first use.
+
+    The function is looked up on its module at every call and never kept, so
+    rebinding it there (as the benchmark's tracer does) takes effect at once.
+    """
+    module, function = entry.constructor.split(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), function)(*args)
 
 
 class UsageError(Exception):
     """Bad command usage that argparse itself cannot detect."""
-
-
-def _rat(value: Fraction | int) -> str:
-    return str(value)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -104,14 +128,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
 
 
-def _require(args: argparse.Namespace, flag: str, why: str) -> int:
+def _require(args: argparse.Namespace, flag: str, why: str):
     value = getattr(args, flag)
     if value is None:
         raise UsageError(f"--{flag} is required for {why}")
     return value
 
 
-def _class_document(cls: CycleClass) -> dict:
+def _class_document(cls) -> dict:
     codim = cls.codim
     monomials = []
     for k in range(codim + 1):
@@ -123,17 +147,17 @@ def _class_document(cls: CycleClass) -> dict:
         "symmetric_power": cls.d,
         "codimension": codim,
         "monomials": monomials,
-        "coefficients": [_rat(c) for c in cls.coeffs],
+        "coefficients": [str(c) for c in cls.coeffs],
         "pretty": str(cls),
     }
     if codim == 1:
         # a*theta - b*x convention
-        result["a"] = _rat(cls.coeffs[0])
-        result["b"] = _rat(-cls.coeffs[1])
+        result["a"] = str(cls.coeffs[0])
+        result["b"] = str(-cls.coeffs[1])
     return result
 
 
-def _ray_document(ray: Ray) -> dict:
+def _ray_document(ray) -> dict:
     return {"theta": ray.theta, "x": ray.x, "pretty": str(ray)}
 
 
@@ -168,9 +192,10 @@ class _ExpressionParser:
 
     Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := atom (('^'|'**') INT)?; atom := NUMBER | NAME | '(' expr ')' |
-    '-' atom.  Values are exact rationals or cycle classes.  Parentheses and
-    unary minus together may nest at most ``_MAX_NESTING`` levels deep, which
-    keeps the recursion far from the interpreter's limit.
+    '-' atom.  Values are exact rationals (``Fraction``) or cycle classes;
+    ``resolve`` maps a NAME to its class.  Parentheses and unary minus
+    together may nest at most ``_MAX_NESTING`` levels deep, which keeps the
+    recursion far from the interpreter's limit.
 
     Every value the parser builds is bounded: a scalar's numerator and
     denominator, and a class's integer numerators and common denominator,
@@ -186,11 +211,11 @@ class _ExpressionParser:
     instead.
     """
 
-    def __init__(self, text: str, env: dict[str, Callable[[], CycleClass]]):
+    def __init__(self, text: str, resolve):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.env = env
+        self.resolve = resolve
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -231,7 +256,7 @@ class _ExpressionParser:
             if not exponent_token.isdigit():
                 raise UsageError(f"exponent must be a non-negative integer (got {exponent_token!r})")
             exponent = int(exponent_token)
-            if not isinstance(value, CycleClass):
+            if isinstance(value, Fraction):
                 bits = max(value.numerator.bit_length(), value.denominator.bit_length())
                 if (bits - 1) * exponent > _MAX_SCALAR_BITS:
                     raise UsageError(
@@ -260,36 +285,32 @@ class _ExpressionParser:
                 return _bounded(Fraction(token))
             except ZeroDivisionError:
                 raise UsageError(f"zero denominator in {token!r}") from None
-        if token in self.env:
-            return self.env[token]()
-        raise UsageError(f"unknown name in expression: {token!r}")
+        return self.resolve(token)
 
 
 def _bounded(value):
     """``value`` itself, unless a number it is built from exceeds 2^_MAX_SCALAR_BITS."""
-    if isinstance(value, CycleClass):
-        numbers, what = (value.denominator, *value.numerators), "class coefficient"
-    else:
+    if isinstance(value, Fraction):
         numbers, what = (value.numerator, value.denominator), "scalar"
+    else:
+        numbers, what = (value.denominator, *value.numerators), "class coefficient"
     if any(abs(n) > _MAX_SCALAR for n in numbers):
         raise UsageError(f"a {what} in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
     return value
 
 
 def _add(left, right):
-    if isinstance(left, CycleClass) != isinstance(right, CycleClass):
+    if isinstance(left, Fraction) != isinstance(right, Fraction):
         raise PreconditionError("cannot add a scalar to a class")
     return left + right
 
 
 def _multiply(left, right):
-    if isinstance(left, CycleClass) and isinstance(right, CycleClass):
+    if isinstance(left, Fraction) == isinstance(right, Fraction):
         return left * right
-    if isinstance(left, CycleClass):
-        return left.scale(right)
-    if isinstance(right, CycleClass):
+    if isinstance(left, Fraction):
         return right.scale(left)
-    return left * right
+    return left.scale(right)
 
 
 # --------------------------------------------------------------------------
@@ -298,110 +319,72 @@ def _multiply(left, right):
 
 def _cmd_class(args) -> tuple[dict, int]:
     name = args.name
-    inputs: dict = {"name": name}
-    if name == "subordinate":
-        g = _require(args, "g", name)
-        d = _require(args, "d", name)
-        n = _require(args, "n", name)
-        r = _require(args, "r", name)
-        inputs.update(g=g, d=d, n=n, r=r)
-        cls = subordinate_class(g, d, n, r)
-        provenance = [_PROVENANCE["subordinate"]]
-    elif name == "small-diagonal":
-        g = _require(args, "g", name)
-        d = _require(args, "d", name)
-        inputs.update(g=g, d=d)
-        cls = small_diagonal_class(g, d)
-        provenance = [_PROVENANCE["small-diagonal"]]
-    elif name == "bipartition-diagonal":
-        g = _require(args, "g", name)
-        d = _require(args, "d", name)
-        variant = "statement" if args.statement_variant else "proof"
-        inputs.update(g=g, d=d, variant=variant)
-        cls = bipartition_diagonal_class(g, d, variant)
-        provenance = [_PROVENANCE["bipartition-diagonal"]]
-        if variant == "statement":
+    entry = _CLASSES[name]
+    values = [_require(args, flag, name) for flag in entry.flags]
+    inputs = {"name": name, **dict(zip(entry.flags, values))}
+    provenance = [entry.provenance]
+    if name == "bipartition-diagonal":
+        inputs["variant"] = "statement" if args.statement_variant else "proof"
+        values.append(inputs["variant"])
+        if args.statement_variant:
             provenance.append(
                 "statement variant: x*theta coefficient known to disagree with the extraction oracle"
             )
-    elif name == "ramification":
-        g = _require(args, "g", name)
-        d = _require(args, "d", name)
-        inputs.update(g=g, d=d)
-        cls = ramification_divisor_class(g, d)
-        provenance = [_PROVENANCE["ramification"]]
-    elif name == "e-k":
-        k = _require(args, "k", name)
-        inputs.update(k=k)
-        cls = pencil_residual_divisor_class(k)
-        provenance = [_PROVENANCE["e-k"]]
-    else:  # hyperelliptic-c1d; argparse restricts the choices
-        g = _require(args, "g", name)
-        d = _require(args, "d", name)
-        inputs.update(g=g, d=d)
-        cls = hyperelliptic_pencil_locus_class(g, d)
-        provenance = [_PROVENANCE["hyperelliptic-c1d"]]
     document = {
         "command": "class",
         "inputs": inputs,
-        "result": _class_document(cls),
+        "result": _class_document(_build(entry, *values)),
         "provenance": provenance,
     }
     return document, 0
 
 
-def _intersect_env(args, g: int, d: int) -> dict[str, Callable[[], CycleClass]]:
-    def subordinate():
-        n = _require(args, "n", "the 'subordinate' name")
-        r = _require(args, "r", "the 'subordinate' name")
-        return subordinate_class(g, d, n, r)
-
-    def ek():
-        k = _require(args, "k", "the 'ek' name")
-        if g != 2 * k - 1 or d != k:
-            raise PreconditionError(
-                f"ek lives on C_k in genus 2k-1; got k={k} with g={g}, d={d}"
-            )
-        return pencil_residual_divisor_class(k)
-
-    return {
-        "theta": lambda: theta_class(g, d),
-        "x": lambda: x_class(g, d),
-        "smalldiag": lambda: small_diagonal_class(g, d),
-        "ramification": lambda: ramification_divisor_class(g, d),
-        "c1d": lambda: hyperelliptic_pencil_locus_class(g, d),
-        "subordinate": subordinate,
-        "ek": ek,
-    }
+def _intersect_class(args, g: int, d: int, name: str):
+    """The class that ``name`` stands for in an expression on C_d in genus g."""
+    entry = _INTERSECT_NAMES.get(name)
+    if entry is None:
+        raise UsageError(f"unknown name in expression: {name!r}")
+    given = {"g": g, "d": d}
+    values = [
+        given[flag] if flag in given else _require(args, flag, f"the {name!r} name") for flag in entry.flags
+    ]
+    if name == "ek":
+        (k,) = values
+        if (g, d) != (2 * k - 1, k):
+            raise PreconditionError(f"ek lives on C_k in genus 2k-1; got k={k} with g={g}, d={d}")
+    return _build(entry, *values)
 
 
 def _cmd_intersect(args) -> tuple[dict, int]:
+    from .cycles import evaluate_top
+
     g = _require(args, "g", "intersect")
     d = _require(args, "d", "intersect")
-    value = _ExpressionParser(args.expression, _intersect_env(args, g, d)).parse()
-    if not isinstance(value, CycleClass):
+    value = _ExpressionParser(args.expression, lambda name: _intersect_class(args, g, d, name)).parse()
+    if isinstance(value, Fraction):
         raise PreconditionError("expression evaluates to a scalar, not a class")
     if value.codim != d:
         raise PreconditionError(
             f"expression has codimension {value.codim}; top-degree evaluation on C_{d} needs {d}"
         )
-    number = evaluate_top(value)
     document = {
         "command": "intersect",
         "inputs": {"expression": args.expression, "g": g, "d": d},
-        "result": {"value": _rat(number), "codimension": value.codim},
-        "provenance": [_PROVENANCE["poincare"]],
+        "result": {"value": str(evaluate_top(value)), "codimension": value.codim},
+        "provenance": ["Poincare formula: x^k * theta^(d-k) = g!/(g-d+k)! on C_d"],
     }
     return document, 0
 
 
 def _cmd_cone(args) -> tuple[dict, int]:
+    from . import cones
+
     g = _require(args, "g", "cone")
     d = _require(args, "d", "cone")
-    ctx = CurveContext(g, d, CurveType(args.curve))
+    ctx = cones.CurveContext(g, d, cones.CurveType(args.curve))
     inputs = {"g": g, "d": d, "curve": args.curve, "kind": args.kind}
     if args.kind == "effective":
-        cone = effective_cone(ctx)
+        cone = cones.effective_cone(ctx)
         result = {
             "status": cone.status.value,
             "upper_ray": _ray_document(cone.upper),
@@ -411,7 +394,7 @@ def _cmd_cone(args) -> tuple[dict, int]:
             result["lower_outer_ray"] = _ray_document(cone.lower_outer)
         provenance = list(cone.provenance)
     else:
-        facts = nef_facts(ctx)
+        facts = cones.nef_facts(ctx)
         result = {
             "diagonal_nef_ray": None if facts.diagonal_nef_ray is None else _ray_document(facts.diagonal_nef_ray),
             "theta_boundary_ray": None if facts.theta_boundary_ray is None else _ray_document(facts.theta_boundary_ray),
@@ -424,79 +407,56 @@ def _cmd_cone(args) -> tuple[dict, int]:
 
 
 def _cmd_volume(args) -> tuple[dict, int]:
+    from . import cones
+
     g = _require(args, "g", "volume")
     d = _require(args, "d", "volume")
-    if args.t is None:
-        raise UsageError("--t is required for volume")
-    t = args.t
-    inputs = {"g": g, "d": d, "curve": args.curve, "t": _rat(t)}
+    t = _require(args, "t", "volume")
+    inputs = {"g": g, "d": d, "curve": args.curve, "t": str(t)}
     if args.curve == "general":
         if d != g - 1:
             raise PreconditionError(
                 f"the general-curve volume formula applies on C_(g-1); got d={d} with g={g}"
             )
-        value = volume_general(g, t)
-        interval = f"[0, {Fraction(1) + Fraction(1, g * g - g - 1)}]"
-        provenance = [_PROVENANCE["volume-general"]]
+        value = cones.volume_general(g, t)
+        limit = cones.general_volume_limit(g)
+        provenance = (
+            "volume of theta - t*x on C_(g-1): residuation onto the nef subcone, then top self-intersection"
+        )
     else:
-        value = volume_hyperelliptic(g, d, t)
-        interval = f"[0, {g - d + 1}]"
-        provenance = [_PROVENANCE["volume-hyperelliptic"]]
+        value = cones.volume_hyperelliptic(g, d, t)
+        limit = cones.hyperelliptic_volume_limit(g, d)
+        provenance = "Zariski decomposition with positive part proportional to theta"
     document = {
         "command": "volume",
         "inputs": inputs,
-        "result": {"value": _rat(value), "proven_interval": interval},
-        "provenance": provenance,
+        "result": {"value": str(value), "proven_interval": f"[0, {limit}]"},
+        "provenance": [provenance],
     }
     return document, 0
 
 
-# suite -> the smallest --max whose sweeps all hold at least one case
-_SUITE_MINIMUM = {
-    "all": 4,
-    "combsum": 1,
-    "pencil-link": 3,
-    "orth": 2,
-    "diagonal": 4,
-    "dd-system": 4,
-    "volume": 4,
-}
-_SUITES = tuple(_SUITE_MINIMUM)
+def _run_suite(suite: str, bound: int | None) -> list:
+    from . import verify
 
-
-def _run_suite(suite: str, bound: int | None) -> list[CheckReport]:
-    if bound is not None and bound < _SUITE_MINIMUM[suite]:
-        raise PreconditionError(
-            f"--max must be at least {_SUITE_MINIMUM[suite]} for suite {suite!r} (got {bound})"
-        )
+    rows = _SUITES.values() if suite == "all" else (_SUITES[suite],)
+    minimum = max(row.minimum for row in rows)
+    if bound is not None and bound < minimum:
+        raise PreconditionError(f"--max must be at least {minimum} for suite {suite!r} (got {bound})")
     if suite == "all":
         if bound is None:
-            return run_all()
-        limits = CheckLimits(
-            g_max=bound,
-            diagonal_g_max=min(bound, 12),
-            k_max=bound,
-            m_max=bound,
-            link_k_max=min(bound, 50),
-        )
-        return run_all(limits)
-    # Looked up per call, so that rebinding a check in this module takes effect.
-    check = {
-        "combsum": check_combsum,
-        "pencil-link": check_pencil_residual_link,
-        "orth": check_orth,
-        "diagonal": check_diagonal_agreement,
-        "dd-system": check_dd_system,
-        "volume": check_volume_identity,
-    }[suite]
+            return verify.run_all()
+        limits = {row.limit: bound if row.cap is None else min(bound, row.cap) for row in rows}
+        return verify.run_all(verify.CheckLimits(**limits))
+    check = getattr(verify, rows[0].check)
     # Without --max each check runs at its own default bound.
     reports = [check() if bound is None else check(bound)]
     if suite == "diagonal":
-        reports.append(diagonal_statement_discrepancy())
+        reports.append(verify.diagonal_statement_discrepancy())
     return reports
 
 
-def _report_document(report: CheckReport) -> dict:
+def _report_document(report) -> dict:
     entry: dict = {
         "name": report.name,
         "parameter_range": report.parameter_range,
@@ -514,9 +474,11 @@ def _report_document(report: CheckReport) -> dict:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from . import verify
+
     reports = _run_suite(args.suite, args.max)
-    ok = all_passed(reports)
-    failures = sum(1 for report in reports if report.status is CheckStatus.FAIL)
+    ok = verify.all_passed(reports)
+    failures = sum(1 for report in reports if report.status is verify.CheckStatus.FAIL)
     document = {
         "command": "verify",
         "inputs": {"suite": args.suite, "max": args.max},
@@ -525,7 +487,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
             "failures": failures,
             "all_passed": ok,
         },
-        "provenance": [_PROVENANCE["verify"]],
+        "provenance": ["exact re-derivation of the identity catalog; no tolerances"],
     }
     return document, 0 if ok else 1
 
@@ -614,17 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
 
     class_parser = subparsers.add_parser("class", help="print a named class from the catalog")
-    class_parser.add_argument(
-        "name",
-        choices=(
-            "subordinate",
-            "small-diagonal",
-            "bipartition-diagonal",
-            "ramification",
-            "e-k",
-            "hyperelliptic-c1d",
-        ),
-    )
+    class_parser.add_argument("name", choices=tuple(_CLASSES))
     add_common(class_parser)
     class_parser.add_argument(
         "--statement-variant",
@@ -649,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_parser = subparsers.add_parser("verify", help="run the exact identity suite")
     verify_parser.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-    verify_parser.add_argument("--suite", choices=_SUITES, default="all")
+    verify_parser.add_argument("--suite", choices=("all", *_SUITES), default="all")
     verify_parser.add_argument("--max", type=int, default=None, help="sweep bound override")
     verify_parser.set_defaults(handler=_cmd_verify)
 

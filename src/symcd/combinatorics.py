@@ -7,11 +7,10 @@ brute-force reference for the closed-form [t1*t2] extraction in
 :func:`symcd.catalog.bipartition_diagonal_extraction`; the library itself no
 longer expands series.
 
-Every number is exact: public results are ``int`` or ``fractions.Fraction``
-(re-exported as ``Rational``), and the hot kernels -- cycle-class arithmetic
-and the stepped binomial sums in :mod:`symcd.catalog` -- run on integers and
-build a ``Fraction`` only for a result.  Nothing in this package touches
-floating point.
+Every number is exact: public results are ``int`` or ``fractions.Fraction``,
+and the hot kernels -- cycle-class arithmetic and the stepped binomial sums
+in :mod:`symcd.catalog` -- run on integers and build a ``Fraction`` only for
+a result.  Nothing in this package touches floating point.
 """
 
 from __future__ import annotations
@@ -19,16 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "as_rational",
     "factorial",
     "inv_factorial",
     "gen_binomial",
     "BivariateSeries",
-    "series_multiply",
     "linear_power_coefficient",
 ]
 
@@ -191,8 +186,3 @@ class BivariateSeries:
             if exponent:
                 base = base * base
         return result
-
-
-def series_multiply(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
-    """Truncated product of two degree-<=2 series."""
-    return a * b

@@ -45,6 +45,8 @@ __all__ = [
     "volume_general",
     "volume_hyperelliptic",
     "volume_integrality",
+    "general_volume_limit",
+    "hyperelliptic_volume_limit",
 ]
 
 DIAGONAL_RAY_PROVENANCE = "half-diagonal class -theta + (g+d-1)x spans an effective boundary ray (Kouvidakis)"
@@ -330,8 +332,14 @@ def nef_facts(ctx: CurveContext) -> NefFacts:
     return NefFacts(ctx, diagonal_ray, theta_ray, gonality, ample, tuple(provenance))
 
 
-def _general_volume_limit(g: int) -> Fraction:
+def general_volume_limit(g: int) -> Fraction:
+    """Right end of the proven interval [0, 1 + 1/(g^2-g-1)] of :func:`volume_general`."""
     return 1 + Fraction(1, g * g - g - 1)
+
+
+def hyperelliptic_volume_limit(g: int, d: int) -> int:
+    """Right end of the proven interval [0, g-d+1] of :func:`volume_hyperelliptic`."""
+    return g - d + 1
 
 
 def volume_general(g: int, t: int | Fraction) -> Fraction:
@@ -347,7 +355,7 @@ def volume_general(g: int, t: int | Fraction) -> Fraction:
     if g < 4:
         raise PreconditionError(f"the volume formula needs g >= 4 (got {g})")
     t = as_rational(t)
-    limit = _general_volume_limit(g)
+    limit = general_volume_limit(g)
     if not 0 <= t <= limit:
         raise OutOfProvenDomainError(
             f"t={t} is outside the proven interval [0, {limit}] for genus {g}"
@@ -372,7 +380,7 @@ def volume_hyperelliptic(g: int, d: int, t: int | Fraction) -> Fraction:
     if not 2 <= d <= g:
         raise PreconditionError(f"hyperelliptic volume needs 2 <= d <= g (got g={g}, d={d})")
     t = as_rational(t)
-    limit = g - d + 1
+    limit = hyperelliptic_volume_limit(g, d)
     if not 0 <= t <= limit:
         raise OutOfProvenDomainError(
             f"t={t} is outside the proven interval [0, {limit}] for (g, d)=({g}, {d})"

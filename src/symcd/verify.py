@@ -15,9 +15,9 @@ denominator, and the formal expansion of the volume runs over Z[t].
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .catalog import (
     binomial_convolution_identity,

@@ -87,6 +87,45 @@ def test_class_missing_flag(capsys):
     assert "--d" in err
 
 
+# every class name and the flags it requires, in the order they are checked
+CLASS_FLAGS = {
+    "subordinate": ("--g", "--d", "--n", "--r"),
+    "small-diagonal": ("--g", "--d"),
+    "bipartition-diagonal": ("--g", "--d"),
+    "ramification": ("--g", "--d"),
+    "e-k": ("--k",),
+    "hyperelliptic-c1d": ("--g", "--d"),
+}
+FLAG_VALUES = {"--g": "5", "--d": "3", "--n": "6", "--r": "2", "--k": "3"}
+
+
+def test_class_flags_cover_the_catalog_registry():
+    from symcd import cli
+
+    registry = {name: tuple(f"--{flag}" for flag in entry.flags) for name, entry in cli._CLASSES.items()}
+    assert registry == CLASS_FLAGS
+
+
+@pytest.mark.parametrize("name", CLASS_FLAGS)
+def test_class_with_its_flags_answers(capsys, name):
+    argv = [token for flag in CLASS_FLAGS[name] for token in (flag, FLAG_VALUES[flag])]
+    code, doc, _ = run_json(capsys, "class", name, *argv)
+    assert code == 0
+    assert doc["inputs"]["name"] == name
+
+
+@pytest.mark.parametrize(
+    "name, missing", [(name, flag) for name, flags in CLASS_FLAGS.items() for flag in flags]
+)
+def test_class_without_a_required_flag_names_it(capsys, name, missing):
+    argv = [token for flag in CLASS_FLAGS[name] if flag != missing for token in (flag, FLAG_VALUES[flag])]
+    code, out, err = run_cli(capsys, "class", name, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{missing} is required for {name}" in err
+    _assert_one_line(err)
+
+
 def test_class_bad_range_is_precondition_error(capsys):
     code, out, err = run_cli(capsys, "class", "ramification", "--g", "4", "--d", "4")
     assert code == 3
@@ -242,6 +281,32 @@ def test_intersect_class_power_keeps_codimension_refusal(capsys):
     _assert_one_line(err)
 
 
+@pytest.mark.parametrize("g, d, k", [(5, 4, 3), (6, 3, 3), (4, 3, 3), (7, 4, 3), (5, 3, 4)])
+def test_intersect_ek_off_its_curve_is_precondition_error(capsys, g, d, k):
+    argv = ["intersect", f"ek * theta^{d - 1}", "--g", str(g), "--d", str(d), "--k", str(k)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "ek lives on C_k in genus 2k-1" in err
+    _assert_one_line(err)
+
+
+@pytest.mark.parametrize(
+    "expression, flags, missing",
+    [
+        ("subordinate * theta^2", ["--r", "2"], "--n"),
+        ("subordinate * theta^2", ["--n", "6"], "--r"),
+        ("ek^3", [], "--k"),
+    ],
+)
+def test_intersect_name_without_its_flag_is_usage_error(capsys, expression, flags, missing):
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", "5", "--d", "3", *flags)
+    assert code == 2
+    assert out == ""
+    assert f"{missing} is required for the" in err
+    _assert_one_line(err)
+
+
 def test_cone_hyperelliptic(capsys):
     code, doc, _ = run_json(capsys, "cone", "--g", "5", "--d", "3", "--curve", "hyperelliptic")
     assert code == 0
@@ -338,6 +403,21 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert len(doc["result"]["reports"]) == 1
     assert doc["result"]["reports"][0]["status"] == "pass"
+
+
+def test_verify_all_clamps_the_diagonal_and_link_sweeps(capsys):
+    code, doc, _ = run_json(capsys, "verify", "--suite", "all", "--max", "51")
+    assert code == 0
+    ranges = [(entry["name"], entry["parameter_range"]) for entry in doc["result"]["reports"]]
+    assert ranges == [
+        ("binomial-convolution-identity", "1 <= m <= 51"),
+        ("pencil-residual-link", "3 <= k <= 50"),
+        ("pencil-orthogonality", "2 <= k <= 51"),
+        ("bipartition-diagonal-agreement", "3 <= g <= 12, 2 <= d <= g-1"),
+        ("bipartition-diagonal-statement-variant", "(g, d) = (4, 3)"),
+        ("ramification-test-curves", "4 <= g <= 51, 2 <= d <= g-1"),
+        ("volume-polynomial-identity", "4 <= g <= 51"),
+    ]
 
 
 SUITE_MINIMUMS = {

@@ -13,6 +13,8 @@ from symcd.cones import (
     Ray,
     effective_cone,
     effective_slope_bound,
+    general_volume_limit,
+    hyperelliptic_volume_limit,
     nef_facts,
     volume_general,
     volume_hyperelliptic,
@@ -273,6 +275,22 @@ def test_volume_hyperelliptic_domain():
         volume_hyperelliptic(5, 3, Fraction(7, 2))
     with pytest.raises(PreconditionError):
         volume_hyperelliptic(4, 5, 1)
+
+
+def test_volume_limits_are_the_enforced_domains():
+    step = Fraction(1, 10**9)
+    for g in range(4, 13):
+        limit = general_volume_limit(g)
+        assert limit == 1 + Fraction(1, g * g - g - 1)
+        assert volume_general(g, limit) > 0
+        with pytest.raises(OutOfProvenDomainError):
+            volume_general(g, limit + step)
+        for d in range(2, g + 1):
+            limit = hyperelliptic_volume_limit(g, d)
+            assert limit == g - d + 1
+            assert volume_hyperelliptic(g, d, limit) == 0
+            with pytest.raises(OutOfProvenDomainError):
+                volume_hyperelliptic(g, d, limit + step)
 
 
 def test_volume_integrality():

@@ -1,0 +1,157 @@
+"""What each entry point loads, and the lazily re-exported package namespace.
+
+The import checks run in fresh interpreters, since this test process has long
+since imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import symcd
+
+SRC = str(Path(symcd.__file__).resolve().parents[1])
+
+PUBLIC_NAMES = [
+    "BivariateSeries",
+    "as_rational",
+    "factorial",
+    "gen_binomial",
+    "inv_factorial",
+    "linear_power_coefficient",
+    "CycleClass",
+    "DivisorClass",
+    "divisor_class",
+    "evaluate_top",
+    "monomial_value",
+    "multiply",
+    "theta_class",
+    "x_class",
+    "TestCurveSolution",
+    "binomial_convolution_identity",
+    "bipartition_diagonal_class",
+    "bipartition_diagonal_extraction",
+    "convolution_residual",
+    "hyperelliptic_pencil_locus_class",
+    "pencil_residual_divisor_class",
+    "pencil_residual_sums",
+    "ramification_divisor_class",
+    "small_diagonal_class",
+    "solve_test_curve_system",
+    "subordinate_class",
+    "subordinate_pencil_intersections",
+    "apply_matrix",
+    "residuation_inverse_pullback",
+    "residuation_involution_matrix",
+    "residuation_pullback",
+    "Cone2D",
+    "ConeStatus",
+    "CurveContext",
+    "CurveType",
+    "Membership",
+    "NefFacts",
+    "Ray",
+    "effective_cone",
+    "effective_slope_bound",
+    "nef_facts",
+    "volume_general",
+    "volume_hyperelliptic",
+    "volume_integrality",
+    "OutOfProvenDomainError",
+    "PreconditionError",
+    "CheckLimits",
+    "CheckReport",
+    "CheckStatus",
+    "all_passed",
+    "run_all",
+]
+
+
+def _fresh(code: str) -> list:
+    """Run ``code`` in a fresh interpreter and return the sorted names of the symcd modules it loaded."""
+    script = (
+        code
+        + "\nimport json, sys"
+        + "\nprint(json.dumps(sorted(m for m in sys.modules if m == 'symcd' or m.startswith('symcd.'))))"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_only_errors():
+    assert _fresh("import symcd.cli") == ["symcd", "symcd.cli", "symcd.errors"]
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _fresh("import symcd") == ["symcd"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["class", "ramification", "--g", "4", "--d", "3"],
+        ["intersect", "smalldiag * ramification", "--g", "4", "--d", "3"],
+    ],
+)
+def test_class_and_intersect_load_neither_verify_nor_cones(argv):
+    loaded = _fresh(f"from symcd.cli import main\nassert main({argv!r}) == 0")
+    assert "symcd.catalog" in loaded
+    assert "symcd.verify" not in loaded
+    assert "symcd.cones" not in loaded
+
+
+@pytest.mark.parametrize("kind", ["effective", "nef"])
+def test_cone_does_not_load_verify(kind):
+    argv = ["cone", "--g", "4", "--d", "3", "--kind", kind]
+    loaded = _fresh(f"from symcd.cli import main\nassert main({argv!r}) == 0")
+    assert "symcd.cones" in loaded
+    assert "symcd.verify" not in loaded
+
+
+def test_package_attribute_resolves_the_submodule():
+    code = "import symcd, sys\nassert symcd.verify is sys.modules['symcd.verify']\nassert symcd.cli.main"
+    assert "symcd.verify" in _fresh(code)
+
+
+def test_star_import_binds_every_public_name():
+    code = "from symcd import *\nimport symcd\nassert all(name in globals() for name in symcd.__all__)"
+    _fresh(code)
+
+
+def test_public_names_are_unchanged_without_the_deleted_aliases():
+    assert symcd.__all__ == PUBLIC_NAMES
+    assert "Rational" not in symcd.__all__
+    assert "series_multiply" not in symcd.__all__
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_public_name_is_the_object_of_its_defining_module(name):
+    value = getattr(symcd, name)
+    home = sys.modules[value.__module__]
+    assert home.__name__.startswith("symcd.")
+    assert getattr(home, name) is value
+
+
+def test_dir_lists_public_names_and_submodules():
+    listing = dir(symcd)
+    assert set(PUBLIC_NAMES) <= set(listing)
+    assert {"cli", "verify", "cones", "__version__"} <= set(listing)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        symcd.Rational
+    with pytest.raises(AttributeError):
+        symcd.no_such_name
