@@ -27,11 +27,11 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 from .combinatorics import factorial, gen_binomial, linear_power_coefficient
-from .cycles import CycleClass, DivisorClass, divisor_class, evaluate_top, multiply
+from .cycles import CycleClass, DivisorClass, _Frozen, divisor_class, evaluate_top, multiply
 from .errors import PreconditionError
 
 __all__ = [
@@ -208,8 +208,7 @@ def ramification_divisor_class(g: int, d: int) -> DivisorClass:
     return divisor_class(g, d, a, b)
 
 
-@dataclass(frozen=True)
-class TestCurveSolution:
+class TestCurveSolution(_Frozen):
     """Outcome of the two-test-curve computation of the ramification divisor.
 
     ``x_curve_intersection`` is the intersection with the curve of divisors
@@ -218,9 +217,7 @@ class TestCurveSolution:
     a*g - b = x_curve_intersection and a*d*g - b = diagonal_intersection / d.
     """
 
-    divisor: DivisorClass
-    x_curve_intersection: Fraction
-    diagonal_intersection: Fraction
+    __slots__ = ("divisor", "x_curve_intersection", "diagonal_intersection")
 
 
 def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
@@ -256,9 +253,16 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
             subordinate_class(g, g + 1, 2 * g - 2, g - 1),
         )
     )
-    a = (diagonal_side / d - chi_side) / (g * (d - 1))
-    b = a * g - chi_side
-    return TestCurveSolution(divisor_class(g, d, a, b), chi_side, diagonal_side)
+    # Over the common denominator L of the two sides, chi_side = C/L and
+    # diagonal_side = D/L, so a = (D - dC)/(Ldg(d-1)) and b = a*g - chi_side
+    # = g(D - d^2 C)/(Ldg(d-1)): one integer solve, reduced once.
+    common = math.lcm(chi_side.denominator, diagonal_side.denominator)
+    chi = chi_side.numerator * (common // chi_side.denominator)
+    diagonal = diagonal_side.numerator * (common // diagonal_side.denominator)
+    divisor = DivisorClass.from_numerators(
+        g, d, [diagonal - d * chi, g * (d * d * chi - diagonal)], common * d * g * (d - 1)
+    )
+    return TestCurveSolution(divisor, chi_side, diagonal_side)
 
 
 def pencil_residual_sums(k: int) -> tuple[int, int]:

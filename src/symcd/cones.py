@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import as_rational, factorial, gen_binomial
-from .cycles import CycleClass
+from .combinatorics import as_rational, factorial
+from .cycles import CycleClass, _Frozen
 from .errors import OutOfProvenDomainError, PreconditionError
 
 __all__ = [
@@ -85,11 +84,8 @@ class CurveType(enum.Enum):
     HYPERELLIPTIC = "hyperelliptic"
 
 
-@dataclass(frozen=True)
-class CurveContext:
-    genus: int
-    d: int
-    curve_type: CurveType
+class CurveContext(_Frozen):
+    __slots__ = ("genus", "d", "curve_type")
 
     def __post_init__(self):
         if self.genus < 2:
@@ -98,13 +94,11 @@ class CurveContext:
             raise PreconditionError(f"symmetric power index must be at least 2 (got {self.d})")
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(_Frozen):
     """Primitive integer direction u*theta + v*x; rays are half-lines, so the
     overall sign is meaningful and never normalized away."""
 
-    theta: int
-    x: int
+    __slots__ = ("theta", "x")
 
     def __post_init__(self):
         if not isinstance(self.theta, int) or not isinstance(self.x, int):
@@ -173,8 +167,7 @@ def _exact_membership(upper: Ray, lower: Ray, vec: tuple[Fraction, Fraction]) ->
     return Membership.BOUNDARY
 
 
-@dataclass(frozen=True)
-class Cone2D:
+class Cone2D(_Frozen):
     """A 2-dimensional cone in the (theta, x)-plane.
 
     ``upper`` is always exact (the half-diagonal side).  For ``EXACT`` status
@@ -184,12 +177,8 @@ class Cone2D:
     as undetermined.
     """
 
-    context: CurveContext
-    upper: Ray
-    lower: Ray
-    status: ConeStatus
-    provenance: tuple[str, ...]
-    lower_outer: Ray | None = None
+    __slots__ = ("context", "upper", "lower", "status", "provenance", "lower_outer")
+    _defaults = {"lower_outer": None}
 
     def __post_init__(self):
         if self.upper.theta * self.lower.x == self.upper.x * self.lower.theta:
@@ -289,8 +278,7 @@ def effective_cone(ctx: CurveContext) -> Cone2D:
     )
 
 
-@dataclass(frozen=True)
-class NefFacts:
+class NefFacts(_Frozen):
     """Nef/movable cone facts known for C_d.
 
     ``diagonal_nef_ray`` (-theta + dg*x, for d >= 3) bounds the nef cone on the
@@ -300,12 +288,9 @@ class NefFacts:
     ample, which holds exactly when d is below the gonality.
     """
 
-    context: CurveContext
-    diagonal_nef_ray: Ray | None
-    theta_boundary_ray: Ray | None
-    gonality: int
-    theta_minus_x_ample: bool
-    provenance: tuple[str, ...]
+    __slots__ = (
+        "context", "diagonal_nef_ray", "theta_boundary_ray", "gonality", "theta_minus_x_ample", "provenance"
+    )
 
 
 def nef_facts(ctx: CurveContext) -> NefFacts:
@@ -360,13 +345,17 @@ def volume_general(g: int, t: int | Fraction) -> Fraction:
         raise OutOfProvenDomainError(
             f"t={t} is outside the proven interval [0, {limit}] for genus {g}"
         )
-    return sum(
-        gen_binomial(g - 1, k)
-        * Fraction(factorial(g), factorial(k + 1))
-        * t**k
-        * (1 - t) ** (g - 1 - k)
-        for k in range(g)
-    )
+    # With t = p/q the sum is one integer over q^(g-1): the sum of
+    # T_k p^k (q-p)^(g-1-k), taken by Horner's rule in q-p.  The integer
+    # T_k = C(g-1, k) g!/(k+1)! steps by T_(k+1) = T_k (g-1-k)/((k+1)(k+2)),
+    # an exact division since T_(k+1) is an integer.
+    p, q = t.numerator, t.denominator
+    total, term, power = 0, factorial(g), 1
+    for k in range(g):
+        total = total * (q - p) + term * power
+        term = term * (g - 1 - k) // ((k + 1) * (k + 2))
+        power *= p
+    return Fraction(total, q ** (g - 1))
 
 
 def volume_hyperelliptic(g: int, d: int, t: int | Fraction) -> Fraction:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from .combinatorics import as_rational, factorial, inv_factorial
@@ -50,6 +49,62 @@ __all__ = [
 _set = object.__setattr__
 
 
+def _refuse(message: str):
+    # Only misuse pays for importing dataclasses (and, through it, inspect).
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(message)
+
+
+class _Frozen:
+    """Base of the immutable value types: what a frozen dataclass gives, without the import.
+
+    A subclass names its fields in ``__slots__`` and the defaults of trailing
+    fields in ``_defaults``.  Construction, equality (same class, equal
+    fields), hashing, ``repr`` and pickling follow the fields in order.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        # dict(**a, **b) refuses a keyword that repeats a positional field.
+        values = {**self._defaults, **dict(**dict(zip(fields, args)), **kwargs)}
+        if len(args) > len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name in fields:
+            _set(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        _refuse(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _refuse(f"cannot delete field {name!r}")
+
+
 def monomial_value(g: int, d: int, k: int) -> Fraction:
     """Top-degree value of x^k * theta^(d-k) on C_d: g!/(g-d+k)!.
 
@@ -64,7 +119,7 @@ def monomial_value(g: int, d: int, k: int) -> Fraction:
     return factorial(g) * inv_factorial(g - d + k)
 
 
-class CycleClass:
+class CycleClass(_Frozen):
     """Homogeneous codimension-c class on C_d, coefficients over x^k*theta^(c-k).
 
     ``coeffs[k]`` is the coefficient of x^k * theta^(codim - k).  The class is
@@ -147,12 +202,6 @@ class CycleClass:
     @property
     def codim(self) -> int:
         return len(self.numerators) - 1
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), (self.genus, self.d, self.coeffs)
@@ -328,9 +377,10 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
 def evaluate_top(p: CycleClass) -> Fraction:
     """Intersection number of a top-codimension class, via the Poincare formula.
 
-    x^k * theta^(d-k) is the integer g!/(g-d+k)! = perm(g, d-k).  Walking k
-    down from d, each value is the previous one times g-d+k+1, so the values
-    stay 0 once that factor reaches 0 (theta^j = 0 for j > g); the sum is one
+    x^k * theta^(d-k) is the integer g!/(g-d+k)! = perm(g, d-k), the product
+    of the factors g-d+j for k < j <= d.  The sum is therefore taken by Horner's
+    rule, one multiplication by a small factor per step; once a factor reaches
+    0 it zeroes every lower term (theta^j = 0 for j > g).  The result is one
     integer over the class's denominator.
     """
     if p.codim != p.d:
@@ -339,8 +389,7 @@ def evaluate_top(p: CycleClass) -> Fraction:
         )
     nums = p.numerators
     offset = p.genus - p.d
-    total, value = 0, 1
-    for k in range(p.d, -1, -1):
-        total += nums[k] * value
-        value *= offset + k
+    total = nums[0]
+    for k in range(1, p.d + 1):
+        total = total * (offset + k) + nums[k]
     return Fraction(total, p.denominator)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import (
@@ -32,7 +31,7 @@ from .catalog import (
     subordinate_pencil_intersections,
 )
 from .cones import Ray, effective_slope_bound
-from .cycles import CycleClass, divisor_class, evaluate_top, multiply, theta_class, x_class
+from .cycles import CycleClass, _Frozen, divisor_class, evaluate_top, multiply, theta_class, x_class
 from .combinatorics import factorial, gen_binomial
 from .errors import PreconditionError
 
@@ -62,31 +61,20 @@ class CheckStatus(enum.Enum):
     DISCREPANCY = "documented-discrepancy"
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    parameters: tuple
-    lhs: str
-    rhs: str
+class Counterexample(_Frozen):
+    __slots__ = ("parameters", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    parameter_range: str
-    status: CheckStatus
-    counterexample: Counterexample | None = None
-    note: str = ""
+class CheckReport(_Frozen):
+    __slots__ = ("name", "parameter_range", "status", "counterexample", "note")
+    _defaults = {"counterexample": None, "note": ""}
 
 
-@dataclass(frozen=True)
-class CheckLimits:
+class CheckLimits(_Frozen):
     """Sweep bounds; the defaults complete in seconds with exact arithmetic."""
 
-    g_max: int = 20
-    diagonal_g_max: int = 12
-    k_max: int = 100
-    m_max: int = 200
-    link_k_max: int = 50
+    __slots__ = ("g_max", "diagonal_g_max", "k_max", "m_max", "link_k_max")
+    _defaults = {"g_max": 20, "diagonal_g_max": 12, "k_max": 100, "m_max": 200, "link_k_max": 50}
 
 
 def sweep(name: str, parameter_range: str, cases: Iterable, sides: Callable) -> CheckReport:

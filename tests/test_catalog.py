@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from symcd import catalog
 from symcd.catalog import (
     binomial_convolution_identity,
     bipartition_diagonal_class,
@@ -241,6 +242,41 @@ def test_solved_system_matches_closed_form():
             solved = solve_test_curve_system(g, d).divisor
             closed = ramification_divisor_class(g, d)
             assert solved.coeffs == closed.coeffs, (g, d)
+
+
+def _fraction_test_curve_solution(g, d):
+    """Reference: both sides and the 2x2 solve in chained Fraction divisions."""
+    chi_side = (g - 2) * evaluate_top(
+        multiply(small_diagonal_class(g, g - d + 1), subordinate_class(g, g - d + 1, 2 * g - d - 1, g - d))
+    )
+    diagonal_side = (1 + (2 * d == g + 1)) * evaluate_top(
+        multiply(bipartition_diagonal_class(g, d), subordinate_class(g, g + 1, 2 * g - 2, g - 1))
+    )
+    a = (diagonal_side / d - chi_side) / (g * (d - 1))
+    b = a * g - chi_side
+    return catalog.TestCurveSolution(divisor_class(g, d, a, b), chi_side, diagonal_side)
+
+
+@pytest.mark.parametrize("g", range(4, 41))
+def test_integer_solve_matches_fraction_solve(g):
+    for d in range(2, g):
+        solution = solve_test_curve_system(g, d)
+        expected = _fraction_test_curve_solution(g, d)
+        assert solution == expected, (g, d)
+
+
+def test_test_curve_solution_value_contract(value_contract):
+    solution = solve_test_curve_system(4, 3)
+    fields = {
+        "divisor": solution.divisor,
+        "x_curve_intersection": solution.x_curve_intersection,
+        "diagonal_intersection": solution.diagonal_intersection,
+    }
+    expected = (
+        "TestCurveSolution(divisor=DivisorClass(genus=4, d=3, coeffs=(Fraction(10, 1), Fraction(-12, 1))), "
+        "x_curve_intersection=Fraction(28, 1), diagonal_intersection=Fraction(324, 1))"
+    )
+    value_contract(catalog.TestCurveSolution, fields, expected)
 
 
 def test_diagonal_side_equals_direct_intersection():

@@ -382,6 +382,14 @@ def test_volume_prints_numbers_beyond_the_int_str_digit_limit(capsys):
     assert doc["result"]["value"] == expected
 
 
+def test_volume_at_genus_3000_answers_quickly(capsys):
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "volume", "--g", "3000", "--d", "2999", "--t", "1/2")
+    assert time.perf_counter() - start < 2
+    assert code == 0, err
+    assert doc["result"]["value"].endswith("/" + str(2**2999))
+
+
 def test_volume_malformed_t_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["volume", "--g", "4", "--d", "3", "--curve", "general", "--t", "one"])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from symcd.cones import (
     CurveContext,
     CurveType,
     Membership,
+    NefFacts,
     Ray,
     effective_cone,
     effective_slope_bound,
@@ -21,6 +23,7 @@ from symcd.cones import (
     volume_integrality,
 )
 from symcd.catalog import hyperelliptic_pencil_locus_class
+from symcd.combinatorics import gen_binomial
 from symcd.cycles import divisor_class
 from symcd.errors import OutOfProvenDomainError, PreconditionError
 
@@ -227,6 +230,85 @@ def test_nef_facts_diagonal_needs_d_three():
     assert nef_facts(_general(5, 2)).diagonal_nef_ray is None
 
 
+# ----------------------------------------------------------------- value types
+
+_GENERAL_CONTEXT_REPR = "CurveContext(genus=8, d=3, curve_type=<CurveType.GENERAL: 'general'>)"
+_HYPERELLIPTIC_CONTEXT_REPR = "CurveContext(genus=4, d=3, curve_type=<CurveType.HYPERELLIPTIC: 'hyperelliptic'>)"
+_DIAGONAL_RAY_LINE = "half-diagonal class -theta + (g+d-1)x spans an effective boundary ray (Kouvidakis)"
+
+
+def test_curve_context_value_contract(value_contract):
+    fields = {"genus": 8, "d": 3, "curve_type": CurveType.GENERAL}
+    value_contract(CurveContext, fields, _GENERAL_CONTEXT_REPR)
+    with pytest.raises(PreconditionError):
+        CurveContext(genus=1, d=3, curve_type=CurveType.GENERAL)
+    with pytest.raises(PreconditionError):
+        CurveContext(curve_type=CurveType.GENERAL, d=1, genus=4)
+
+
+def test_ray_value_contract(value_contract):
+    # The fields are normalized on construction, by keyword too.
+    value_contract(Ray, {"theta": 2, "x": -4}, "Ray(theta=1, x=-2)")
+    assert Ray(x=-6, theta=3) == Ray(1, -2)
+    with pytest.raises(PreconditionError):
+        Ray(theta=0, x=0)
+
+
+def test_cone_value_contract(value_contract):
+    cone = effective_cone(_hyperelliptic(4, 3))
+    fields = {
+        "context": cone.context,
+        "upper": cone.upper,
+        "lower": cone.lower,
+        "status": cone.status,
+        "provenance": cone.provenance,
+        "lower_outer": None,
+    }
+    expected = (
+        f"Cone2D(context={_HYPERELLIPTIC_CONTEXT_REPR}, upper=Ray(theta=-1, x=6), "
+        "lower=Ray(theta=1, x=-2), status=<ConeStatus.EXACT: 'exact'>, "
+        f"provenance=('{_DIAGONAL_RAY_LINE}', 'theta - (g-d+1)x is the class of the pencil locus "
+        "C^1_d, contracted by the Abel map'), lower_outer=None)"
+    )
+    value_contract(Cone2D, fields, expected, defaults=("lower_outer",))
+    with pytest.raises(PreconditionError):
+        Cone2D(**dict(fields, lower_outer=Ray(1, -2)))
+
+
+def test_bracket_cone_repr_and_keyword_outer_ray(value_contract):
+    cone = effective_cone(_general(8, 3))
+    assert repr(cone) == (
+        f"Cone2D(context={_GENERAL_CONTEXT_REPR}, upper=Ray(theta=-1, x=10), "
+        "lower=Ray(theta=1, x=-2), status=<ConeStatus.BRACKET: 'inner-and-outer-bracket'>, "
+        f"provenance=('{_DIAGONAL_RAY_LINE}', 'inner bound: theta - 2x is effective for 3 <= d <= g/2 "
+        "(Kouvidakis)', 'outer bound: degeneration to a hyperelliptic curve caps the slope at g-d+1'), "
+        "lower_outer=Ray(theta=1, x=-6))"
+    )
+    rebuilt = Cone2D(cone.context, cone.upper, cone.lower, cone.status, cone.provenance, lower_outer=Ray(1, -6))
+    assert rebuilt == cone and hash(rebuilt) == hash(cone)
+
+
+def test_nef_facts_value_contract(value_contract):
+    facts = nef_facts(_hyperelliptic(4, 3))
+    fields = {
+        "context": facts.context,
+        "diagonal_nef_ray": facts.diagonal_nef_ray,
+        "theta_boundary_ray": facts.theta_boundary_ray,
+        "gonality": facts.gonality,
+        "theta_minus_x_ample": facts.theta_minus_x_ample,
+        "provenance": facts.provenance,
+    }
+    expected = (
+        f"NefFacts(context={_HYPERELLIPTIC_CONTEXT_REPR}, diagonal_nef_ray=Ray(theta=-1, x=12), "
+        "theta_boundary_ray=Ray(theta=1, x=0), gonality=2, theta_minus_x_ample=False, "
+        "provenance=('-theta + dg*x is nef and big with augmented base locus the small diagonal (Pacienza)', "
+        "'theta spans a common boundary ray of the nef and movable cones when the Abel map is a divisorial "
+        "contraction', 'theta - x is ample whenever no degree-d divisor moves in a pencil (d below the "
+        "gonality)'))"
+    )
+    value_contract(NefFacts, fields, expected)
+
+
 # -------------------------------------------------------------------- volumes
 
 
@@ -235,6 +317,22 @@ def test_volume_general_values():
     assert volume_general(4, Fraction(1, 2)) == Fraction(73, 8)
     for g in range(4, 15):
         assert volume_general(g, 0) == volume_integrality(g)[0] * 2 ** (g - 1)
+
+
+def _fraction_volume_general(g, t):
+    """Reference: the volume sum taken term by term in Fractions."""
+    return sum(
+        gen_binomial(g - 1, k) * Fraction(math.factorial(g), math.factorial(k + 1)) * t**k * (1 - t) ** (g - 1 - k)
+        for k in range(g)
+    )
+
+
+@pytest.mark.parametrize("g", range(4, 61))
+def test_integer_volume_general_matches_fraction_sum(g):
+    # Both ends of the proven interval, and points inside it.
+    limit = general_volume_limit(g)
+    for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(g, g + 1), Fraction(1), limit / 2, limit):
+        assert volume_general(g, t) == _fraction_volume_general(g, t), (g, t)
 
 
 def test_volume_general_domain():

@@ -324,6 +324,27 @@ def test_stepped_evaluate_top_matches_monomial_values(g):
         assert evaluate_top(CycleClass(g, d, coeffs)) == expected, (g, d)
 
 
+def _stepped_evaluate_top(p):
+    """Reference: each numerator times perm(g, d-k), the factor stepped down from k = d."""
+    total, value = 0, 1
+    for k in range(p.d, -1, -1):
+        total += p.numerators[k] * value
+        value *= p.genus - p.d + k
+    return Fraction(total, p.denominator)
+
+
+@pytest.mark.parametrize("g", range(2, 41))
+def test_horner_evaluate_top_matches_the_stepped_sum(g):
+    # d runs past g, where the zero factor must wipe out every lower term
+    for d in range(2, g + 3):
+        numerators = [(-1) ** k * (k * k + 3) ** (k % 5) - 7 * (k % 3 == 0) for k in range(d + 1)]
+        for denominator in (1, 6, 2**70 + 1):
+            p = CycleClass.from_numerators(g, d, numerators, denominator)
+            assert evaluate_top(p) == _stepped_evaluate_top(p), (g, d, denominator)
+        big = CycleClass.from_numerators(g, d, [n * 10**40 + k for k, n in enumerate(numerators)])
+        assert evaluate_top(big) == _stepped_evaluate_top(big), (g, d)
+
+
 def _fraction_subordinate_coeffs(g, d, n, r):
     """The subordinate-locus coefficients C(n-g-r, k)/(d-r-k)! in plain Fractions."""
     codim = d - r

@@ -71,12 +71,14 @@ PUBLIC_NAMES = [
 ]
 
 
-def _fresh(code: str) -> list:
-    """Run ``code`` in a fresh interpreter and return the sorted names of the symcd modules it loaded."""
+def _fresh(code: str, packages: tuple = ("symcd",)) -> list:
+    """Run ``code`` in a fresh interpreter and return the sorted names of the
+    modules it loaded from ``packages``."""
     script = (
         code
         + "\nimport json, sys"
-        + "\nprint(json.dumps(sorted(m for m in sys.modules if m == 'symcd' or m.startswith('symcd.'))))"
+        + f"\nwatched = {packages!r}"
+        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] in watched)))"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -118,6 +120,22 @@ def test_cone_does_not_load_verify(kind):
     loaded = _fresh(f"from symcd.cli import main\nassert main({argv!r}) == 0")
     assert "symcd.cones" in loaded
     assert "symcd.verify" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["class", "ramification", "--g", "4", "--d", "3"],
+        ["intersect", "smalldiag * ramification", "--g", "4", "--d", "3"],
+        ["cone", "--g", "4", "--d", "3", "--curve", "hyperelliptic"],
+        ["volume", "--g", "4", "--d", "3", "--t", "1/2"],
+        ["verify", "--suite", "all", "--max", "4"],
+    ],
+)
+def test_no_subcommand_loads_dataclasses_or_inspect(argv):
+    # typing and enum are left out: site may load them before any symcd code runs.
+    code = f"from symcd.cli import main\nassert main({argv!r}) == 0"
+    assert _fresh(code, ("dataclasses", "inspect")) == []
 
 
 def test_package_attribute_resolves_the_submodule():

@@ -9,6 +9,7 @@ from symcd.verify import (
     CheckLimits,
     CheckReport,
     CheckStatus,
+    Counterexample,
     all_passed,
     check_combsum,
     check_diagonal_agreement,
@@ -137,3 +138,42 @@ def test_volume_polynomial_constant_term_is_factorial():
 def test_diagonal_check_rejects_tiny_bound():
     with pytest.raises(PreconditionError):
         check_diagonal_agreement(3)
+
+
+# ----------------------------------------------------------------- value types
+
+
+def test_counterexample_value_contract(value_contract):
+    fields = {"parameters": (4, 3), "lhs": "1", "rhs": "2"}
+    value_contract(Counterexample, fields, "Counterexample(parameters=(4, 3), lhs='1', rhs='2')")
+
+
+def test_check_report_value_contract(value_contract):
+    fields = {
+        "name": "pencil-orthogonality",
+        "parameter_range": "2 <= k <= 5",
+        "status": CheckStatus.PASS,
+        "counterexample": None,
+        "note": "",
+    }
+    expected = (
+        "CheckReport(name='pencil-orthogonality', parameter_range='2 <= k <= 5', "
+        "status=<CheckStatus.PASS: 'pass'>, counterexample=None, note='')"
+    )
+    value_contract(CheckReport, fields, expected, defaults=("counterexample", "note"))
+    assert check_orth(5) == CheckReport(**fields)
+    failed = CheckReport("n", "r", CheckStatus.FAIL, Counterexample((2,), "1", "0"), note="x")
+    assert repr(failed) == (
+        "CheckReport(name='n', parameter_range='r', status=<CheckStatus.FAIL: 'fail'>, "
+        "counterexample=Counterexample(parameters=(2,), lhs='1', rhs='0'), note='x')"
+    )
+
+
+def test_check_limits_value_contract(value_contract):
+    fields = {"g_max": 20, "diagonal_g_max": 12, "k_max": 100, "m_max": 200, "link_k_max": 50}
+    expected = "CheckLimits(g_max=20, diagonal_g_max=12, k_max=100, m_max=200, link_k_max=50)"
+    value_contract(CheckLimits, fields, expected, defaults=tuple(fields))
+    assert CheckLimits() == CheckLimits(**fields)
+    assert repr(CheckLimits(k_max=7, g_max=5)) == (
+        "CheckLimits(g_max=5, diagonal_g_max=12, k_max=7, m_max=200, link_k_max=50)"
+    )
