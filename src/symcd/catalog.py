@@ -28,10 +28,9 @@ other.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .combinatorics import factorial, gen_binomial, linear_power_coefficient
-from .cycles import CycleClass, DivisorClass, _Frozen, divisor_class, evaluate_top, multiply
+from .cycles import CycleClass, DivisorClass, _Frozen, divisor_class, evaluate_top
 from .errors import PreconditionError
 
 __all__ = [
@@ -241,17 +240,11 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     _check_ramification_range(g, d)
     small_power = g - d + 1
     chi_side = (g - 2) * evaluate_top(
-        multiply(
-            small_diagonal_class(g, small_power),
-            subordinate_class(g, small_power, 2 * g - d - 1, g - d),
-        )
+        small_diagonal_class(g, small_power), subordinate_class(g, small_power, 2 * g - d - 1, g - d)
     )
     delta = 1 if 2 * d == g + 1 else 0
     diagonal_side = (1 + delta) * evaluate_top(
-        multiply(
-            bipartition_diagonal_class(g, d),
-            subordinate_class(g, g + 1, 2 * g - 2, g - 1),
-        )
+        bipartition_diagonal_class(g, d), subordinate_class(g, g + 1, 2 * g - 2, g - 1)
     )
     # Over the common denominator L of the two sides, chi_side = C/L and
     # diagonal_side = D/L, so a = (D - dC)/(Ldg(d-1)) and b = a*g - chi_side
@@ -285,23 +278,28 @@ def _residual_sums(m: int) -> tuple[int, int]:
     """sum_{l=0}^m (-1)^l (l+1) C(2m-l, m) C(2m+2, l+3) and
     sum_{l=0}^m (-1)^l l(l+1) C(2m-l, m) C(2m+3, l+3), for m >= 1.
 
-    One term product P_l = C(2m-l, m) C(2m+2, l+3) is stepped in l: by
-    C(n-1, m) = C(n, m)(n-m)/n and C(n, j+1) = C(n, j)(n-j)/(j+1),
+    Both run over one term R_l = C(2m-l-1, m-1) C(2m+2, l+3).  By
+    C(n-1, m-1) = C(n, m-1)(n-m+1)/n and C(n, j+1) = C(n, j)(n-j)/(j+1) the
+    factor 2m-l-1 cancels, so
 
-        P_(l+1) = P_l (m-l)(2m-1-l) / ((2m-l)(l+4)),
+        R_(l+1) = R_l (m-l) / (l+4),
 
-    and the right-hand term is C(2m-l, m) C(2m+3, l+3) = P_l (2m+3)/(2m-l).
-    Each quotient is a product of binomial coefficients, so every floor
-    division is exact.
+    an exact division since R_(l+1) is an integer.  As C(2m-l, m) is
+    C(2m-l-1, m-1)(2m-l)/m and C(2m+3, l+3) is C(2m+2, l+3)(2m+3)/(2m-l),
+    the terms are (l+1)(2m-l) R_l / m and l(l+1)(2m+3) R_l / m; each sum is
+    divided by m once, at the end.
     """
-    product = gen_binomial(2 * m, m) * gen_binomial(2 * m + 2, 3)
+    term = gen_binomial(2 * m - 1, m - 1) * gen_binomial(2 * m + 2, 3)
     left_sum = right_sum = 0
     for l in range(m + 1):
-        signed = -product if l & 1 else product
-        left_sum += (l + 1) * signed
-        right_sum += l * (l + 1) * (2 * m + 3) * signed // (2 * m - l)
-        product = product * ((m - l) * (2 * m - 1 - l)) // ((2 * m - l) * (l + 4))
-    return left_sum, right_sum
+        if l & 1:
+            left_sum -= (l + 1) * (2 * m - l) * term
+            right_sum -= l * (l + 1) * term
+        else:
+            left_sum += (l + 1) * (2 * m - l) * term
+            right_sum += l * (l + 1) * term
+        term = term * (m - l) // (l + 4)
+    return left_sum // m, (2 * m + 3) * right_sum // m
 
 
 def pencil_residual_divisor_class(k: int) -> DivisorClass:
@@ -310,10 +308,7 @@ def pencil_residual_divisor_class(k: int) -> DivisorClass:
     Proportional to theta - (2 - 1/k)x; at k = 3 it is 3*theta - 5*x, which
     spans a boundary ray of the effective cone of C_3 in genus 5.
     """
-    a_sum, b_sum = pencil_residual_sums(k)
-    return DivisorClass(
-        2 * k - 1, k, (Fraction(a_sum, k - 1), Fraction(b_sum, k - 1))
-    )
+    return DivisorClass.from_numerators(2 * k - 1, k, pencil_residual_sums(k), k - 1)
 
 
 def hyperelliptic_pencil_locus_class(g: int, d: int) -> DivisorClass:
@@ -332,7 +327,7 @@ def hyperelliptic_pencil_locus_class(g: int, d: int) -> DivisorClass:
     return DivisorClass.from_numerators(g, d, locus.numerators, locus.denominator)
 
 
-def subordinate_pencil_intersections(k: int) -> tuple[Fraction, Fraction]:
+def subordinate_pencil_intersections(k: int) -> tuple[int, int]:
     """Intersections of the pencil-subordinate locus on C_k, genus 2k-1.
 
     For a pencil of degree k+1, the curve of subordinate divisors meets theta
@@ -346,23 +341,24 @@ def subordinate_pencil_intersections(k: int) -> tuple[Fraction, Fraction]:
     """
     if k < 2:
         raise PreconditionError(f"pencil intersections need k >= 2 (got {k})")
-    # The binomials start at j = 0 and step by exact ratios:
-    # C(n+1, j+1) = C(n, j)(n+1)/(j+1) and C(n, i-1) = C(n, i) i/(n-i+1).
-    shared = 1
-    theta_binomial = gen_binomial(2 * k - 2, k - 1)
-    x_binomial = gen_binomial(2 * k - 1, k - 1)
+    # One product S_j = C(k-2+j, j) C(2k-2, k-1-j) steps by exact ratios,
+    # C(n+1, j+1) = C(n, j)(n+1)/(j+1) and C(n, i-1) = C(n, i) i/(n-i+1);
+    # the x term is S_j (2k-1)/(k+j), since C(2k-1, i) = C(2k-2, i)(2k-1)/(2k-1-i).
+    term = gen_binomial(2 * k - 2, k - 1)
     theta_sum = x_sum = 0
     for j in range(k):
-        signed = -shared if j & 1 else shared
-        theta_sum += signed * theta_binomial
-        x_sum += signed * x_binomial
-        shared = shared * (k - 1 + j) // (j + 1)
-        theta_binomial = theta_binomial * (k - 1 - j) // (k + j)
-        x_binomial = x_binomial * (k - 1 - j) // (k + 1 + j)
-    return Fraction((2 * k - 1) * theta_sum), Fraction(x_sum)
+        x_term = term * (2 * k - 1) // (k + j)
+        if j & 1:
+            theta_sum -= term
+            x_sum -= x_term
+        else:
+            theta_sum += term
+            x_sum += x_term
+        term = term * ((k - 1 + j) * (k - 1 - j)) // ((j + 1) * (k + j))
+    return (2 * k - 1) * theta_sum, x_sum
 
 
-def binomial_convolution_identity(m: int) -> tuple[Fraction, Fraction]:
+def binomial_convolution_identity(m: int) -> tuple[int, int]:
     """Both sides of the convolution identity linking the two pencil-residual sums.
 
     For m >= 1,
@@ -376,10 +372,10 @@ def binomial_convolution_identity(m: int) -> tuple[Fraction, Fraction]:
     if m < 1:
         raise PreconditionError(f"the identity needs m >= 1 (got {m})")
     lhs_sum, rhs_sum = _residual_sums(m)
-    return Fraction((2 * m + 3) * lhs_sum), Fraction(-(m + 2) * rhs_sum)
+    return (2 * m + 3) * lhs_sum, -(m + 2) * rhs_sum
 
 
-def convolution_residual(m: int) -> Fraction:
+def convolution_residual(m: int) -> int:
     """Coefficient of t^m in (2m - 2t)(1 + t)^m; identically zero for m >= 1.
 
     This is the generating-function form of the convolution identity: the

@@ -71,13 +71,18 @@ def gen_binomial(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
-def linear_power_coefficient(c0: int | Fraction, c1: int | Fraction, n: int, m: int) -> Fraction:
-    """Coefficient of t^m in (c0 + c1*t) * (1 + t)^n, for any integer n and m >= 0."""
+def linear_power_coefficient(c0: int | Fraction, c1: int | Fraction, n: int, m: int) -> int | Fraction:
+    """Coefficient of t^m in (c0 + c1*t) * (1 + t)^n, for any integer n and m >= 0.
+
+    An ``int`` when c0 and c1 are ints, else a ``Fraction``.
+    """
     if m < 0:
         raise ValueError(f"m must be non-negative (got {m})")
-    value = as_rational(c0) * gen_binomial(n, m)
+    if type(c0) is not int or type(c1) is not int:
+        c0, c1 = as_rational(c0), as_rational(c1)
+    value = c0 * gen_binomial(n, m)
     if m >= 1:
-        value += as_rational(c1) * gen_binomial(n, m - 1)
+        value += c1 * gen_binomial(n, m - 1)
     return value
 
 

@@ -120,7 +120,8 @@ class Ray(_Frozen):
     def from_class(cls, divisor: CycleClass) -> "Ray":
         if divisor.codim != 1:
             raise PreconditionError("only divisor classes span rays in the plane")
-        return cls.from_rationals(divisor.coeffs[0], divisor.coeffs[1])
+        # The numerators are the coefficients times a positive denominator.
+        return cls(*divisor.numerators)
 
     def __str__(self) -> str:
         terms = []

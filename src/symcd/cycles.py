@@ -342,6 +342,8 @@ class DivisorClass(CycleClass):
 
 def divisor_class(genus: int, d: int, a: int | Fraction, b: int | Fraction) -> DivisorClass:
     """The divisor class a*theta - b*x on C_d."""
+    if type(a) is int and type(b) is int:
+        return DivisorClass.from_numerators(genus, d, (a, -b))
     return DivisorClass(genus, d, (as_rational(a), -as_rational(b)))
 
 
@@ -374,22 +376,38 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     return CycleClass.from_numerators(p.genus, p.d, sums, p.denominator * q.denominator)
 
 
-def evaluate_top(p: CycleClass) -> Fraction:
+def evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> Fraction:
     """Intersection number of a top-codimension class, via the Poincare formula.
 
+    With ``factor``, the value of ``multiply(p, factor)``, without building
+    the product.
+
     x^k * theta^(d-k) is the integer g!/(g-d+k)! = perm(g, d-k), the product
-    of the factors g-d+j for k < j <= d.  The sum is therefore taken by Horner's
-    rule, one multiplication by a small factor per step; once a factor reaches
-    0 it zeroes every lower term (theta^j = 0 for j > g).  The result is one
-    integer over the class's denominator.
+    of the factors g-d+i for k < i <= d.  The sum is therefore taken by
+    Horner's rule over p's numerators, one multiplication by a small factor
+    per step; once a factor reaches 0 it zeroes every lower term (theta^i = 0
+    for i > g).  A factor of codimension e makes one such pass per nonzero
+    term x^j * theta^(e-j): the term shifts p's terms by j, so the pass runs
+    with every factor shifted by j and ends with the e-j factors past p's
+    codimension, whose product is perm(g, e-j).  The result is one integer
+    over the product of the denominators.
     """
-    if p.codim != p.d:
+    codim, denominator, terms = p.codim, p.denominator, ((0, 1),)
+    if factor is not None:
+        p._check_same_space(factor)
+        codim += factor.codim
+        denominator *= factor.denominator
+        terms = [(j, b) for j, b in enumerate(factor.numerators) if b]
+    if codim != p.d:
         raise PreconditionError(
-            f"only top-degree classes can be evaluated (codim {p.codim} on C_{p.d})"
+            f"only top-degree classes can be evaluated (codim {codim} on C_{p.d})"
         )
     nums = p.numerators
-    offset = p.genus - p.d
-    total = nums[0]
-    for k in range(1, p.d + 1):
-        total = total * (offset + k) + nums[k]
-    return Fraction(total, p.denominator)
+    offset, extra = p.genus - p.d, codim - p.codim
+    total = 0
+    for j, b in terms:
+        partial = nums[0]
+        for k in range(1, len(nums)):
+            partial = partial * (offset + k + j) + nums[k]
+        total += b * partial * math.perm(p.genus, extra - j)
+    return Fraction(total, denominator)

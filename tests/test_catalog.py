@@ -356,13 +356,14 @@ def test_pencil_intersections_values():
 
 
 def test_pencil_intersections_match_evaluation():
-    for k in range(2, 30):
+    for k in range(2, 61):
         g = 2 * k - 1
         locus = subordinate_class(g, k, k + 1, 1)
         theta_value = evaluate_top(multiply(locus, theta_class(g, k)))
         x_value = evaluate_top(multiply(locus, x_class(g, k)))
         assert subordinate_pencil_intersections(k) == (theta_value, x_value)
         assert (theta_value, x_value) == (2 * k - 1, k)
+        assert (evaluate_top(locus, theta_class(g, k)), evaluate_top(locus, x_class(g, k))) == (2 * k - 1, k)
 
 
 def test_stepped_pencil_intersections_match_binomial_sums():

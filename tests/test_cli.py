@@ -390,6 +390,30 @@ def test_volume_at_genus_3000_answers_quickly(capsys):
     assert doc["result"]["value"].endswith("/" + str(2**2999))
 
 
+@pytest.mark.parametrize("curve, d", [("general", 4999), ("hyperelliptic", 2500)])
+def test_volume_answers_at_the_genus_cap(capsys, curve, d):
+    code, doc, err = run_json(capsys, "volume", "--curve", curve, "--g", "5000", "--d", str(d), "--t", "1/2")
+    assert code == 0, err
+    assert doc["inputs"]["g"] == 5000
+
+
+@pytest.mark.parametrize("curve, d", [("general", 5000), ("hyperelliptic", 2500)])
+def test_volume_refuses_a_genus_past_the_cap(capsys, curve, d):
+    code, out, err = run_cli(capsys, "volume", "--curve", curve, "--g", "5001", "--d", str(d), "--t", "1/2")
+    assert code == 2
+    assert out == ""
+    assert "at most 5000" in err
+    _assert_one_line(err)
+
+
+def test_version_names_the_package_and_python(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    version = sys.version.split()[0]
+    assert capsys.readouterr().out == f"symcd 0.1.0 (Python {version})\n"
+
+
 def test_volume_malformed_t_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["volume", "--g", "4", "--d", "3", "--curve", "general", "--t", "one"])

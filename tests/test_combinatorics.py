@@ -134,6 +134,12 @@ def test_linear_power_coefficient_example():
     # [t^5] (10 - 2t)(1 + t)^5 = 10*C(5,5) - 2*C(5,4) = 0
     assert linear_power_coefficient(10, -2, 5, 5) == 0
     assert linear_power_coefficient(1, 0, -1, 4) == 1
+    # integers in, an integer out; a Fraction or a string makes a Fraction
+    assert type(linear_power_coefficient(10, -2, 5, 5)) is int
+    assert linear_power_coefficient(Fraction(1, 2), "1/3", 3, 2) == Fraction(5, 2)
+    assert type(linear_power_coefficient(1, Fraction(2), 3, 2)) is Fraction
+    with pytest.raises(TypeError):
+        linear_power_coefficient(1, 0.5, 3, 2)
 
 
 def test_generating_function_residual_vanishes():

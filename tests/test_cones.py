@@ -47,6 +47,15 @@ def test_ray_normalizes_to_primitive():
     assert str(Ray(1, 0)) == "theta"
 
 
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+def test_ray_from_class_matches_the_ray_of_its_coefficients(a, b):
+    if a or b:
+        assert Ray.from_class(divisor_class(6, 4, a, b)) == Ray.from_rationals(a, -b)
+
+
 def test_ray_rejects_zero():
     with pytest.raises(PreconditionError):
         Ray(0, 0)

@@ -359,3 +359,53 @@ def test_integer_subordinate_class_matches_fraction_formula():
                     cls = subordinate_class(g, d, n, r)
                     _assert_lowest_terms(cls)
                     assert cls.coeffs == _fraction_subordinate_coeffs(g, d, n, r), (g, d, n, r)
+
+
+# ------------------------------------------------------------ fused products
+
+
+@st.composite
+def classes_with_a_divisor(draw):
+    """A class of codimension d-1 and a divisor on one C_d; d may exceed g."""
+    g = draw(st.integers(min_value=2, max_value=14))
+    d = draw(st.integers(min_value=2, max_value=g + 3))
+    rationals = st.fractions(min_value=-60, max_value=60, max_denominator=720)
+    if draw(st.booleans()):
+        # a subordinate locus of dimension 1: coefficients C(n-g-1, k)/(d-1-k)!
+        p = subordinate_class(g, d, draw(st.integers(min_value=d, max_value=d + 2 * g)), 1)
+    else:
+        p = CycleClass(g, d, tuple(draw(st.lists(rationals, min_size=d, max_size=d))))
+    return p, divisor_class(g, d, draw(rationals), draw(rationals))
+
+
+@given(classes_with_a_divisor())
+def test_fused_divisor_product_matches_the_built_product(pair):
+    p, divisor = pair
+    assert evaluate_top(p, divisor) == evaluate_top(multiply(p, divisor))
+    assert evaluate_top(divisor, p) == evaluate_top(multiply(divisor, p))
+
+
+@given(top_degree_pairs())
+def test_fused_product_matches_the_built_product(pair):
+    p, q = pair
+    assert evaluate_top(p, q) == evaluate_top(multiply(p, q))
+
+
+def test_fused_product_refuses_what_multiply_and_evaluate_top_refuse():
+    theta = theta_class(4, 3)
+    with pytest.raises(PreconditionError):
+        evaluate_top(theta, theta)  # codimension 2 on C_3
+    with pytest.raises(PreconditionError):
+        evaluate_top(theta**2, theta**2)  # codimension 4 on C_3
+    with pytest.raises(PreconditionError):
+        evaluate_top(theta**2, theta_class(5, 3))  # another genus
+
+
+def test_integer_divisor_classes_equal_the_fraction_built_ones():
+    for a, b in ((1, 0), (0, -1), (10, 12), (-3, 7)):
+        built = DivisorClass(4, 3, (Fraction(a), Fraction(-b)))
+        assert divisor_class(4, 3, a, b) == built
+        assert repr(divisor_class(4, 3, a, b)) == repr(built)
+    assert theta_class(6, 4) == DivisorClass(6, 4, (Fraction(1), Fraction(0)))
+    assert x_class(6, 4) == DivisorClass(6, 4, (Fraction(0), Fraction(1)))
+    assert divisor_class(4, 3, Fraction(1, 2), 2) == DivisorClass(4, 3, (Fraction(1, 2), Fraction(-2)))

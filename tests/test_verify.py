@@ -1,8 +1,12 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from symcd import catalog, cli, verify
 from symcd.catalog import binomial_convolution_identity
+from symcd.combinatorics import gen_binomial
 from symcd.cycles import evaluate_top, multiply, theta_class, x_class
 from symcd.errors import PreconditionError
 from symcd.verify import (
@@ -135,6 +139,21 @@ def test_volume_polynomial_constant_term_is_factorial():
         assert volume_polynomial(g)[0] == factorial(g)
 
 
+def _binomial_volume_polynomial(g):
+    """Reference: the coefficients with one gen_binomial call per term."""
+    coeffs = [0] * g
+    for k in range(g):
+        scale = gen_binomial(g - 1, k) * (math.factorial(g) // math.factorial(k + 1))
+        for j in range(g - k):
+            coeffs[k + j] += scale * gen_binomial(g - 1 - k, j) * (-1) ** j
+    return coeffs
+
+
+def test_stepped_volume_polynomial_matches_binomial_terms():
+    for g in range(4, 41):
+        assert volume_polynomial(g) == _binomial_volume_polynomial(g), g
+
+
 def test_diagonal_check_rejects_tiny_bound():
     with pytest.raises(PreconditionError):
         check_diagonal_agreement(3)
@@ -177,3 +196,70 @@ def test_check_limits_value_contract(value_contract):
     assert repr(CheckLimits(k_max=7, g_max=5)) == (
         "CheckLimits(g_max=5, diagonal_g_max=12, k_max=7, m_max=200, link_k_max=50)"
     )
+
+
+# ------------------------------------------------------------ mutation guards
+
+
+def _first_plus_one(value):
+    """``value`` with its first entry one unit larger: a number, or one
+    coefficient of a class, of a test-curve solution or of a sequence."""
+    if isinstance(value, catalog.TestCurveSolution):
+        divisor = _first_plus_one(value.divisor)
+        return catalog.TestCurveSolution(divisor, value.x_curve_intersection, value.diagonal_intersection)
+    if isinstance(value, (tuple, list)):
+        return type(value)([_first_plus_one(value[0]), *value[1:]])
+    if hasattr(value, "numerators"):
+        first, *rest = value.numerators
+        return type(value).from_numerators(value.genus, value.d, [first + value.denominator, *rest], value.denominator)
+    return value + 1
+
+
+def _orthogonality_plus_one(evaluate_top):
+    """``evaluate_top``, one unit off where it evaluates the orthogonality at k = 5."""
+
+    def mutated(p, factor=None):
+        value = evaluate_top(p, factor)
+        return value + 1 if factor is not None and factor.numerators == (5, -9) else value
+
+    return mutated
+
+
+# (suite, --max, route that verify calls, case, the route's arguments at that case)
+MUTATIONS = [
+    ("combsum", 10, "binomial_convolution_identity", (7,), (7,)),
+    ("combsum", 10, "convolution_residual", (4,), (4,)),
+    ("pencil-link", 10, "pencil_residual_sums", (6,), (6,)),
+    ("pencil-link", 10, "pencil_residual_divisor_class", (5,), (5,)),
+    ("orth", 10, "subordinate_pencil_intersections", (6,), (6,)),
+    ("orth", 10, "subordinate_class", (5,), (9, 5, 6, 1)),
+    ("orth", 10, "theta_class", (7,), (13, 7)),
+    ("orth", 10, "evaluate_top", (5,), None),
+    ("diagonal", 8, "bipartition_diagonal_extraction", (6, 3), (6, 3)),
+    ("diagonal", 8, "bipartition_diagonal_class", (7, 5), (7, 5)),
+    ("dd-system", 8, "solve_test_curve_system", (7, 3), (7, 3)),
+    ("dd-system", 8, "ramification_divisor_class", (6, 4), (6, 4)),
+    ("dd-system", 8, "effective_slope_bound", (8, 2), (8, 2)),
+    ("volume", 8, "volume_polynomial", (6,), (6,)),
+    ("volume", 8, "pencil_expansion_polynomial", (7,), (7,)),
+]
+
+
+@pytest.mark.parametrize("suite, bound, route, case, arguments", MUTATIONS)
+def test_every_suite_fails_when_one_route_is_off_by_one_unit(monkeypatch, capsys, suite, bound, route, case, arguments):
+    original = getattr(verify, route)
+    if arguments is None:
+        mutated = _orthogonality_plus_one(original)
+    else:
+
+        def mutated(*args, **kwargs):
+            value = original(*args, **kwargs)
+            return _first_plus_one(value) if args == arguments else value
+
+    monkeypatch.setattr(verify, route, mutated)
+    code = cli.main(["--format", "json", "verify", "--suite", suite, "--max", str(bound)])
+    document = json.loads(capsys.readouterr().out)
+    assert code == 1
+    report = document["result"]["reports"][0]
+    assert report["status"] == "fail"
+    assert report["counterexample"]["parameters"] == list(case)
