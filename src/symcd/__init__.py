@@ -51,12 +51,7 @@ _EXPORTS = {
         "subordinate_class",
         "subordinate_pencil_intersections",
     ),
-    "residuation": (
-        "apply_matrix",
-        "residuation_inverse_pullback",
-        "residuation_involution_matrix",
-        "residuation_pullback",
-    ),
+    "residuation": ("residuation_pullback",),
     "cones": (
         "Cone2D",
         "ConeStatus",
@@ -73,7 +68,7 @@ _EXPORTS = {
         "volume_integrality",
     ),
     "errors": ("OutOfProvenDomainError", "PreconditionError"),
-    "verify": ("CheckLimits", "CheckReport", "CheckStatus", "all_passed", "run_all"),
+    "verify": ("CheckReport", "CheckStatus", "all_passed", "run_all"),
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -34,7 +34,7 @@ from .errors import OutOfProvenDomainError, PreconditionError
 FORMAT_ENV_VAR = "SYMCD_FORMAT"
 
 # --------------------------------------------------------------------------
-# registries: the named classes and the verify suites, each listed once
+# registry: the named classes, each listed once
 
 _Entry = namedtuple("_Entry", "class_name intersect_name constructor flags provenance")
 
@@ -91,20 +91,9 @@ _CATALOG = (
 _CLASSES = {entry.class_name: entry for entry in _CATALOG if entry.class_name}
 _INTERSECT_NAMES = {entry.intersect_name: entry for entry in _CATALOG if entry.intersect_name}
 
-_Suite = namedtuple("_Suite", "check limit minimum cap")
-
-# One row per verify suite, in the order run_all runs them: its check in
-# ``verify``, the CheckLimits field that bounds it under ``all``, the smallest
-# --max whose sweeps all hold at least one case, and the cap on that field
-# under ``all`` (None for no cap).
-_SUITES = {
-    "combsum": _Suite("check_combsum", "m_max", 1, None),
-    "pencil-link": _Suite("check_pencil_residual_link", "link_k_max", 3, 50),
-    "orth": _Suite("check_orth", "k_max", 2, None),
-    "diagonal": _Suite("check_diagonal_agreement", "diagonal_g_max", 4, 12),
-    "dd-system": _Suite("check_dd_system", "g_max", 4, None),
-    "volume": _Suite("check_volume_identity", "g_max", 4, None),
-}
+# The names of ``verify.SUITES``, in its order, for argparse; listed here so
+# that importing the CLI does not import ``verify``.
+_SUITE_NAMES = ("combsum", "pencil-link", "orth", "diagonal", "dd-system", "volume")
 
 
 def _build(entry: _Entry, *args):
@@ -136,17 +125,14 @@ def _require(args: argparse.Namespace, flag: str, why: str):
 
 
 def _class_document(cls) -> dict:
+    from .cycles import _monomial_name
+
     codim = cls.codim
-    monomials = []
-    for k in range(codim + 1):
-        x_part = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-        theta_part = "" if codim - k == 0 else ("theta" if codim - k == 1 else f"theta^{codim - k}")
-        monomials.append("*".join(part for part in (x_part, theta_part) if part) or "1")
     result = {
         "genus": cls.genus,
         "symmetric_power": cls.d,
         "codimension": codim,
-        "monomials": monomials,
+        "monomials": [_monomial_name(k, codim - k) or "1" for k in range(codim + 1)],
         "coefficients": [str(c) for c in cls.coeffs],
         "pretty": str(cls),
     }
@@ -317,10 +303,21 @@ def _multiply(left, right):
 # subcommand handlers; each returns (document, exit_code)
 
 
+# Every integer flag ``class`` reads is at most this in absolute value.  A
+# class on C_d has up to d+1 coefficients over one denominator as large as d!,
+# so its cost and its size grow without limit in --d; at the cap the largest,
+# ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.3 s and prints 2.5 MB
+# as one CLI call.
+_MAX_CLASS_FLAG = 1_000
+
+
 def _cmd_class(args) -> tuple[dict, int]:
     name = args.name
     entry = _CLASSES[name]
     values = [_require(args, flag, name) for flag in entry.flags]
+    for flag, value in zip(entry.flags, values):
+        if abs(value) > _MAX_CLASS_FLAG:
+            raise UsageError(f"--{flag} {value} is too large for class: at most {_MAX_CLASS_FLAG} in absolute value")
     inputs = {"name": name, **dict(zip(entry.flags, values))}
     provenance = [entry.provenance]
     if name == "bipartition-diagonal":
@@ -407,7 +404,11 @@ def _cmd_cone(args) -> tuple[dict, int]:
 
 
 # The exact volume's cost grows about quadratically in g (0.2 s at g = 5,000,
-# 2 s at 20,000, for one CLI call), so larger genera are refused.
+# 2 s at 20,000, for one CLI call), so larger genera are refused.  Its size
+# grows with the denominator of t = p/q as well: the value is one number over
+# q^(g-1) for the general curve and over ((g-d+1)q)^d for the hyperelliptic
+# one, so a t whose denominator power would exceed 2^_MAX_SCALAR_BITS, the
+# bound on every number ``intersect`` builds, is refused too.
 _MAX_VOLUME_GENUS = 5_000
 
 
@@ -419,6 +420,11 @@ def _cmd_volume(args) -> tuple[dict, int]:
         raise UsageError(f"--g {g} is too large for volume: at most {_MAX_VOLUME_GENUS}")
     d = _require(args, "d", "volume")
     t = _require(args, "t", "volume")
+    base, power = (t.denominator, g - 1) if args.curve == "general" else ((g - d + 1) * t.denominator, d)
+    if (abs(base).bit_length() - 1) * power > _MAX_SCALAR_BITS:
+        raise UsageError(
+            f"--t {t} is too long for volume at g={g}: the value's denominator would exceed 2^{_MAX_SCALAR_BITS}"
+        )
     inputs = {"g": g, "d": d, "curve": args.curve, "t": str(t)}
     if args.curve == "general":
         if d != g - 1:
@@ -443,26 +449,6 @@ def _cmd_volume(args) -> tuple[dict, int]:
     return document, 0
 
 
-def _run_suite(suite: str, bound: int | None) -> list:
-    from . import verify
-
-    rows = _SUITES.values() if suite == "all" else (_SUITES[suite],)
-    minimum = max(row.minimum for row in rows)
-    if bound is not None and bound < minimum:
-        raise PreconditionError(f"--max must be at least {minimum} for suite {suite!r} (got {bound})")
-    if suite == "all":
-        if bound is None:
-            return verify.run_all()
-        limits = {row.limit: bound if row.cap is None else min(bound, row.cap) for row in rows}
-        return verify.run_all(verify.CheckLimits(**limits))
-    check = getattr(verify, rows[0].check)
-    # Without --max each check runs at its own default bound.
-    reports = [check() if bound is None else check(bound)]
-    if suite == "diagonal":
-        reports.append(verify.diagonal_statement_discrepancy())
-    return reports
-
-
 def _report_document(report) -> dict:
     entry: dict = {
         "name": report.name,
@@ -483,7 +469,7 @@ def _report_document(report) -> dict:
 def _cmd_verify(args) -> tuple[dict, int]:
     from . import verify
 
-    reports = _run_suite(args.suite, args.max)
+    reports = verify.run_all(args.suite, args.max)
     ok = verify.all_passed(reports)
     failures = sum(1 for report in reports if report.status is verify.CheckStatus.FAIL)
     document = {
@@ -613,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_parser = subparsers.add_parser("verify", help="run the exact identity suite")
     verify_parser.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-    verify_parser.add_argument("--suite", choices=("all", *_SUITES), default="all")
+    verify_parser.add_argument("--suite", choices=("all", *_SUITE_NAMES), default="all")
     verify_parser.add_argument("--max", type=int, default=None, help="sweep bound override")
     verify_parser.set_defaults(handler=_cmd_verify)
 

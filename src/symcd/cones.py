@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .combinatorics import as_rational, factorial
-from .cycles import CycleClass, _Frozen
+from .cycles import CycleClass, _Frozen, _signed_sum
 from .errors import OutOfProvenDomainError, PreconditionError
 
 __all__ = [
@@ -124,19 +124,7 @@ class Ray(_Frozen):
         return cls(*divisor.numerators)
 
     def __str__(self) -> str:
-        terms = []
-        for coeff, name in ((self.theta, "theta"), (self.x, "x")):
-            if coeff == 0:
-                continue
-            body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
-            terms.append((coeff < 0, body))
-        rendered = ""
-        for index, (negative, body) in enumerate(terms):
-            if index == 0:
-                rendered = ("-" if negative else "") + body
-            else:
-                rendered += (" - " if negative else " + ") + body
-        return rendered
+        return _signed_sum(((self.theta, "theta"), (self.x, "x")))
 
 
 class ConeStatus(enum.Enum):
@@ -348,14 +336,15 @@ def volume_general(g: int, t: int | Fraction) -> Fraction:
         )
     # With t = p/q the sum is one integer over q^(g-1): the sum of
     # T_k p^k (q-p)^(g-1-k), taken by Horner's rule in q-p.  The integer
-    # T_k = C(g-1, k) g!/(k+1)! steps by T_(k+1) = T_k (g-1-k)/((k+1)(k+2)),
-    # an exact division since T_(k+1) is an integer.
+    # T_k p^k, with T_k = C(g-1, k) g!/(k+1)!, steps by the factor
+    # p (g-1-k)/((k+1)(k+2)), an exact division since the next term is an
+    # integer; so each step multiplies the growing numbers only by p, q-p and
+    # small factors.
     p, q = t.numerator, t.denominator
-    total, term, power = 0, factorial(g), 1
+    total, term = 0, factorial(g)
     for k in range(g):
-        total = total * (q - p) + term * power
-        term = term * (g - 1 - k) // ((k + 1) * (k + 2))
-        power *= p
+        total = total * (q - p) + term
+        term = term * p * (g - 1 - k) // ((k + 1) * (k + 2))
     return Fraction(total, q ** (g - 1))
 
 

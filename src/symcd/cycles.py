@@ -278,32 +278,29 @@ class CycleClass(_Frozen):
             result = multiply(result, self)
         return result
 
-    def evaluate_top(self) -> Fraction:
-        return evaluate_top(self)
-
     def __str__(self) -> str:
-        terms = []
-        for k, coeff in enumerate(self.coeffs):
-            if not coeff:
-                continue
-            monomial = _monomial_name(k, self.codim - k)
-            terms.append((coeff, monomial))
-        if not terms:
-            return "0"
-        rendered = ""
-        for index, (coeff, monomial) in enumerate(terms):
-            sign = "-" if coeff < 0 else "+"
-            magnitude = -coeff if coeff < 0 else coeff
-            body = monomial if magnitude == 1 and monomial else _coeff_str(magnitude) + ("*" + monomial if monomial else "")
-            if index == 0:
-                rendered = ("-" if sign == "-" else "") + body
-            else:
-                rendered += f" {sign} {body}"
-        return rendered
+        return _signed_sum([(c, _monomial_name(k, self.codim - k)) for k, c in enumerate(self.coeffs)])
 
 
-def _coeff_str(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else f"({q})"
+def _signed_sum(terms) -> str:
+    """``a*m - b*n + ...`` for (coefficient, monomial) pairs; "0" when all are zero.
+
+    Zero terms are left out, a unit coefficient is left off its monomial, and
+    a coefficient that is not an integer is parenthesized.
+    """
+    rendered = ""
+    for coeff, monomial in terms:
+        if not coeff:
+            continue
+        magnitude = abs(coeff)
+        body = str(magnitude) if magnitude.denominator == 1 else f"({magnitude})"
+        if monomial:
+            body = monomial if magnitude == 1 else f"{body}*{monomial}"
+        if rendered:
+            rendered += f" - {body}" if coeff < 0 else f" + {body}"
+        else:
+            rendered = f"-{body}" if coeff < 0 else body
+    return rendered or "0"
 
 
 def _monomial_name(x_power: int, theta_power: int) -> str:

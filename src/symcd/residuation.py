@@ -6,9 +6,10 @@ of |K - L|; on divisor classes it acts by
     theta |-> theta_hat,    theta - x |-> X_hat
 
 where (theta_hat, X_hat) is the corresponding basis on the target moduli
-space.  Only this induced linear map carries finite data, so only it is
-modeled; for d = g-1 the map is a self-map of C_(g-1) and the two bases
-coincide, giving an honest involution of the (theta, x)-plane.
+space C_(2g-2-d).  Only this induced linear map carries finite data, so only
+it is modeled.  For d = g-1 the map is a self-map of C_(g-1), the two bases
+coincide, and the same map is an involution of the (theta, x)-plane: it fixes
+theta, swaps x and theta - x, and sends theta - t*x to (1-t)theta + t*x.
 """
 
 from __future__ import annotations
@@ -16,47 +17,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combinatorics import as_rational
-from .errors import PreconditionError
 
-__all__ = [
-    "residuation_pullback",
-    "residuation_inverse_pullback",
-    "residuation_involution_matrix",
-    "apply_matrix",
-]
-
-Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+__all__ = ["residuation_pullback"]
 
 
 def residuation_pullback(a: int | Fraction, b: int | Fraction) -> tuple[Fraction, Fraction]:
-    """Image of a*theta + b*x in the (theta_hat, X_hat) basis: (a + b, -b)."""
+    """Image of a*theta + b*x under residuation: (a + b, -b).
+
+    The pair is the class's coefficients in the (theta_hat, X_hat) basis of
+    C_(2g-2-d), or, on C_(g-1), in the (theta, x) basis itself; the map is its
+    own inverse.  Floats are refused.
+    """
     a, b = as_rational(a), as_rational(b)
     return a + b, -b
-
-
-def residuation_inverse_pullback(a: int | Fraction, b: int | Fraction) -> tuple[Fraction, Fraction]:
-    """Image of a*X_hat + b*theta_hat in the (theta, x) basis.
-
-    Returns the coefficient pair of (a + b)*theta - a*x.
-    """
-    a, b = as_rational(a), as_rational(b)
-    return a + b, -a
-
-
-def residuation_involution_matrix(g: int) -> Matrix2:
-    """The residuation self-map of the (theta, x)-plane of C_(g-1).
-
-    Sends theta to theta and x to theta - x; squares to the identity and has
-    determinant -1.  Columns are images of the basis vectors, acting on
-    coefficient pairs (theta_coefficient, x_coefficient).
-    """
-    if g < 3:
-        raise PreconditionError(f"the involution needs g >= 3 (got {g})")
-    one = Fraction(1)
-    return ((one, one), (Fraction(0), -one))
-
-
-def apply_matrix(matrix: Matrix2, vector: tuple[int | Fraction, int | Fraction]) -> tuple[Fraction, Fraction]:
-    """Matrix-vector product over exact rationals."""
-    v0, v1 = (as_rational(v) for v in vector)
-    return (matrix[0][0] * v0 + matrix[0][1] * v1, matrix[1][0] * v0 + matrix[1][1] * v1)

@@ -18,6 +18,7 @@ Z[t].  The only ``Fraction``s in a check are the values that
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ __all__ = [
     "CheckStatus",
     "Counterexample",
     "CheckReport",
-    "CheckLimits",
+    "SUITES",
     "sweep",
     "check_combsum",
     "check_pencil_residual_link",
@@ -71,13 +72,6 @@ class Counterexample(_Frozen):
 class CheckReport(_Frozen):
     __slots__ = ("name", "parameter_range", "status", "counterexample", "note")
     _defaults = {"counterexample": None, "note": ""}
-
-
-class CheckLimits(_Frozen):
-    """Sweep bounds; the defaults complete in seconds with exact arithmetic."""
-
-    __slots__ = ("g_max", "diagonal_g_max", "k_max", "m_max", "link_k_max")
-    _defaults = {"g_max": 20, "diagonal_g_max": 12, "k_max": 100, "m_max": 200, "link_k_max": 50}
 
 
 def sweep(name: str, parameter_range: str, cases: Iterable, sides: Callable) -> CheckReport:
@@ -267,18 +261,42 @@ def check_volume_identity(g_max: int = 20) -> CheckReport:
     return sweep("volume-polynomial-identity", f"4 <= g <= {g_max}", range(4, g_max + 1), sides)
 
 
-def run_all(limits: CheckLimits | None = None) -> list[CheckReport]:
-    """Run every check with the given (or default) sweep bounds."""
-    limits = limits or CheckLimits()
-    return [
-        check_combsum(limits.m_max),
-        check_pencil_residual_link(limits.link_k_max),
-        check_orth(limits.k_max),
-        check_diagonal_agreement(limits.diagonal_g_max),
-        diagonal_statement_discrepancy(),
-        check_dd_system(limits.g_max),
-        check_volume_identity(limits.g_max),
-    ]
+_Suite = namedtuple("_Suite", "checks minimum cap")
+
+# One row per suite, in the order ``run_all`` runs them: the checks it runs
+# (the first takes the bound, the rest take none), the smallest bound at which
+# its sweep holds a case, and the cap on the bound under "all" (None for none).
+# Checks are named, not held, and looked up on this module at every run, so
+# that rebinding one here (as the benchmark's tracer does) takes effect.
+SUITES = {
+    "combsum": _Suite(("check_combsum",), 1, None),
+    "pencil-link": _Suite(("check_pencil_residual_link",), 3, 50),
+    "orth": _Suite(("check_orth",), 2, None),
+    "diagonal": _Suite(("check_diagonal_agreement", "diagonal_statement_discrepancy"), 4, 12),
+    "dd-system": _Suite(("check_dd_system",), 4, None),
+    "volume": _Suite(("check_volume_identity",), 4, None),
+}
+
+
+def run_all(suite: str = "all", bound: int | None = None) -> list[CheckReport]:
+    """Run one suite, or every suite under "all", up to ``bound``.
+
+    Without a bound each check runs at its own default; under "all" a bound is
+    clamped to each suite's cap.  A bound below the suite's minimum is refused.
+    """
+    rows = SUITES.values() if suite == "all" else (SUITES[suite],)
+    minimum = max(row.minimum for row in rows)
+    if bound is not None and bound < minimum:
+        raise PreconditionError(f"--max must be at least {minimum} for suite {suite!r} (got {bound})")
+    checks = globals()
+    reports = []
+    for (first, *rest), _, cap in rows:
+        if bound is None:
+            reports.append(checks[first]())
+        else:
+            reports.append(checks[first](min(bound, cap) if suite == "all" and cap else bound))
+        reports += [checks[name]() for name in rest]
+    return reports
 
 
 def all_passed(reports: Iterable[CheckReport]) -> bool:

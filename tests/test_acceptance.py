@@ -9,12 +9,13 @@ all comparisons are exact rational equalities.
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from symcd import (
     CurveContext,
     CurveType,
     Membership,
     Ray,
-    apply_matrix,
     bipartition_diagonal_class,
     bipartition_diagonal_extraction,
     divisor_class,
@@ -22,8 +23,6 @@ from symcd import (
     effective_slope_bound,
     evaluate_top,
     pencil_residual_divisor_class,
-    residuation_inverse_pullback,
-    residuation_involution_matrix,
     residuation_pullback,
     solve_test_curve_system,
     subordinate_class,
@@ -156,15 +155,15 @@ def test_criterion_09_residuation():
     grid = [Fraction(n, 3) for n in range(-6, 7)]
     for a in grid:
         for b in grid:
-            theta_hat, x_hat = residuation_pullback(a, b)
-            assert residuation_inverse_pullback(x_hat, theta_hat) == (a, b)
-    matrix = residuation_involution_matrix(7)
-    for column in ((1, 0), (0, 1)):
-        assert apply_matrix(matrix, apply_matrix(matrix, column)) == tuple(map(Fraction, column))
-    # the pulled-back class of a*X_hat + b*theta_hat reads (a+b)*theta - a*x
-    assert residuation_inverse_pullback(1, 0) == (1, -1)
-    assert residuation_inverse_pullback(2, 3) == (5, -2)
-    _report(9, "residuation pullbacks are mutually inverse and the involution squares to the identity")
+            assert residuation_pullback(*residuation_pullback(a, b)) == (a, b)
+    assert residuation_pullback(1, 0) == (1, 0)  # theta |-> theta
+    assert residuation_pullback(0, 1) == (1, -1)  # x |-> theta - x
+    for t in grid:
+        assert residuation_pullback(1, -t) == (1 - t, t)  # theta - t*x |-> (1-t)*theta + t*x
+    for bad in ((0.5, 1), (1, 0.5)):
+        with pytest.raises(TypeError):
+            residuation_pullback(*bad)
+    _report(9, "residuation is an involution: theta |-> theta, x |-> theta - x, theta - t*x |-> (1-t)theta + t*x")
 
 
 def test_criterion_10_non_nef_witness():

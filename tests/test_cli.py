@@ -126,6 +126,49 @@ def test_class_without_a_required_flag_names_it(capsys, name, missing):
     _assert_one_line(err)
 
 
+# each class with every flag at or next to the cap on class flags
+CLASS_AT_CAP = {
+    "subordinate": {"--g": "2", "--d": "1000", "--n": "1000", "--r": "0"},
+    "small-diagonal": {"--g": "1000", "--d": "1000"},
+    "bipartition-diagonal": {"--g": "1000", "--d": "999"},
+    "ramification": {"--g": "1000", "--d": "999"},
+    "e-k": {"--k": "1000"},
+    "hyperelliptic-c1d": {"--g": "1000", "--d": "1000"},
+}
+
+
+@pytest.mark.parametrize("name", CLASS_AT_CAP)
+def test_class_answers_at_the_flag_cap(capsys, name):
+    argv = [token for item in CLASS_AT_CAP[name].items() for token in item]
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "class", name, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0, err
+    assert doc["inputs"]["name"] == name
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [(name, flag, value) for name, flags in CLASS_AT_CAP.items() for flag in flags for value in ("1001", "-1001")],
+)
+def test_class_refuses_a_flag_past_the_cap(capsys, name, flag, value):
+    argv = [token for key, given in CLASS_AT_CAP[name].items() for token in (key, value if key == flag else given)]
+    code, out, err = run_cli(capsys, "class", name, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} {value} is too large for class: at most 1000 in absolute value" in err
+    _assert_one_line(err)
+
+
+def test_class_subordinate_at_a_large_degree_is_refused_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "class", "subordinate", "--g", "3", "--d", "3000", "--n", "3000", "--r", "0")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    _assert_one_line(err)
+
+
 def test_class_bad_range_is_precondition_error(capsys):
     code, out, err = run_cli(capsys, "class", "ramification", "--g", "4", "--d", "4")
     assert code == 3
@@ -406,6 +449,44 @@ def test_volume_refuses_a_genus_past_the_cap(capsys, curve, d):
     _assert_one_line(err)
 
 
+LONG_T = "123456789012345678901/123456789012345678902"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--g", "5000", "--d", "4999", "--t", LONG_T),
+        ("--g", "5000", "--d", "4999", "--t", f"1/{2**21}"),
+        ("--curve", "hyperelliptic", "--g", "5000", "--d", "2500", "--t", f"1/{2**40}"),
+    ],
+)
+def test_volume_refuses_a_t_whose_denominator_is_too_long(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "volume", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "denominator would exceed 2^100000" in err
+    _assert_one_line(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (g-1) * (bit length of q - 1) = 4999 * 20, just within 100000
+        ("--g", "5000", "--d", "4999", "--t", f"{2**21 - 2}/{2**21 - 1}"),
+        # d * (bit length of (g-d+1) q - 1) = 2500 * 37
+        ("--curve", "hyperelliptic", "--g", "5000", "--d", "2500", "--t", f"1/{2**26}"),
+    ],
+)
+def test_volume_answers_a_long_t_within_the_bound(capsys, argv):
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "volume", *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 0, err
+    assert doc["inputs"]["t"] == argv[-1]
+
+
 def test_version_names_the_package_and_python(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
@@ -463,13 +544,19 @@ SUITE_MINIMUMS = {
 }
 
 
+def test_suite_minimums_cover_the_runner_table():
+    from symcd import verify
+
+    assert SUITE_MINIMUMS == {"all": 4, **{name: row.minimum for name, row in verify.SUITES.items()}}
+
+
 @pytest.mark.parametrize("suite", sorted(SUITE_MINIMUMS))
 def test_verify_max_below_suite_minimum_is_refused(capsys, suite):
     for bound in (SUITE_MINIMUMS[suite] - 1, 0, -5):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max", str(bound))
         assert code == 3, (suite, bound)
         assert out == ""
-        assert "--max" in err
+        assert err == f"error: --max must be at least {SUITE_MINIMUMS[suite]} for suite {suite!r} (got {bound})\n"
         _assert_one_line(err)
 
 

@@ -45,6 +45,8 @@ def test_ray_normalizes_to_primitive():
     assert Ray.from_rationals(1, Fraction(-6, 5)) == Ray(5, -6)
     assert str(Ray(-1, 7)) == "-theta + 7*x"
     assert str(Ray(1, 0)) == "theta"
+    assert str(Ray(3, -5)) == "3*theta - 5*x"
+    assert str(Ray(0, -1)) == "-x"
 
 
 @given(
@@ -340,7 +342,8 @@ def _fraction_volume_general(g, t):
 def test_integer_volume_general_matches_fraction_sum(g):
     # Both ends of the proven interval, and points inside it.
     limit = general_volume_limit(g)
-    for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(g, g + 1), Fraction(1), limit / 2, limit):
+    long_ts = (Fraction(123456789, 123456790), Fraction(10**30 - 7, 10**30))
+    for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(g, g + 1), Fraction(1), limit / 2, limit, *long_ts):
         assert volume_general(g, t) == _fraction_volume_general(g, t), (g, t)
 
 

@@ -140,6 +140,9 @@ def test_string_rendering():
         "(1/2)*theta^2 - 2*x*theta + 3*x^2"
     )
     assert str(CycleClass(4, 3, (Fraction(0), Fraction(0)))) == "0"
+    assert str(CycleClass(4, 3, (Fraction(0), Fraction(-1, 3)))) == "-(1/3)*x"
+    assert str(CycleClass(4, 3, (Fraction(-1),))) == "-1"
+    assert str(CycleClass(4, 3, (Fraction(5, 2),))) == "(5/2)"
 
 
 def _plain_convolution(p, q):

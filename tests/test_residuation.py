@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symcd.errors import PreconditionError
-from symcd.residuation import (
-    apply_matrix,
-    residuation_inverse_pullback,
-    residuation_involution_matrix,
-    residuation_pullback,
-)
+from symcd.cones import CurveContext, CurveType, Ray, general_volume_limit, nef_facts
+from symcd.residuation import residuation_pullback
 
 
 def test_pullback_on_basis():
@@ -20,40 +15,44 @@ def test_pullback_on_basis():
 
 
 def test_inverse_pullback_on_basis():
-    assert residuation_inverse_pullback(1, 0) == (1, -1)  # X_hat |-> theta - x
-    assert residuation_inverse_pullback(0, 1) == (1, 0)  # theta_hat |-> theta
+    # The map is its own inverse; read back from the target basis:
+    assert residuation_pullback(0, 1) == (1, -1)  # X_hat |-> theta - x
+    assert residuation_pullback(1, 0) == (1, 0)  # theta_hat |-> theta
 
 
 @given(st.fractions(), st.fractions())
 def test_pullbacks_are_mutually_inverse(a, b):
-    theta_hat, x_hat = residuation_pullback(a, b)
-    # inverse takes (X_hat coefficient, theta_hat coefficient)
-    assert residuation_inverse_pullback(x_hat, theta_hat) == (a, b)
-    u, v = residuation_inverse_pullback(a, b)
-    back = residuation_pullback(u, v)
-    assert (back[1], back[0]) == (a, b)
+    assert residuation_pullback(*residuation_pullback(a, b)) == (a, b)
 
 
 def test_involution_squares_to_identity():
-    m = residuation_involution_matrix(6)
-    squared = tuple(apply_matrix(m, apply_matrix(m, column)) for column in ((1, 0), (0, 1)))
-    assert squared == ((1, 0), (0, 1))
+    for column in ((1, 0), (0, 1)):
+        assert residuation_pullback(*residuation_pullback(*column)) == column
 
 
 def test_involution_determinant_is_minus_one():
-    m = residuation_involution_matrix(5)
-    assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == -1
+    (a, c), (b, d) = residuation_pullback(1, 0), residuation_pullback(0, 1)
+    assert a * d - b * c == -1
 
 
 def test_involution_action():
-    m = residuation_involution_matrix(4)
+    # on C_(g-1), in the (theta, x) basis
     t = Fraction(2, 7)
-    # theta - t*x  |->  (1-t)*theta + t*x
-    assert apply_matrix(m, (1, -t)) == (1 - t, t)
-    # theta - x |-> x
-    assert apply_matrix(m, (1, -1)) == (0, 1)
+    assert residuation_pullback(1, -t) == (1 - t, t)  # theta - t*x |-> (1-t)*theta + t*x
+    assert residuation_pullback(1, -1) == (0, 1)  # theta - x |-> x
 
 
-def test_involution_needs_genus_three():
-    with pytest.raises(PreconditionError):
-        residuation_involution_matrix(2)
+def test_pullback_returns_fractions_and_refuses_floats():
+    assert all(type(c) is Fraction for c in residuation_pullback(2, 3))
+    with pytest.raises(TypeError):
+        residuation_pullback(0.5, 1)
+    with pytest.raises(TypeError):
+        residuation_pullback(1, 0.5)
+
+
+@pytest.mark.parametrize("g", range(4, 61))
+def test_volume_interval_ends_where_the_residual_class_meets_the_diagonal_nef_ray(g):
+    # theta - t*x at the right end t of the proven interval goes to the ray of
+    # -theta + g(g-1)x, Pacienza's nef boundary ray of C_(g-1).
+    residual = Ray.from_rationals(*residuation_pullback(1, -general_volume_limit(g)))
+    assert residual == nef_facts(CurveContext(g, g - 1, CurveType.GENERAL)).diagonal_nef_ray

@@ -10,7 +10,7 @@ from symcd.combinatorics import gen_binomial
 from symcd.cycles import evaluate_top, multiply, theta_class, x_class
 from symcd.errors import PreconditionError
 from symcd.verify import (
-    CheckLimits,
+    SUITES,
     CheckReport,
     CheckStatus,
     Counterexample,
@@ -71,11 +71,20 @@ def test_discrepancy_report_is_not_a_failure():
 
 
 def test_run_all_with_reduced_limits():
-    reports = run_all(CheckLimits(g_max=8, diagonal_g_max=6, k_max=15, m_max=25, link_k_max=8))
+    reports = run_all(bound=8)
     assert all_passed(reports)
     statuses = {report.name: report.status for report in reports}
     assert statuses["bipartition-diagonal-statement-variant"] is CheckStatus.DISCREPANCY
     assert sum(1 for status in statuses.values() if status is CheckStatus.PASS) == len(reports) - 1
+    assert [report.parameter_range for report in reports] == [
+        "1 <= m <= 8",
+        "3 <= k <= 8",
+        "2 <= k <= 8",
+        "3 <= g <= 8, 2 <= d <= g-1",
+        "(g, d) = (4, 3)",
+        "4 <= g <= 8, 2 <= d <= g-1",
+        "4 <= g <= 8",
+    ]
 
 
 def test_run_all_default_limits_pass():
@@ -83,14 +92,54 @@ def test_run_all_default_limits_pass():
     reports = run_all()
     assert all_passed(reports)
     assert len(reports) == 7
+    assert [report.parameter_range for report in reports] == [
+        "1 <= m <= 200",
+        "3 <= k <= 50",
+        "2 <= k <= 100",
+        "3 <= g <= 12, 2 <= d <= g-1",
+        "(g, d) = (4, 3)",
+        "4 <= g <= 20, 2 <= d <= g-1",
+        "4 <= g <= 20",
+    ]
+    assert run_all("all", None) == reports
+
+
+def test_run_all_runs_one_suite_without_caps():
+    assert [report.parameter_range for report in run_all("pencil-link", 60)] == ["3 <= k <= 60"]
+    diagonal = run_all("diagonal", 13)
+    assert [report.name for report in diagonal] == [
+        "bipartition-diagonal-agreement",
+        "bipartition-diagonal-statement-variant",
+    ]
+    assert diagonal[0].parameter_range == "3 <= g <= 13, 2 <= d <= g-1"
+    assert run_all("orth") == [check_orth()]
 
 
 def test_all_passed_counts_injected_failures():
-    reports = run_all(CheckLimits(g_max=6, diagonal_g_max=5, k_max=5, m_max=5, link_k_max=4))
+    reports = run_all(bound=5)
     broken = CheckReport("injected", "n/a", CheckStatus.FAIL)
     assert all_passed(reports)
     assert not all_passed([*reports, broken])
     assert sum(1 for report in [*reports, broken] if report.status is CheckStatus.FAIL) == 1
+
+
+def test_cli_offers_exactly_the_runner_suites():
+    assert cli._SUITE_NAMES == tuple(SUITES)
+
+
+def test_run_all_calls_checks_rebound_on_the_module(monkeypatch):
+    calls = []
+    original = verify.check_orth
+
+    def patched(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, "check_orth", patched)
+    run_all("orth", 3)
+    run_all()
+    run_all(bound=4)
+    assert calls == [(3,), (), (4,)]
 
 
 def test_volume_polynomials_match_and_evaluate():
@@ -185,16 +234,6 @@ def test_check_report_value_contract(value_contract):
     assert repr(failed) == (
         "CheckReport(name='n', parameter_range='r', status=<CheckStatus.FAIL: 'fail'>, "
         "counterexample=Counterexample(parameters=(2,), lhs='1', rhs='0'), note='x')"
-    )
-
-
-def test_check_limits_value_contract(value_contract):
-    fields = {"g_max": 20, "diagonal_g_max": 12, "k_max": 100, "m_max": 200, "link_k_max": 50}
-    expected = "CheckLimits(g_max=20, diagonal_g_max=12, k_max=100, m_max=200, link_k_max=50)"
-    value_contract(CheckLimits, fields, expected, defaults=tuple(fields))
-    assert CheckLimits() == CheckLimits(**fields)
-    assert repr(CheckLimits(k_max=7, g_max=5)) == (
-        "CheckLimits(g_max=5, diagonal_g_max=12, k_max=7, m_max=200, link_k_max=50)"
     )
 
 
