@@ -62,6 +62,10 @@ def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:
     The upper binomial index n - g - r is frequently negative (e.g. -1 for the
     residual series used throughout), which is why ``gen_binomial`` supports it.
     """
+    # Checked ahead of CycleClass's own check: at a huge negative genus the
+    # binomials below would run for seconds first.
+    if g < 2:
+        raise PreconditionError(f"genus must be at least 2 (got {g})")
     if not (n >= d >= r >= 0):
         raise PreconditionError(
             f"subordinate locus needs n >= d >= r >= 0 (got n={n}, d={d}, r={r})"

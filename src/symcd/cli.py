@@ -190,11 +190,20 @@ class _ExpressionParser:
     printing larger numbers takes time quadratic in their size, so without
     the bound a long product of large scalars runs for hours.  Literals,
     sums, products and powers are checked; a negation keeps the size of a
-    value already checked.  A scalar power p^e, with p the larger of the
-    base's numerator and denominator, is refused before it is computed when
-    e * (bit length of p - 1) exceeds the bound, since p^e is then at least
-    2^(that product).  A power of a class is bounded by its codimension
-    instead.
+    value already checked.
+
+    A power is refused before it is computed when its value must exceed the
+    bound.  A scalar power p^e, with p the larger of the base's numerator
+    and denominator, is at least 2^(e * (bit length of p - 1)).  A power of
+    a class in lowest terms is in lowest terms (Gauss's lemma), so its
+    denominator is the base's to the power and is checked the same way.
+    Its largest numerator is at least m^e / (c*e + 1), with m the base's
+    largest numerator and c its codimension: by Parseval, m is at most the
+    base polynomial's largest value on the unit circle, and the power's
+    largest value there is at most the sum of its c*e + 1 coefficients.  So
+    m is checked with an allowance of bit length of c*e bits; at codimension
+    0 that is the scalar check.  A class power that passes has at most d+1
+    coefficients of bounded size, so its cost is bounded too.
     """
 
     def __init__(self, text: str, resolve):
@@ -243,12 +252,15 @@ class _ExpressionParser:
                 raise UsageError(f"exponent must be a non-negative integer (got {exponent_token!r})")
             exponent = int(exponent_token)
             if isinstance(value, Fraction):
-                bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-                if (bits - 1) * exponent > _MAX_SCALAR_BITS:
-                    raise UsageError(
-                        f"scalar power {exponent_token} is too large: its value would exceed "
-                        f"2^{_MAX_SCALAR_BITS}"
-                    )
+                what, top, bottom, spread = "scalar", value.numerator, value.denominator, 0
+            else:
+                what, top, bottom = "class", max(map(abs, value.numerators)), value.denominator
+                spread = (value.codim * exponent).bit_length()
+            least_bits = max((abs(top).bit_length() - 1) * exponent - spread, (bottom.bit_length() - 1) * exponent)
+            if least_bits > _MAX_SCALAR_BITS:
+                raise UsageError(
+                    f"{what} power {exponent_token} is too large: its value would exceed 2^{_MAX_SCALAR_BITS}"
+                )
             value = _bounded(value**exponent)
         return value
 
@@ -303,21 +315,31 @@ def _multiply(left, right):
 # subcommand handlers; each returns (document, exit_code)
 
 
-# Every integer flag ``class`` reads is at most this in absolute value.  A
-# class on C_d has up to d+1 coefficients over one denominator as large as d!,
-# so its cost and its size grow without limit in --d; at the cap the largest,
+# Every integer flag ``class`` and ``intersect`` read is at most this in
+# absolute value, but for the genus of ``intersect``.  A class on C_d has up to
+# d+1 coefficients over one denominator as large as d!, so its cost and its
+# size grow without limit in --d; at the cap the largest,
 # ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.3 s and prints 2.5 MB
-# as one CLI call.
+# as one CLI call.  ``intersect`` takes a genus up to that of the largest ``ek``
+# (genus 2k-1 at k = 1,000); at the caps, products and powers of the named
+# classes, such as ``(theta-x)^1000``, answer in well under a second.
 _MAX_CLASS_FLAG = 1_000
+_MAX_INTERSECT_GENUS = 2 * _MAX_CLASS_FLAG - 1
+
+
+def _check_flag_caps(command: str, values: dict, genus_cap: int = _MAX_CLASS_FLAG) -> None:
+    """Refuse a given integer flag beyond its cap, before anything is built."""
+    for flag, value in values.items():
+        cap = genus_cap if flag == "g" else _MAX_CLASS_FLAG
+        if value is not None and abs(value) > cap:
+            raise UsageError(f"--{flag} {value} is too large for {command}: at most {cap} in absolute value")
 
 
 def _cmd_class(args) -> tuple[dict, int]:
     name = args.name
     entry = _CLASSES[name]
     values = [_require(args, flag, name) for flag in entry.flags]
-    for flag, value in zip(entry.flags, values):
-        if abs(value) > _MAX_CLASS_FLAG:
-            raise UsageError(f"--{flag} {value} is too large for class: at most {_MAX_CLASS_FLAG} in absolute value")
+    _check_flag_caps("class", dict(zip(entry.flags, values)))
     inputs = {"name": name, **dict(zip(entry.flags, values))}
     provenance = [entry.provenance]
     if name == "bipartition-diagonal":
@@ -357,6 +379,7 @@ def _cmd_intersect(args) -> tuple[dict, int]:
 
     g = _require(args, "g", "intersect")
     d = _require(args, "d", "intersect")
+    _check_flag_caps("intersect", {flag: getattr(args, flag) for flag in "gdnrk"}, _MAX_INTERSECT_GENUS)
     value = _ExpressionParser(args.expression, lambda name: _intersect_class(args, g, d, name)).parse()
     if isinstance(value, Fraction):
         raise PreconditionError("expression evaluates to a scalar, not a class")

@@ -11,9 +11,11 @@ monomials x^k * theta^(c-k), k = 0..c.  It is held as integer numerators over
 one positive denominator, in lowest terms, so sums, scalings and products are
 integer arithmetic with one reduction per result; the ``Fraction``
 coefficients are built only when ``coeffs`` is first read, and then kept.
-Products are purely formal (coefficient convolution); no relations are
-imposed below the top degree.  Only top-degree evaluation invokes the
-Poincare formula
+Products are purely formal: coefficient vectors are convolved by Kronecker
+substitution (each vector is packed into one integer, one slot per
+coefficient, so a product or a power is one big-integer operation), and no
+relations are imposed below the top degree.  Only top-degree evaluation
+invokes the Poincare formula
 
     x^k * theta^(d-k) = g! / (g - d + k)!        (0 <= k <= d <= g)
 
@@ -271,12 +273,26 @@ class CycleClass(_Frozen):
         return self.scale(other)
 
     def __pow__(self, exponent: int) -> "CycleClass":
+        """The exponent-th formal power: one built-in ``pow`` on the packed numerators.
+
+        With S the sum of |numerators|, each coefficient of the power is at
+        most S^exponent in absolute value and each numerator at most S; the
+        larger sets the slot width.  The codimension is checked before
+        anything is computed.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise PreconditionError("class exponent must be a non-negative integer")
-        result = CycleClass.from_numerators(self.genus, self.d, (1,))
-        for _ in range(exponent):
-            result = multiply(result, self)
-        return result
+        codim = self.codim * exponent
+        if codim > self.d:
+            raise PreconditionError(f"product has codimension {codim}, beyond the dimension of C_{self.d}")
+        total = sum(map(abs, self.numerators))
+        size = _slot_size(max(total**exponent, total))
+        return CycleClass.from_numerators(
+            self.genus,
+            self.d,
+            _unpack(pow(_pack(self.numerators, size), exponent), size, codim + 1),
+            self.denominator**exponent,
+        )
 
     def __str__(self) -> str:
         return _signed_sum([(c, _monomial_name(k, self.codim - k)) for k, c in enumerate(self.coeffs)])
@@ -352,11 +368,48 @@ def x_class(genus: int, d: int) -> DivisorClass:
     return divisor_class(genus, d, 0, -1)
 
 
+def _slot_size(bound: int) -> int:
+    """Bytes per slot for packed coefficients of absolute value at most ``bound``.
+
+    A slot holds the coefficient plus 2^(bits-1), so it needs the bound's bit
+    length and one more bit.
+    """
+    return bound.bit_length() // 8 + 1
+
+
+def _offsets(size: int, count: int) -> int:
+    """2^(8*size-1) in each of ``count`` slots of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def _pack(numerators, size: int) -> int:
+    """sum(n_k * 2^(8*size*k)): the vector as one integer, with ``size``-byte slots.
+
+    Each |n_k| must be below 2^(8*size-1).  The slots are written as bytes
+    holding n_k + 2^(8*size-1), which is never negative, and the offsets are
+    taken off as one integer.
+    """
+    half = 1 << (8 * size - 1)
+    packed = b"".join([(n + half).to_bytes(size, "little") for n in numerators])
+    return int.from_bytes(packed, "little") - _offsets(size, len(numerators))
+
+
+def _unpack(packed: int, size: int, count: int) -> list[int]:
+    """The ``count`` signed coefficients of a packed integer, each below 2^(8*size-1)."""
+    half = 1 << (8 * size - 1)
+    raw = (packed + _offsets(size, count)).to_bytes(size * count, "little")
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * count, size)]
+
+
 def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     """Formal product: convolution of coefficient vectors; codimensions add.
 
-    The convolution runs on the integer numerators; the product's denominator
-    is the product of the two, and the result is reduced once.
+    The convolution is one big-integer product of the packed numerators
+    (Kronecker substitution).  Each coefficient of the product is at most
+    max|p| * max|q| * min(len p, len q) in absolute value; that bound, or
+    the larger factor's largest numerator when one factor is zero, sets the
+    slot width.  The product's denominator is the product of the two, and
+    the result is reduced once.
     """
     p._check_same_space(q)
     codim = p.codim + q.codim
@@ -364,12 +417,10 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
         raise PreconditionError(
             f"product has codimension {codim}, beyond the dimension of C_{p.d}"
         )
-    q_terms = [(j, b) for j, b in enumerate(q.numerators) if b]
-    sums = [0] * (codim + 1)
-    for i, a in enumerate(p.numerators):
-        if a:
-            for j, b in q_terms:
-                sums[i + j] += a * b
+    left, right = p.numerators, q.numerators
+    left_max, right_max = max(map(abs, left)), max(map(abs, right))
+    size = _slot_size(max(left_max * right_max * min(len(left), len(right)), left_max, right_max))
+    sums = _unpack(_pack(left, size) * _pack(right, size), size, codim + 1)
     return CycleClass.from_numerators(p.genus, p.d, sums, p.denominator * q.denominator)
 
 

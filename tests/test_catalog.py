@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -57,6 +58,14 @@ def test_subordinate_rejects_bad_ordering():
         subordinate_class(5, 3, 4, -1)  # r < 0
     with pytest.raises(PreconditionError):
         subordinate_class(5, 3, 5, 4)  # r > d
+
+
+@pytest.mark.parametrize("g", [1, -(10**4000)], ids=["one", "huge-negative"])
+def test_subordinate_refuses_a_low_genus_before_building(g):
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="genus must be at least 2"):
+        subordinate_class(g, 300, 300, 0)
+    assert time.perf_counter() - start < 1
 
 
 # -------------------------------------------------------------- small diagonal

@@ -252,7 +252,16 @@ def test_intersect_moderate_nesting_still_evaluates(capsys):
 
 @pytest.mark.parametrize(
     "expression",
-    ["2^3000000 * theta^3", "2^100001 * theta^3", "(1/2)^100001 * theta^3", "(2^50000)^3 * theta^3"],
+    [
+        "2^3000000 * theta^3",
+        "2^100001 * theta^3",
+        "(1/2)^100001 * theta^3",
+        "(2^50000)^3 * theta^3",
+        "(2*theta^0)^100001 * theta^3",
+        "(theta^0 * 1/2)^100001 * theta^3",
+        "(3*theta^0)^1000000000000 * theta^3",
+        "(2^40000*theta)^3",
+    ],
 )
 def test_intersect_scalar_power_is_capped(capsys, expression):
     start = time.perf_counter()
@@ -260,7 +269,8 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert "too large" in err
+    # refused by the check ahead of the power, not by the size check after it
+    assert " power " in err and "is too large: its value would exceed 2^100000" in err
     _assert_one_line(err)
 
 
@@ -277,11 +287,34 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
         ("-(2^100000) * theta^3", -24 * 2**100000),
         ("(1/2)^50000 * theta^3 * (1/2)^50000", Fraction(24, 2**100000)),
         ("2^99999 * theta^3 + 2^99999 * theta^3", 24 * 2**100000),
+        ("(theta^0)^1000000000000 * theta^3", 24),
+        ("(-(theta^0))^1000000000001 * theta^3", -24),
+        ("(0*theta^0)^1000000000000 * theta^3", 0),
+        ("(2*theta^0)^100000 * theta^3", 24 * 2**100000),
+        ("(theta^0 * 1/2)^100000 * theta^3", Fraction(24, 2**100000)),
     ],
-    ids=["2^10", "2^100000", "(1/3)^5", "0^huge", "1^huge", "product", "class-product", "negated", "reciprocal", "sum"],
+    ids=[
+        "2^10",
+        "2^100000",
+        "(1/3)^5",
+        "0^huge",
+        "1^huge",
+        "product",
+        "class-product",
+        "negated",
+        "reciprocal",
+        "sum",
+        "unit-class^huge",
+        "negative-unit-class^huge",
+        "zero-class^huge",
+        "class^100000",
+        "reciprocal-class^100000",
+    ],
 )
 def test_intersect_scalar_powers_within_the_cap_answer(capsys, expression, value):
+    start = time.perf_counter()
     code, doc, err = run_json(capsys, "intersect", expression, "--g", "4", "--d", "3")
+    assert time.perf_counter() - start < 1
     assert code == 0, err
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -317,10 +350,76 @@ def test_intersect_scalars_beyond_the_bound_are_refused(capsys, expression, refu
     _assert_one_line(err)
 
 
-def test_intersect_class_power_keeps_codimension_refusal(capsys):
-    code, out, err = run_cli(capsys, "intersect", "theta^4", "--g", "4", "--d", "3")
+@pytest.mark.parametrize(
+    "expression, g, d, codim",
+    [("theta^4", 4, 3, 4), ("(theta^2)^3", 6, 5, 6), ("theta^100000000000000", 4, 3, 100000000000000)],
+)
+def test_intersect_class_power_keeps_codimension_refusal(capsys, expression, g, d, codim):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", str(g), "--d", str(d))
+    assert time.perf_counter() - start < 1
     assert code == 3
-    assert "codimension" in err
+    assert out == ""
+    assert err == f"error: product has codimension {codim}, beyond the dimension of C_{d}\n"
+
+
+# The costliest calls found within the caps on intersect's flags.
+INTERSECT_AT_CAP = [
+    ["(theta-x)^1000", "--g", "1999", "--d", "1000"],
+    ["(theta + 2*x)^500 * (3*theta - x)^500", "--g", "1999", "--d", "1000"],
+    ["ek * theta^999", "--g", "1999", "--d", "1000", "--k", "1000"],
+    ["c1d * (theta - x)^999", "--g", "1000", "--d", "1000"],
+    ["subordinate * theta^500", "--g", "1999", "--d", "1000", "--n", "1000", "--r", "500"],
+    ["smalldiag * ramification", "--g", "1999", "--d", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", INTERSECT_AT_CAP, ids=[argv[0] for argv in INTERSECT_AT_CAP])
+def test_intersect_answers_at_the_flag_caps_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "intersect", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0, err
+    assert doc["result"]["codimension"] == int(argv[argv.index("--d") + 1])
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(2^99999*(theta - x))^1000", "(2^101*theta - x)^1000", "(theta - 2^201*x)^500 * theta^500"],
+)
+def test_intersect_class_power_beyond_the_bound_is_refused_before_it_is_computed(capsys, expression):
+    # The first would need about 12 GB if it were computed.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", "1999", "--d", "1000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "class power" in err and "is too large: its value would exceed 2^100000" in err
+    _assert_one_line(err)
+
+
+@pytest.mark.parametrize(
+    "flags, refused",
+    [
+        (["--g", "2000", "--d", "3"], "--g 2000 is too large for intersect: at most 1999"),
+        (["--g", "-2000", "--d", "3"], "--g -2000 is too large for intersect: at most 1999"),
+        (["--g", "4", "--d", "1001"], "--d 1001 is too large for intersect: at most 1000"),
+        (["--g", "4", "--d", "-1001"], "--d -1001 is too large for intersect: at most 1000"),
+        (["--g", "4", "--d", "3", "--n", "1001", "--r", "0"], "--n 1001 is too large for intersect: at most 1000"),
+        (["--g", "4", "--d", "3", "--n", "3", "--r", "-1001"], "--r -1001 is too large for intersect: at most 1000"),
+        (["--g", "4", "--d", "3", "--k", "1001"], "--k 1001 is too large for intersect: at most 1000"),
+        (["--g", "3000", "--d", "3000"], "--g 3000 is too large for intersect"),
+        (["--g", "-" + "9" * 4000, "--d", "300", "--n", "300", "--r", "0"], "is too large for intersect"),
+    ],
+    ids=["g", "negative-g", "d", "negative-d", "n", "negative-r", "k", "g-and-d", "huge-negative-g"],
+)
+def test_intersect_refuses_a_flag_past_its_cap(capsys, flags, refused):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "intersect", "subordinate", *flags)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert refused in err
     _assert_one_line(err)
 
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import factorial
@@ -412,3 +413,144 @@ def test_integer_divisor_classes_equal_the_fraction_built_ones():
     assert theta_class(6, 4) == DivisorClass(6, 4, (Fraction(1), Fraction(0)))
     assert x_class(6, 4) == DivisorClass(6, 4, (Fraction(0), Fraction(1)))
     assert divisor_class(4, 3, Fraction(1, 2), 2) == DivisorClass(4, 3, (Fraction(1, 2), Fraction(-2)))
+
+
+# Packed (Kronecker-substitution) products and powers against a schoolbook reference.
+
+
+def _schoolbook(left, right):
+    """Reference convolution of two integer vectors, term by term."""
+    sums = [0] * (len(left) + len(right) - 1)
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            sums[i + j] += a * b
+    return sums
+
+
+def _reference_product(p, q):
+    return CycleClass.from_numerators(
+        p.genus, p.d, _schoolbook(p.numerators, q.numerators), p.denominator * q.denominator
+    )
+
+
+def _reference_power(p, exponent):
+    result = CycleClass.from_numerators(p.genus, p.d, (1,))
+    for _ in range(exponent):
+        result = _reference_product(result, p)
+    return result
+
+
+# Signed numerators up to 2^300, with zeros and small values frequent.
+numerators = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-(2**300), max_value=2**300))
+denominators = st.one_of(st.just(1), st.integers(min_value=2, max_value=2**80))
+
+
+@st.composite
+def numerator_vectors(draw, max_codim):
+    codim = draw(st.integers(min_value=0, max_value=max_codim))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return [0] * (codim + 1)
+    return draw(st.lists(numerators, min_size=codim + 1, max_size=codim + 1))
+
+
+@st.composite
+def packed_product_pairs(draw):
+    """Two classes on one C_d, d at least their total codimension."""
+    left, right = draw(numerator_vectors(8)), draw(numerator_vectors(8))
+    d = max(2, len(left) + len(right) - 2)
+    g = draw(st.integers(min_value=2, max_value=d + 2))
+    return (
+        CycleClass.from_numerators(g, d, left, draw(denominators)),
+        CycleClass.from_numerators(g, d, right, draw(denominators)),
+    )
+
+
+@given(packed_product_pairs())
+def test_packed_multiply_matches_the_schoolbook_convolution(pair):
+    p, q = pair
+    product = multiply(p, q)
+    assert product == _reference_product(p, q)
+    assert type(product) is CycleClass
+    _assert_lowest_terms(product)
+
+
+@given(numerator_vectors(4), denominators, st.integers(min_value=0, max_value=12))
+def test_packed_power_matches_repeated_multiplication(vector, denominator, exponent):
+    d = max(2, (len(vector) - 1) * max(1, exponent))
+    p = CycleClass.from_numerators(d + 1, d, vector, denominator)
+    folded = CycleClass.from_numerators(p.genus, d, (1,))
+    for _ in range(exponent):
+        folded = multiply(folded, p)
+    power = p**exponent
+    assert power == folded == _reference_power(p, exponent)
+    _assert_lowest_terms(power)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ([2500, 2500], [2500, 2500]),  # middle coefficient 2 * 2500^2 = 12,500,000: 24 bits, the bound
+        ([-2500, 2500], [2500, -2500]),
+        ([127], [1]),  # the bound has 7 bits: one byte with the offset bit
+        ([-128], [1]),  # 8 bits: two bytes
+        ([255, -1, 255], [255, 255, -255]),
+        ([0, 0, 0], [5, 7]),
+        ([0], [2**300, -(2**300)]),
+        ([2**300], [2**300 - 1, 0, -(2**299)]),
+    ],
+)
+def test_packed_multiply_at_the_edge_of_a_slot(left, right):
+    d = len(left) + len(right)
+    p, q = CycleClass.from_numerators(d, d, left), CycleClass.from_numerators(d, d, right)
+    assert multiply(p, q) == _reference_product(p, q)
+    assert multiply(q, p) == _reference_product(q, p)
+
+
+@pytest.mark.parametrize(
+    "vector, exponent",
+    [
+        ([-3], 5),  # -243: the bound 3^5 has 8 bits, so the slot needs two bytes
+        ([3], 5),
+        ([-2], 127),
+        ([1, 1], 10),  # C(10, 5) = 252 < 2^10, but above max|a|^10 = 1
+        ([1, -1], 12),
+        ([2**300, -1, 7], 3),
+        ([0, 0], 4),
+        ([5, 0, -5], 0),
+    ],
+)
+def test_packed_power_at_the_edge_of_a_slot(vector, exponent):
+    d = max(2, (len(vector) - 1) * max(1, exponent))
+    p = CycleClass.from_numerators(d + 1, d, vector, 3)
+    assert p**exponent == _reference_power(p, exponent)
+
+
+@pytest.mark.parametrize(
+    "base, exponent, message",
+    [
+        (theta_class(4, 3), 4, "product has codimension 4, beyond the dimension of C_3"),
+        (theta_class(6, 5) ** 2, 3, "product has codimension 6, beyond the dimension of C_5"),
+        (theta_class(6, 5), 10**18, f"product has codimension {10**18}, beyond the dimension of C_5"),
+    ],
+)
+def test_power_refuses_its_codimension_before_computing(base, exponent, message):
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError) as refused:
+        base**exponent
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == message
+
+
+def test_power_of_a_unit_codimension_zero_class_is_quick():
+    start = time.perf_counter()
+    assert theta_class(4, 3) ** 0 == CycleClass.from_numerators(4, 3, (1,))
+    assert (-(theta_class(4, 3) ** 0)) ** (10**12 + 1) == CycleClass.from_numerators(4, 3, (-1,))
+    assert time.perf_counter() - start < 1
+
+
+@given(numerator_vectors(4), st.integers(min_value=0, max_value=8))
+def test_a_power_has_a_numerator_at_least_the_largest_to_the_power_over_its_length(vector, exponent):
+    # The bound the CLI refuses a class power by before computing it.
+    d = max(2, (len(vector) - 1) * max(1, exponent))
+    power = CycleClass.from_numerators(d + 1, d, vector) ** exponent
+    assert max(map(abs, power.numerators)) * len(power.numerators) >= max(map(abs, vector)) ** exponent
