@@ -21,17 +21,13 @@ _EXPORTS = {
     "combinatorics": (
         "BivariateSeries",
         "as_rational",
-        "factorial",
         "gen_binomial",
-        "inv_factorial",
-        "linear_power_coefficient",
     ),
     "cycles": (
         "CycleClass",
         "DivisorClass",
         "divisor_class",
         "evaluate_top",
-        "monomial_value",
         "multiply",
         "theta_class",
         "x_class",
@@ -41,7 +37,6 @@ _EXPORTS = {
         "binomial_convolution_identity",
         "bipartition_diagonal_class",
         "bipartition_diagonal_extraction",
-        "convolution_residual",
         "hyperelliptic_pencil_locus_class",
         "pencil_residual_divisor_class",
         "pencil_residual_sums",

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 
-from .combinatorics import factorial, gen_binomial, linear_power_coefficient
+from .combinatorics import gen_binomial
 from .cycles import CycleClass, DivisorClass, _Frozen, divisor_class, evaluate_top
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 
 __all__ = [
     "subordinate_class",
@@ -46,7 +46,6 @@ __all__ = [
     "hyperelliptic_pencil_locus_class",
     "subordinate_pencil_intersections",
     "binomial_convolution_identity",
-    "convolution_residual",
 ]
 
 
@@ -65,10 +64,10 @@ def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:
     # Checked ahead of CycleClass's own check: at a huge negative genus the
     # binomials below would run for seconds first.
     if g < 2:
-        raise PreconditionError(f"genus must be at least 2 (got {g})")
+        raise PreconditionError(f"genus must be at least 2 (got {shown(g)})")
     if not (n >= d >= r >= 0):
         raise PreconditionError(
-            f"subordinate locus needs n >= d >= r >= 0 (got n={n}, d={d}, r={r})"
+            f"subordinate locus needs n >= d >= r >= 0 (got n={shown(n)}, d={shown(d)}, r={shown(r)})"
         )
     codim = d - r
     # Over the common denominator codim!, 1/(codim-k)! is perm(codim, k).
@@ -81,7 +80,7 @@ def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:
         numerators.append(binomial * falling)
         binomial = binomial * (upper - k) // (k + 1)
         falling *= codim - k
-    return CycleClass.from_numerators(g, d, numerators, factorial(codim))
+    return CycleClass.from_numerators(g, d, numerators, math.factorial(codim))
 
 
 def small_diagonal_class(g: int, d: int) -> CycleClass:
@@ -90,7 +89,7 @@ def small_diagonal_class(g: int, d: int) -> CycleClass:
     Codimension d - 1, value d * x^(d-2) * (((d-1)g + 1)x - (d-1)theta).
     """
     if d < 2:
-        raise PreconditionError(f"the small diagonal needs d >= 2 (got {d})")
+        raise PreconditionError(f"the small diagonal needs d >= 2 (got {shown(d)})")
     return CycleClass.from_numerators(g, d, [0] * (d - 2) + [-d * (d - 1), d * ((d - 1) * g + 1)])
 
 
@@ -104,7 +103,7 @@ def _bipartition_halving(g: int, d: int) -> int:
 def _check_bipartition_range(g: int, d: int) -> None:
     if g < 3 or not 2 <= d <= g - 1:
         raise PreconditionError(
-            f"two-part diagonal needs g >= 3 and 2 <= d <= g-1 (got g={g}, d={d})"
+            f"two-part diagonal needs g >= 3 and 2 <= d <= g-1 (got g={shown(g)}, d={shown(d)})"
         )
 
 
@@ -187,13 +186,13 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
             signed = -signed * (alpha - beta) // (beta + 1)
         numerators[g - 1 - alpha] = total * falling
         falling *= alpha
-    return CycleClass.from_numerators(g, g + 1, numerators, _bipartition_halving(g, d) * factorial(g - 1))
+    return CycleClass.from_numerators(g, g + 1, numerators, _bipartition_halving(g, d) * math.factorial(g - 1))
 
 
 def _check_ramification_range(g: int, d: int) -> None:
     if g < 4 or not 2 <= d <= g - 1:
         raise PreconditionError(
-            f"ramification divisor needs g >= 4 and 2 <= d <= g-1 (got g={g}, d={d})"
+            f"ramification divisor needs g >= 4 and 2 <= d <= g-1 (got g={shown(g)}, d={shown(d)})"
         )
 
 
@@ -274,7 +273,7 @@ def pencil_residual_sums(k: int) -> tuple[int, int]:
     B is intrinsically negative; both sums are returned verbatim, signs intact.
     """
     if k < 3:
-        raise PreconditionError(f"pencil-residual divisor needs k >= 3 (got {k})")
+        raise PreconditionError(f"pencil-residual divisor needs k >= 3 (got {shown(k)})")
     return _residual_sums(k - 2)
 
 
@@ -325,7 +324,7 @@ def hyperelliptic_pencil_locus_class(g: int, d: int) -> DivisorClass:
     """
     if not 2 <= d <= g:
         raise PreconditionError(
-            f"hyperelliptic pencil locus needs 2 <= d <= g (got g={g}, d={d})"
+            f"hyperelliptic pencil locus needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})"
         )
     locus = subordinate_class(g, d, 2 * (d - 1), d - 1)
     return DivisorClass.from_numerators(g, d, locus.numerators, locus.denominator)
@@ -344,7 +343,7 @@ def subordinate_pencil_intersections(k: int) -> tuple[int, int]:
     the collapsed values (and the evaluate_top route) live in the test suite.
     """
     if k < 2:
-        raise PreconditionError(f"pencil intersections need k >= 2 (got {k})")
+        raise PreconditionError(f"pencil intersections need k >= 2 (got {shown(k)})")
     # One product S_j = C(k-2+j, j) C(2k-2, k-1-j) steps by exact ratios,
     # C(n+1, j+1) = C(n, j)(n+1)/(j+1) and C(n, i-1) = C(n, i) i/(n-i+1);
     # the x term is S_j (2k-1)/(k+j), since C(2k-1, i) = C(2k-2, i)(2k-1)/(2k-1-i).
@@ -374,17 +373,7 @@ def binomial_convolution_identity(m: int) -> tuple[int, int]:
     proportional to theta - (2 - 1/k)x at m = k - 2.
     """
     if m < 1:
-        raise PreconditionError(f"the identity needs m >= 1 (got {m})")
+        raise PreconditionError(f"the identity needs m >= 1 (got {shown(m)})")
     lhs_sum, rhs_sum = _residual_sums(m)
     return (2 * m + 3) * lhs_sum, -(m + 2) * rhs_sum
 
-
-def convolution_residual(m: int) -> int:
-    """Coefficient of t^m in (2m - 2t)(1 + t)^m; identically zero for m >= 1.
-
-    This is the generating-function form of the convolution identity: the
-    difference of the two sides is proportional to this coefficient.
-    """
-    if m < 1:
-        raise PreconditionError(f"the residual needs m >= 1 (got {m})")
-    return linear_power_coefficient(2 * m, -2, m, m)

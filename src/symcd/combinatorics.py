@@ -1,7 +1,9 @@
 """Exact combinatorial primitives.
 
-Everything downstream is built from arbitrary-precision factorials and
-binomial coefficients with arbitrary (possibly negative) integer upper index.
+Factorials come straight from :mod:`math`.  What this module adds is
+:func:`gen_binomial`, the binomial coefficient with an arbitrary (possibly
+negative) integer upper index, and :func:`as_rational`, the exact coercion
+that refuses floats.
 A tiny bivariate polynomial type truncated at total degree 2 is kept as the
 brute-force reference for the closed-form [t1*t2] extraction in
 :func:`symcd.catalog.bipartition_diagonal_extraction`; the library itself no
@@ -20,11 +22,8 @@ from fractions import Fraction
 
 __all__ = [
     "as_rational",
-    "factorial",
-    "inv_factorial",
     "gen_binomial",
     "BivariateSeries",
-    "linear_power_coefficient",
 ]
 
 
@@ -36,25 +35,6 @@ def as_rational(value: int | Fraction | str) -> Fraction:
             "Fraction, or a 'p/q' string"
         )
     return Fraction(value)
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial is undefined for negative n (got {n})")
-    return math.factorial(n)
-
-
-def inv_factorial(m: int) -> Fraction:
-    """1/m! for m >= 0 and exactly 0 for m < 0.
-
-    The zero convention encodes the vanishing of theta^j for j > g: top-degree
-    monomial values come out as g! * inv_factorial(g - d + k), which this makes
-    correct on C_d even when d > g.
-    """
-    if m < 0:
-        return Fraction(0)
-    return Fraction(1, math.factorial(m))
 
 
 def gen_binomial(n: int, k: int) -> int:
@@ -69,21 +49,6 @@ def gen_binomial(n: int, k: int) -> int:
     if n >= 0:
         return math.comb(n, k)
     return (-1) ** k * math.comb(k - n - 1, k)
-
-
-def linear_power_coefficient(c0: int | Fraction, c1: int | Fraction, n: int, m: int) -> int | Fraction:
-    """Coefficient of t^m in (c0 + c1*t) * (1 + t)^n, for any integer n and m >= 0.
-
-    An ``int`` when c0 and c1 are ints, else a ``Fraction``.
-    """
-    if m < 0:
-        raise ValueError(f"m must be non-negative (got {m})")
-    if type(c0) is not int or type(c1) is not int:
-        c0, c1 = as_rational(c0), as_rational(c1)
-    value = c0 * gen_binomial(n, m)
-    if m >= 1:
-        value += c1 * gen_binomial(n, m - 1)
-    return value
 
 
 class BivariateSeries:

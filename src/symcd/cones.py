@@ -26,9 +26,9 @@ import enum
 import math
 from fractions import Fraction
 
-from .combinatorics import as_rational, factorial
+from .combinatorics import as_rational
 from .cycles import CycleClass, _Frozen, _signed_sum
-from .errors import OutOfProvenDomainError, PreconditionError
+from .errors import OutOfProvenDomainError, PreconditionError, shown
 
 __all__ = [
     "CurveType",
@@ -89,9 +89,9 @@ class CurveContext(_Frozen):
 
     def __post_init__(self):
         if self.genus < 2:
-            raise PreconditionError(f"genus must be at least 2 (got {self.genus})")
+            raise PreconditionError(f"genus must be at least 2 (got {shown(self.genus)})")
         if self.d < 2:
-            raise PreconditionError(f"symmetric power index must be at least 2 (got {self.d})")
+            raise PreconditionError(f"symmetric power index must be at least 2 (got {shown(self.d)})")
 
 
 class Ray(_Frozen):
@@ -181,8 +181,8 @@ class Cone2D(_Frozen):
             raise PreconditionError("membership is defined for divisor classes only")
         if divisor.genus != self.context.genus or divisor.d != self.context.d:
             raise PreconditionError(
-                f"class on C_{divisor.d} (g={divisor.genus}) tested against the cone of "
-                f"C_{self.context.d} (g={self.context.genus})"
+                f"class on C_{shown(divisor.d)} (g={shown(divisor.genus)}) tested against the cone of "
+                f"C_{shown(self.context.d)} (g={shown(self.context.genus)})"
             )
         vec = (divisor.coeffs[0], divisor.coeffs[1])
         inner = _exact_membership(self.upper, self.lower, vec)
@@ -209,7 +209,7 @@ def effective_slope_bound(g: int, d: int) -> Fraction:
     """
     if g < 4 or not 2 <= d <= g - 1:
         raise PreconditionError(
-            f"slope bound needs g >= 4 and 2 <= d <= g-1 (got g={g}, d={d})"
+            f"slope bound needs g >= 4 and 2 <= d <= g-1 (got g={shown(g)}, d={shown(d)})"
         )
     return 1 + Fraction(g - d, g * g - d * g + d - 2)
 
@@ -221,7 +221,7 @@ def effective_cone(ctx: CurveContext) -> Cone2D:
     if ctx.curve_type is CurveType.HYPERELLIPTIC:
         if not 2 <= d <= g:
             raise PreconditionError(
-                f"hyperelliptic cone needs 2 <= d <= g (got g={g}, d={d})"
+                f"hyperelliptic cone needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})"
             )
         return Cone2D(
             ctx,
@@ -232,7 +232,7 @@ def effective_cone(ctx: CurveContext) -> Cone2D:
         )
     if g < 4 or not 2 <= d <= g - 1:
         raise PreconditionError(
-            f"nonhyperelliptic cone needs g >= 4 and 2 <= d <= g-1 (got g={g}, d={d})"
+            f"nonhyperelliptic cone needs g >= 4 and 2 <= d <= g-1 (got g={shown(g)}, d={shown(d)})"
         )
     if d == g - 1:
         slope = effective_slope_bound(g, d)
@@ -293,7 +293,7 @@ def nef_facts(ctx: CurveContext) -> NefFacts:
     if ctx.curve_type is CurveType.HYPERELLIPTIC:
         if not 2 <= d <= g:
             raise PreconditionError(
-                f"hyperelliptic nef data needs 2 <= d <= g (got g={g}, d={d})"
+                f"hyperelliptic nef data needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})"
             )
         gonality = 2
         theta_ray = Ray(1, 0)
@@ -327,12 +327,12 @@ def volume_general(g: int, t: int | Fraction) -> Fraction:
     hold and evaluation is refused.
     """
     if g < 4:
-        raise PreconditionError(f"the volume formula needs g >= 4 (got {g})")
+        raise PreconditionError(f"the volume formula needs g >= 4 (got {shown(g)})")
     t = as_rational(t)
     limit = general_volume_limit(g)
     if not 0 <= t <= limit:
         raise OutOfProvenDomainError(
-            f"t={t} is outside the proven interval [0, {limit}] for genus {g}"
+            f"t={shown(t)} is outside the proven interval [0, {shown(limit)}] for genus {shown(g)}"
         )
     # With t = p/q the sum is one integer over q^(g-1): the sum of
     # T_k p^k (q-p)^(g-1-k), taken by Horner's rule in q-p.  The integer
@@ -341,7 +341,7 @@ def volume_general(g: int, t: int | Fraction) -> Fraction:
     # integer; so each step multiplies the growing numbers only by p, q-p and
     # small factors.
     p, q = t.numerator, t.denominator
-    total, term = 0, factorial(g)
+    total, term = 0, math.factorial(g)
     for k in range(g):
         total = total * (q - p) + term
         term = term * p * (g - 1 - k) // ((k + 1) * (k + 2))
@@ -357,14 +357,14 @@ def volume_hyperelliptic(g: int, d: int, t: int | Fraction) -> Fraction:
     the volume vanishes exactly at the endpoint t = g-d+1.
     """
     if not 2 <= d <= g:
-        raise PreconditionError(f"hyperelliptic volume needs 2 <= d <= g (got g={g}, d={d})")
+        raise PreconditionError(f"hyperelliptic volume needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})")
     t = as_rational(t)
     limit = hyperelliptic_volume_limit(g, d)
     if not 0 <= t <= limit:
         raise OutOfProvenDomainError(
-            f"t={t} is outside the proven interval [0, {limit}] for (g, d)=({g}, {d})"
+            f"t={shown(t)} is outside the proven interval [0, {shown(limit)}] for (g, d)=({shown(g)}, {shown(d)})"
         )
-    return Fraction(factorial(g), factorial(g - d)) * (1 - Fraction(t, limit)) ** d
+    return Fraction(math.factorial(g), math.factorial(g - d)) * (1 - Fraction(t, limit)) ** d
 
 
 def volume_integrality(g: int) -> tuple[Fraction, bool]:
@@ -376,6 +376,6 @@ def volume_integrality(g: int) -> tuple[Fraction, bool]:
     g is a power of 2.
     """
     if g < 2:
-        raise PreconditionError(f"integrality check needs g >= 2 (got {g})")
-    value = Fraction(factorial(g), 2 ** (g - 1))
+        raise PreconditionError(f"integrality check needs g >= 2 (got {shown(g)})")
+    value = Fraction(math.factorial(g), 2 ** (g - 1))
     return value, value.denominator == 1

@@ -30,13 +30,12 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .combinatorics import as_rational, factorial, inv_factorial
-from .errors import PreconditionError
+from .combinatorics import as_rational
+from .errors import PreconditionError, shown
 
 __all__ = [
     "CycleClass",
     "DivisorClass",
-    "monomial_value",
     "multiply",
     "evaluate_top",
     "theta_class",
@@ -107,20 +106,6 @@ class _Frozen:
         _refuse(f"cannot delete field {name!r}")
 
 
-def monomial_value(g: int, d: int, k: int) -> Fraction:
-    """Top-degree value of x^k * theta^(d-k) on C_d: g!/(g-d+k)!.
-
-    Zero when g - d + k < 0 (the theta power exceeds g).
-    """
-    if g < 2:
-        raise PreconditionError(f"genus must be at least 2 (got {g})")
-    if d < 2:
-        raise PreconditionError(f"symmetric power index must be at least 2 (got {d})")
-    if not 0 <= k <= d:
-        raise PreconditionError(f"monomial exponent k must satisfy 0 <= k <= d (got k={k}, d={d})")
-    return factorial(g) * inv_factorial(g - d + k)
-
-
 class CycleClass(_Frozen):
     """Homogeneous codimension-c class on C_d, coefficients over x^k*theta^(c-k).
 
@@ -182,14 +167,14 @@ class CycleClass(_Frozen):
     def __post_init__(self):
         """Validate a new instance; every construction runs this exactly once."""
         if self.genus < 2:
-            raise PreconditionError(f"genus must be at least 2 (got {self.genus})")
+            raise PreconditionError(f"genus must be at least 2 (got {shown(self.genus)})")
         if self.d < 2:
-            raise PreconditionError(f"symmetric power index must be at least 2 (got {self.d})")
+            raise PreconditionError(f"symmetric power index must be at least 2 (got {shown(self.d)})")
         if not self.numerators:
             raise PreconditionError("a class needs at least one coefficient")
         if len(self.numerators) - 1 > self.d:
             raise PreconditionError(
-                f"codimension {self.codim} exceeds the dimension of C_{self.d}"
+                f"codimension {self.codim} exceeds the dimension of C_{shown(self.d)}"
             )
 
     @property
@@ -227,8 +212,8 @@ class CycleClass(_Frozen):
     def _check_same_space(self, other: "CycleClass") -> None:
         if self.genus != other.genus or self.d != other.d:
             raise PreconditionError(
-                f"classes live on different spaces: C_{self.d} (g={self.genus}) "
-                f"vs C_{other.d} (g={other.genus})"
+                f"classes live on different spaces: C_{shown(self.d)} (g={shown(self.genus)}) "
+                f"vs C_{shown(other.d)} (g={shown(other.genus)})"
             )
 
     def __add__(self, other: "CycleClass") -> "CycleClass":
@@ -284,7 +269,9 @@ class CycleClass(_Frozen):
             raise PreconditionError("class exponent must be a non-negative integer")
         codim = self.codim * exponent
         if codim > self.d:
-            raise PreconditionError(f"product has codimension {codim}, beyond the dimension of C_{self.d}")
+            raise PreconditionError(
+                f"product has codimension {shown(codim)}, beyond the dimension of C_{shown(self.d)}"
+            )
         total = sum(map(abs, self.numerators))
         size = _slot_size(max(total**exponent, total))
         return CycleClass.from_numerators(
@@ -415,7 +402,7 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     codim = p.codim + q.codim
     if codim > p.d:
         raise PreconditionError(
-            f"product has codimension {codim}, beyond the dimension of C_{p.d}"
+            f"product has codimension {codim}, beyond the dimension of C_{shown(p.d)}"
         )
     left, right = p.numerators, q.numerators
     left_max, right_max = max(map(abs, left)), max(map(abs, right))
@@ -448,7 +435,7 @@ def evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> Fraction:
         terms = [(j, b) for j, b in enumerate(factor.numerators) if b]
     if codim != p.d:
         raise PreconditionError(
-            f"only top-degree classes can be evaluated (codim {codim} on C_{p.d})"
+            f"only top-degree classes can be evaluated (codim {codim} on C_{shown(p.d)})"
         )
     nums = p.numerators
     offset, extra = p.genus - p.d, codim - p.codim

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class PreconditionError(ValueError):
     """A documented parameter precondition was violated."""
@@ -14,3 +16,13 @@ class OutOfProvenDomainError(ValueError):
     extrapolating past them would silently produce unproven numbers, so we
     refuse instead.
     """
+
+
+def shown(value: int | Fraction) -> str:
+    """A caller's number for a message: ``str(value)``, or its bit length when
+    ``sys.get_int_max_str_digits()`` refuses to print it."""
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        return f"<{'negative ' if value < 0 else ''}number of {bits} bits>"

@@ -18,6 +18,7 @@ Z[t].  The only ``Fraction``s in a check are the values that
 from __future__ import annotations
 
 import enum
+import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
@@ -26,7 +27,6 @@ from .catalog import (
     binomial_convolution_identity,
     bipartition_diagonal_class,
     bipartition_diagonal_extraction,
-    convolution_residual,
     pencil_residual_divisor_class,
     pencil_residual_sums,
     ramification_divisor_class,
@@ -36,8 +36,7 @@ from .catalog import (
 )
 from .cones import Ray, effective_slope_bound
 from .cycles import CycleClass, DivisorClass, _Frozen, evaluate_top, theta_class, x_class
-from .combinatorics import factorial
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 
 __all__ = [
     "CheckStatus",
@@ -98,14 +97,10 @@ def sweep(name: str, parameter_range: str, cases: Iterable, sides: Callable) -> 
 
 
 def check_combsum(m_max: int = 200) -> CheckReport:
-    """Both sides of the binomial convolution identity agree and the
-    generating-function residual [t^m](2m-2t)(1+t)^m vanishes."""
-
-    def sides(m: int):
-        lhs, rhs = binomial_convolution_identity(m)
-        return (lhs, convolution_residual(m)), (rhs, 0)
-
-    return sweep("binomial-convolution-identity", f"1 <= m <= {m_max}", range(1, m_max + 1), sides)
+    """Both sides of the binomial convolution identity agree."""
+    return sweep(
+        "binomial-convolution-identity", f"1 <= m <= {m_max}", range(1, m_max + 1), binomial_convolution_identity
+    )
 
 
 def check_pencil_residual_link(k_max: int = 50) -> CheckReport:
@@ -211,7 +206,7 @@ def volume_polynomial(g: int) -> list[int]:
     division is exact, since each quotient is an integer.
     """
     coeffs = [0] * g
-    scale = factorial(g)
+    scale = math.factorial(g)
     for k in range(g):
         term, n = scale, g - 1 - k
         for j in range(n + 1):
@@ -261,20 +256,21 @@ def check_volume_identity(g_max: int = 20) -> CheckReport:
     return sweep("volume-polynomial-identity", f"4 <= g <= {g_max}", range(4, g_max + 1), sides)
 
 
-_Suite = namedtuple("_Suite", "checks minimum cap")
+_Suite = namedtuple("_Suite", "checks minimum maximum cap")
 
 # One row per suite, in the order ``run_all`` runs them: the checks it runs
 # (the first takes the bound, the rest take none), the smallest bound at which
-# its sweep holds a case, and the cap on the bound under "all" (None for none).
-# Checks are named, not held, and looked up on this module at every run, so
-# that rebinding one here (as the benchmark's tracer does) takes effect.
+# its sweep holds a case, the largest it accepts (about a second of work), and
+# the cap on the bound under "all" (None for none; below the maximum).  Checks
+# are named, not held, and looked up on this module at every run, so that
+# rebinding one here (as the benchmark's tracer does) takes effect.
 SUITES = {
-    "combsum": _Suite(("check_combsum",), 1, None),
-    "pencil-link": _Suite(("check_pencil_residual_link",), 3, 50),
-    "orth": _Suite(("check_orth",), 2, None),
-    "diagonal": _Suite(("check_diagonal_agreement", "diagonal_statement_discrepancy"), 4, 12),
-    "dd-system": _Suite(("check_dd_system",), 4, None),
-    "volume": _Suite(("check_volume_identity",), 4, None),
+    "combsum": _Suite(("check_combsum",), 1, 1000, None),
+    "pencil-link": _Suite(("check_pencil_residual_link",), 3, 800, 50),
+    "orth": _Suite(("check_orth",), 2, 500, None),
+    "diagonal": _Suite(("check_diagonal_agreement", "diagonal_statement_discrepancy"), 4, 60, 12),
+    "dd-system": _Suite(("check_dd_system",), 4, 140, None),
+    "volume": _Suite(("check_volume_identity",), 4, 100, None),
 }
 
 
@@ -282,15 +278,19 @@ def run_all(suite: str = "all", bound: int | None = None) -> list[CheckReport]:
     """Run one suite, or every suite under "all", up to ``bound``.
 
     Without a bound each check runs at its own default; under "all" a bound is
-    clamped to each suite's cap.  A bound below the suite's minimum is refused.
+    clamped to each suite's cap.  A bound below the suite's minimum, or above
+    its maximum once clamped, is refused.
     """
     rows = SUITES.values() if suite == "all" else (SUITES[suite],)
-    minimum = max(row.minimum for row in rows)
-    if bound is not None and bound < minimum:
-        raise PreconditionError(f"--max must be at least {minimum} for suite {suite!r} (got {bound})")
+    # A capped suite runs at its cap under "all", so only the others' maxima bind there.
+    low = max(row.minimum for row in rows)
+    high = min(row.maximum for row in rows if not (suite == "all" and row.cap))
+    if bound is not None and not low <= bound <= high:
+        limit = f"at least {low}" if bound < low else f"at most {high}"
+        raise PreconditionError(f"--max must be {limit} for suite {suite!r} (got {shown(bound)})")
     checks = globals()
     reports = []
-    for (first, *rest), _, cap in rows:
+    for (first, *rest), _, _, cap in rows:
         if bound is None:
             reports.append(checks[first]())
         else:

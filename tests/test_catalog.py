@@ -9,7 +9,6 @@ from symcd.catalog import (
     binomial_convolution_identity,
     bipartition_diagonal_class,
     bipartition_diagonal_extraction,
-    convolution_residual,
     hyperelliptic_pencil_locus_class,
     pencil_residual_divisor_class,
     pencil_residual_sums,
@@ -405,7 +404,6 @@ def test_convolution_identity_sweep():
     for m in range(1, 201):
         lhs, rhs = binomial_convolution_identity(m)
         assert lhs == rhs, m
-        assert convolution_residual(m) == 0
 
 
 def test_stepped_convolution_sums_match_binomial_sums():

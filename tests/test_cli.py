@@ -667,6 +667,47 @@ def test_verify_max_at_suite_minimum_runs(capsys, suite):
     assert doc["result"]["all_passed"] is True
 
 
+# The largest --max each suite accepts; under "all" the capped suites run at
+# their caps, so the smallest uncapped maximum binds.
+SUITE_MAXIMA = {
+    "all": 100,
+    "combsum": 1000,
+    "pencil-link": 800,
+    "orth": 500,
+    "diagonal": 60,
+    "dd-system": 140,
+    "volume": 100,
+}
+
+
+def test_suite_maxima_cover_the_runner_table():
+    from symcd import verify
+
+    assert SUITE_MAXIMA == {"all": 100, **{name: row.maximum for name, row in verify.SUITES.items()}}
+    # a suite's cap under "all" lies below its own maximum, so it never binds there
+    assert all(row.cap is None or row.minimum <= row.cap < row.maximum for row in verify.SUITES.values())
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MAXIMA))
+def test_verify_max_above_suite_maximum_is_refused(capsys, suite):
+    for bound in (SUITE_MAXIMA[suite] + 1, 10**6, int("9" * 4000)):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max", str(bound))
+        assert time.perf_counter() - started < 1, (suite, bound)
+        assert code == 3, (suite, bound)
+        assert out == ""
+        assert err == f"error: --max must be at most {SUITE_MAXIMA[suite]} for suite {suite!r} (got {bound})\n"
+        _assert_one_line(err)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MAXIMA))
+def test_verify_max_at_suite_maximum_runs(capsys, suite):
+    code, doc, _ = run_json(capsys, "verify", "--suite", suite, "--max", str(SUITE_MAXIMA[suite]))
+    assert code == 0
+    assert doc["inputs"]["max"] == SUITE_MAXIMA[suite]
+    assert doc["result"]["all_passed"] is True
+
+
 def test_json_output_is_deterministic_and_round_trips(capsys):
     code, out1, _ = run_cli(capsys, "class", "ramification", "--g", "4", "--d", "3", "--format", "json")
     code, out2, _ = run_cli(capsys, "class", "ramification", "--g", "4", "--d", "3", "--format", "json")

@@ -4,32 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcd.combinatorics import (
-    BivariateSeries,
-    as_rational,
-    factorial,
-    gen_binomial,
-    inv_factorial,
-    linear_power_coefficient,
-)
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(4) == 24
-    assert factorial(10) == 3628800
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-def test_inv_factorial_values():
-    assert inv_factorial(3) == Fraction(1, 6)
-    assert inv_factorial(0) == 1
-    assert inv_factorial(-1) == 0
-    assert inv_factorial(-7) == 0
+from symcd.combinatorics import BivariateSeries, as_rational, gen_binomial
 
 
 def test_gen_binomial_values():
@@ -129,20 +104,3 @@ def test_negative_power_extraction_example():
     rhs = BivariateSeries.linear(1, 4, 9) ** 4
     assert (lhs * rhs).coefficient(1, 1) == 228
 
-
-def test_linear_power_coefficient_example():
-    # [t^5] (10 - 2t)(1 + t)^5 = 10*C(5,5) - 2*C(5,4) = 0
-    assert linear_power_coefficient(10, -2, 5, 5) == 0
-    assert linear_power_coefficient(1, 0, -1, 4) == 1
-    # integers in, an integer out; a Fraction or a string makes a Fraction
-    assert type(linear_power_coefficient(10, -2, 5, 5)) is int
-    assert linear_power_coefficient(Fraction(1, 2), "1/3", 3, 2) == Fraction(5, 2)
-    assert type(linear_power_coefficient(1, Fraction(2), 3, 2)) is Fraction
-    with pytest.raises(TypeError):
-        linear_power_coefficient(1, 0.5, 3, 2)
-
-
-def test_generating_function_residual_vanishes():
-    # [t^m] (2m - 2t)(1 + t)^m = 0 for all m
-    for m in range(1, 501):
-        assert linear_power_coefficient(2 * m, -2, m, m) == 0

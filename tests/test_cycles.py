@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from symcd import cycles
 from symcd.catalog import subordinate_class
-from symcd.combinatorics import gen_binomial, inv_factorial
+from symcd.combinatorics import gen_binomial
 from symcd.cycles import (
     CycleClass,
     DivisorClass,
     divisor_class,
     evaluate_top,
-    monomial_value,
     multiply,
     theta_class,
     x_class,
@@ -26,20 +25,16 @@ from symcd.cycles import (
 from symcd.errors import PreconditionError
 
 
+def _monomial(g, d, k):
+    """The class x^k * theta^(d-k) on C_d."""
+    return CycleClass.from_numerators(g, d, [int(i == k) for i in range(d + 1)])
+
+
 def test_monomial_values():
-    assert monomial_value(4, 3, 1) == 12  # 4!/2!
-    assert monomial_value(4, 3, 3) == 1  # point class
-    assert monomial_value(4, 5, 0) == 0  # theta^(g+1) = 0
-    assert monomial_value(5, 3, 0) == 60
-
-
-def test_monomial_range_errors():
-    with pytest.raises(PreconditionError):
-        monomial_value(4, 3, 4)
-    with pytest.raises(PreconditionError):
-        monomial_value(4, 3, -1)
-    with pytest.raises(PreconditionError):
-        monomial_value(1, 2, 0)
+    assert evaluate_top(_monomial(4, 3, 1)) == 12  # 4!/2!
+    assert evaluate_top(_monomial(4, 3, 3)) == 1  # point class
+    assert evaluate_top(_monomial(4, 5, 0)) == 0  # theta^(g+1) = 0
+    assert evaluate_top(_monomial(5, 3, 0)) == 60
 
 
 def test_multiply_x_times_theta():
@@ -320,11 +315,11 @@ def test_classes_survive_pickle_and_copy():
 def test_stepped_evaluate_top_matches_monomial_values(g):
     # d runs past g, where theta^j = 0 for j > g
     for d in range(2, g + 3):
+        values = [factorial(g) // factorial(g - d + k) if g - d + k >= 0 else 0 for k in range(d + 1)]
         for k in range(d + 1):
-            monomial = CycleClass.from_numerators(g, d, [int(i == k) for i in range(d + 1)])
-            assert evaluate_top(monomial) == monomial_value(g, d, k), (g, d, k)
+            assert evaluate_top(_monomial(g, d, k)) == values[k], (g, d, k)
         coeffs = [Fraction(k - 3, k + 2) for k in range(d + 1)]
-        expected = sum(c * monomial_value(g, d, k) for k, c in enumerate(coeffs))
+        expected = sum(c * value for c, value in zip(coeffs, values))
         assert evaluate_top(CycleClass(g, d, coeffs)) == expected, (g, d)
 
 
@@ -352,7 +347,7 @@ def test_horner_evaluate_top_matches_the_stepped_sum(g):
 def _fraction_subordinate_coeffs(g, d, n, r):
     """The subordinate-locus coefficients C(n-g-r, k)/(d-r-k)! in plain Fractions."""
     codim = d - r
-    return tuple(Fraction(gen_binomial(n - g - r, k)) * inv_factorial(codim - k) for k in range(codim + 1))
+    return tuple(Fraction(gen_binomial(n - g - r, k), factorial(codim - k)) for k in range(codim + 1))
 
 
 def test_integer_subordinate_class_matches_fraction_formula():

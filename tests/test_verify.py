@@ -267,7 +267,6 @@ def _orthogonality_plus_one(evaluate_top):
 # (suite, --max, route that verify calls, case, the route's arguments at that case)
 MUTATIONS = [
     ("combsum", 10, "binomial_convolution_identity", (7,), (7,)),
-    ("combsum", 10, "convolution_residual", (4,), (4,)),
     ("pencil-link", 10, "pencil_residual_sums", (6,), (6,)),
     ("pencil-link", 10, "pencil_residual_divisor_class", (5,), (5,)),
     ("orth", 10, "subordinate_pencil_intersections", (6,), (6,)),
