@@ -59,7 +59,8 @@ def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:
         sum_{k=0}^{d-r}  C(n-g-r, k) * x^k * theta^(d-r-k) / (d-r-k)!
 
     The upper binomial index n - g - r is frequently negative (e.g. -1 for the
-    residual series used throughout), which is why ``gen_binomial`` supports it.
+    residual series used throughout); the binomials are stepped by exact
+    ratios below, which hold for any integer upper index.
     """
     # Checked ahead of CycleClass's own check: at a huge negative genus the
     # binomials below would run for seconds first.

@@ -174,42 +174,46 @@ _MAX_SCALAR = 1 << _MAX_SCALAR_BITS
 
 
 class _ExpressionParser:
-    """Recursive-descent parser for products of named classes.
+    """Recursive-descent parser for polynomials in the named classes.
 
     Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := atom (('^'|'**') INT)?; atom := NUMBER | NAME | '(' expr ')' |
-    '-' atom.  Values are exact rationals (``Fraction``) or cycle classes;
-    ``resolve`` maps a NAME to its class.  Parentheses and unary minus
-    together may nest at most ``_MAX_NESTING`` levels deep, which keeps the
-    recursion far from the interpreter's limit.
+    '-' atom.  Every value is a homogeneous class on C_d in genus g: ``resolve``
+    maps a NAME to its class, and a NUMBER p or p/q is the codimension-0 class
+    p/q, so a scalar is the degree-0 part of the ring and needs no rules of its
+    own.  Sums take classes of equal codimension, and products and powers add
+    codimensions up to d.  Parentheses and unary minus together may nest at
+    most ``_MAX_NESTING`` levels deep, which keeps the recursion far from the
+    interpreter's limit.
 
-    Every value the parser builds is bounded: a scalar's numerator and
-    denominator, and a class's integer numerators and common denominator,
-    may not exceed 2^``_MAX_SCALAR_BITS`` (about 30,000 decimal digits) in
-    absolute value, or the expression is a usage error.  Computing and
-    printing larger numbers takes time quadratic in their size, so without
-    the bound a long product of large scalars runs for hours.  Literals,
-    sums, products and powers are checked; a negation keeps the size of a
-    value already checked.
+    Every value the parser builds is bounded: its integer numerators and
+    their common denominator may not exceed 2^``_MAX_SCALAR_BITS`` (about
+    30,000 decimal digits) in absolute value, or the expression is a usage
+    error.  Computing and printing larger numbers takes time quadratic in
+    their size, so without the bound a long product of large numbers runs for
+    hours.  Literals, sums, products and powers are checked; a negation keeps
+    the size of a value already checked.
 
     A power is refused before it is computed when its value must exceed the
-    bound.  A scalar power p^e, with p the larger of the base's numerator
-    and denominator, is at least 2^(e * (bit length of p - 1)).  A power of
-    a class in lowest terms is in lowest terms (Gauss's lemma), so its
-    denominator is the base's to the power and is checked the same way.
-    Its largest numerator is at least m^e / (c*e + 1), with m the base's
-    largest numerator and c its codimension: by Parseval, m is at most the
-    base polynomial's largest value on the unit circle, and the power's
-    largest value there is at most the sum of its c*e + 1 coefficients.  So
-    m is checked with an allowance of bit length of c*e bits; at codimension
-    0 that is the scalar check.  A class power that passes has at most d+1
-    coefficients of bounded size, so its cost is bounded too.
+    bound.  A power of a class in lowest terms is in lowest terms (Gauss's
+    lemma), so its denominator is the base's to the power.  Its largest
+    numerator is at least m^e / (c*e + 1), with m the base's largest
+    numerator and c its codimension: by Parseval, m is at most the base
+    polynomial's largest value on the unit circle, and the power's largest
+    value there is at most the sum of its c*e + 1 coefficients.  So the power
+    is refused when e * (bit length of m - 1) less the bit length of c*e, or
+    e * (bit length of the denominator - 1), exceeds the bound.  At
+    codimension 0 the allowance is nothing and m/denominator is the scalar
+    itself.  A power that passes has at most d+1 coefficients of bounded
+    size, so its cost is bounded too.  Refusals call a value of codimension 0
+    a scalar and any other a class.
     """
 
-    def __init__(self, text: str, resolve):
+    def __init__(self, text: str, g: int, d: int, resolve):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.g, self.d = g, d
         self.resolve = resolve
 
     def peek(self) -> str | None:
@@ -233,14 +237,14 @@ class _ExpressionParser:
         while self.peek() in ("+", "-"):
             op = self.advance()
             right = self.term()
-            value = _bounded(_add(value, right if op == "+" else -right))
+            value = _bounded(value + right if op == "+" else value - right)
         return value
 
     def term(self):
         value = self.factor()
         while self.peek() == "*":
             self.advance()
-            value = _bounded(_multiply(value, self.factor()))
+            value = _bounded(value * self.factor())
         return value
 
     def factor(self):
@@ -251,13 +255,10 @@ class _ExpressionParser:
             if not exponent_token.isdigit():
                 raise UsageError(f"exponent must be a non-negative integer (got {exponent_token!r})")
             exponent = int(exponent_token)
-            if isinstance(value, Fraction):
-                what, top, bottom, spread = "scalar", value.numerator, value.denominator, 0
-            else:
-                what, top, bottom = "class", max(map(abs, value.numerators)), value.denominator
-                spread = (value.codim * exponent).bit_length()
-            least_bits = max((abs(top).bit_length() - 1) * exponent - spread, (bottom.bit_length() - 1) * exponent)
-            if least_bits > _MAX_SCALAR_BITS:
+            spread = (value.codim * exponent).bit_length()
+            top = max(map(abs, value.numerators)).bit_length() - 1
+            if max(top * exponent - spread, (value.denominator.bit_length() - 1) * exponent) > _MAX_SCALAR_BITS:
+                what = "class" if value.codim else "scalar"
                 raise UsageError(
                     f"{what} power {exponent_token} is too large: its value would exceed 2^{_MAX_SCALAR_BITS}"
                 )
@@ -278,9 +279,12 @@ class _ExpressionParser:
                 value = -self.atom()
             self.depth -= 1
             return value
-        if re.fullmatch(r"\d+(/\d+)?", token):
+        if token[0].isdigit():
+            from .cycles import CycleClass
+
+            numerator, _, denominator = token.partition("/")
             try:
-                return _bounded(Fraction(token))
+                return _bounded(CycleClass.from_numerators(self.g, self.d, (int(numerator),), int(denominator or 1)))
             except ZeroDivisionError:
                 raise UsageError(f"zero denominator in {token!r}") from None
         return self.resolve(token)
@@ -288,27 +292,10 @@ class _ExpressionParser:
 
 def _bounded(value):
     """``value`` itself, unless a number it is built from exceeds 2^_MAX_SCALAR_BITS."""
-    if isinstance(value, Fraction):
-        numbers, what = (value.numerator, value.denominator), "scalar"
-    else:
-        numbers, what = (value.denominator, *value.numerators), "class coefficient"
-    if any(abs(n) > _MAX_SCALAR for n in numbers):
+    if any(abs(n) > _MAX_SCALAR for n in (value.denominator, *value.numerators)):
+        what = "class coefficient" if value.codim else "scalar"
         raise UsageError(f"a {what} in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
     return value
-
-
-def _add(left, right):
-    if isinstance(left, Fraction) != isinstance(right, Fraction):
-        raise PreconditionError("cannot add a scalar to a class")
-    return left + right
-
-
-def _multiply(left, right):
-    if isinstance(left, Fraction) == isinstance(right, Fraction):
-        return left * right
-    if isinstance(left, Fraction):
-        return right.scale(left)
-    return left.scale(right)
 
 
 # --------------------------------------------------------------------------
@@ -380,9 +367,7 @@ def _cmd_intersect(args) -> tuple[dict, int]:
     g = _require(args, "g", "intersect")
     d = _require(args, "d", "intersect")
     _check_flag_caps("intersect", {flag: getattr(args, flag) for flag in "gdnrk"}, _MAX_INTERSECT_GENUS)
-    value = _ExpressionParser(args.expression, lambda name: _intersect_class(args, g, d, name)).parse()
-    if isinstance(value, Fraction):
-        raise PreconditionError("expression evaluates to a scalar, not a class")
+    value = _ExpressionParser(args.expression, g, d, lambda name: _intersect_class(args, g, d, name)).parse()
     if value.codim != d:
         raise PreconditionError(
             f"expression has codimension {value.codim}; top-degree evaluation on C_{d} needs {d}"
@@ -580,25 +565,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, *, t_flag=False, curve_flag=False):
+    integer_flags = {
+        "g": "genus",
+        "d": "symmetric power index",
+        "n": "degree of the linear series",
+        "r": "dimension of the linear series",
+        "k": "pencil parameter",
+    }
+
+    def add_flags(sub, integers: str):
         # Also accepted after the subcommand; SUPPRESS keeps a root-level
         # --format from being clobbered by the subparser default.
         sub.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-        sub.add_argument("--g", type=int, default=None, help="genus")
-        sub.add_argument("--d", type=int, default=None, help="symmetric power index")
-        sub.add_argument("--n", type=int, default=None, help="degree of the linear series")
-        sub.add_argument("--r", type=int, default=None, help="dimension of the linear series")
-        sub.add_argument("--k", type=int, default=None, help="pencil parameter")
-        if t_flag:
-            sub.add_argument("--t", type=_parse_fraction, default=None, help="rational 'p/q' literal")
-        if curve_flag:
-            sub.add_argument(
-                "--curve", choices=("general", "hyperelliptic"), default="general", help="curve type"
-            )
+        for flag in integers:
+            sub.add_argument(f"--{flag}", type=int, default=None, help=integer_flags[flag])
+
+    def add_curve(sub):
+        sub.add_argument("--curve", choices=("general", "hyperelliptic"), default="general", help="curve type")
 
     class_parser = subparsers.add_parser("class", help="print a named class from the catalog")
     class_parser.add_argument("name", choices=tuple(_CLASSES))
-    add_common(class_parser)
+    add_flags(class_parser, "gdnrk")
     class_parser.add_argument(
         "--statement-variant",
         action="store_true",
@@ -608,20 +595,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     intersect_parser = subparsers.add_parser("intersect", help="evaluate a top-degree product expression")
     intersect_parser.add_argument("expression")
-    add_common(intersect_parser)
+    add_flags(intersect_parser, "gdnrk")
     intersect_parser.set_defaults(handler=_cmd_intersect)
 
     cone_parser = subparsers.add_parser("cone", help="cone boundary data")
-    add_common(cone_parser, curve_flag=True)
+    add_flags(cone_parser, "gd")
+    add_curve(cone_parser)
     cone_parser.add_argument("--kind", choices=("effective", "nef"), default="effective")
     cone_parser.set_defaults(handler=_cmd_cone)
 
     volume_parser = subparsers.add_parser("volume", help="exact volume of theta - t*x")
-    add_common(volume_parser, t_flag=True, curve_flag=True)
+    add_flags(volume_parser, "gd")
+    volume_parser.add_argument("--t", type=_parse_fraction, default=None, help="rational 'p/q' literal")
+    add_curve(volume_parser)
     volume_parser.set_defaults(handler=_cmd_volume)
 
     verify_parser = subparsers.add_parser("verify", help="run the exact identity suite")
-    verify_parser.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
+    add_flags(verify_parser, "")
     verify_parser.add_argument("--suite", choices=("all", *_SUITE_NAMES), default="all")
     verify_parser.add_argument("--max", type=int, default=None, help="sweep bound override")
     verify_parser.set_defaults(handler=_cmd_verify)

@@ -42,7 +42,7 @@ def gen_binomial(n: int, k: int) -> int:
 
     For negative upper index this is the generalized value
     ``n(n-1)...(n-k+1)/k! = (-1)^k * C(k-n-1, k)``; in particular
-    C(-1, k) = (-1)^k, which the subordinate-locus class formula relies on.
+    C(-1, k) = (-1)^k.
     """
     if k < 0:
         raise ValueError(f"lower index must be non-negative (got {k})")

@@ -99,7 +99,7 @@ def sweep(name: str, parameter_range: str, cases: Iterable, sides: Callable) -> 
 def check_combsum(m_max: int = 200) -> CheckReport:
     """Both sides of the binomial convolution identity agree."""
     return sweep(
-        "binomial-convolution-identity", f"1 <= m <= {m_max}", range(1, m_max + 1), binomial_convolution_identity
+        "binomial-convolution-identity", f"1 <= m <= {shown(m_max)}", range(1, m_max + 1), binomial_convolution_identity
     )
 
 
@@ -112,7 +112,7 @@ def check_pencil_residual_link(k_max: int = 50) -> CheckReport:
         ray = Ray.from_class(pencil_residual_divisor_class(k))
         return ((2 * k - 1) * a_sum, ray), (-k * b_sum, Ray(k, -(2 * k - 1)))
 
-    return sweep("pencil-residual-link", f"3 <= k <= {k_max}", range(3, k_max + 1), sides)
+    return sweep("pencil-residual-link", f"3 <= k <= {shown(k_max)}", range(3, k_max + 1), sides)
 
 
 def check_orth(k_max: int = 100) -> CheckReport:
@@ -130,7 +130,7 @@ def check_orth(k_max: int = 100) -> CheckReport:
         expected = (2 * k - 1, k)
         return (sums, top, orthogonal), (expected, expected, 0)
 
-    return sweep("pencil-orthogonality", f"2 <= k <= {k_max}", range(2, k_max + 1), sides)
+    return sweep("pencil-orthogonality", f"2 <= k <= {shown(k_max)}", range(2, k_max + 1), sides)
 
 
 def _diagonal_cases(g_max: int):
@@ -143,7 +143,7 @@ def check_diagonal_agreement(g_max: int = 12) -> CheckReport:
     """Closed form of the two-part diagonal (proof variant) equals the
     brute-force coefficient extraction."""
     if g_max < 4:
-        raise PreconditionError(f"diagonal sweep needs g_max >= 4 (got {g_max})")
+        raise PreconditionError(f"diagonal sweep needs g_max >= 4 (got {shown(g_max)})")
 
     def sides(params: tuple[int, int]):
         g, d = params
@@ -151,7 +151,7 @@ def check_diagonal_agreement(g_max: int = 12) -> CheckReport:
 
     return sweep(
         "bipartition-diagonal-agreement",
-        f"3 <= g <= {g_max}, 2 <= d <= g-1",
+        f"3 <= g <= {shown(g_max)}, 2 <= d <= g-1",
         _diagonal_cases(g_max),
         sides,
     )
@@ -194,7 +194,7 @@ def check_dd_system(g_max: int = 20) -> CheckReport:
         )
 
     cases = ((g, d) for g in range(4, g_max + 1) for d in range(2, g))
-    return sweep("ramification-test-curves", f"4 <= g <= {g_max}, 2 <= d <= g-1", cases, sides)
+    return sweep("ramification-test-curves", f"4 <= g <= {shown(g_max)}, 2 <= d <= g-1", cases, sides)
 
 
 def volume_polynomial(g: int) -> list[int]:
@@ -253,7 +253,7 @@ def check_volume_identity(g_max: int = 20) -> CheckReport:
         formula = volume_polynomial(g)
         return (expansion, sum(expansion)), (formula, 1)
 
-    return sweep("volume-polynomial-identity", f"4 <= g <= {g_max}", range(4, g_max + 1), sides)
+    return sweep("volume-polynomial-identity", f"4 <= g <= {shown(g_max)}", range(4, g_max + 1), sides)
 
 
 _Suite = namedtuple("_Suite", "checks minimum maximum cap")

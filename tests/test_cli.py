@@ -1,12 +1,19 @@
+import contextlib
+import functools
+import io
 import json
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcd.cli import main
 from symcd.cones import volume_general
+from symcd.cycles import CycleClass, evaluate_top, multiply, theta_class, x_class
+from symcd.errors import PreconditionError
 
 
 def run_cli(capsys, *argv):
@@ -449,6 +456,141 @@ def test_intersect_name_without_its_flag_is_usage_error(capsys, expression, flag
     _assert_one_line(err)
 
 
+# Expression trees over theta, x and literals p or p/q: ("name", n),
+# ("number", p, q or None), ("neg", a), (op, a, b) for op in + - *, and
+# ("^", a, e, symbol).
+_NAMES = st.sampled_from(("theta", "x")).map(lambda name: ("name", name))
+_NUMBERS = st.tuples(st.just("number"), st.integers(0, 12), st.none() | st.integers(0, 6))
+_POWER = st.sampled_from(("^", "**"))
+_TREES = st.recursive(
+    _NAMES | _NUMBERS,
+    lambda inner: st.one_of(
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.sampled_from("+-*"), inner, inner),
+        st.tuples(st.just("^"), inner, st.integers(0, 4), _POWER),
+    ),
+    max_leaves=8,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _homogeneous(codim: int, depth: int):
+    """Trees whose every sum adds terms of one codimension, ``codim`` in all,
+    so that most of them reach top degree; a power e of a base of codimension
+    b has codimension b*e, and at codimension 0 the base may be any class."""
+    if codim == 0:
+        leaves = _NUMBERS
+    elif codim == 1:
+        leaves = _NAMES
+    else:
+        leaves = st.tuples(st.just("^"), _NAMES, st.just(codim), _POWER)
+    if depth == 0:
+        return leaves
+    same = _homogeneous(codim, depth - 1)
+    if codim == 0:
+        power = st.tuples(st.just("^"), same, st.integers(0, 4), _POWER) | st.tuples(
+            st.just("^"), _homogeneous(1, depth - 1) | _homogeneous(2, depth - 1), st.just(0), _POWER
+        )
+    else:
+        exponents = [e for e in range(1, codim + 1) if codim % e == 0]
+        power = st.sampled_from(exponents).flatmap(
+            lambda e: st.tuples(st.just("^"), _homogeneous(codim // e, depth - 1), st.just(e), _POWER)
+        )
+    product = st.integers(0, codim).flatmap(
+        lambda a: st.tuples(st.just("*"), _homogeneous(a, depth - 1), _homogeneous(codim - a, depth - 1))
+    )
+    return st.one_of(leaves, st.tuples(st.just("neg"), same), st.tuples(st.sampled_from("+-"), same, same), product, power)
+
+
+# Binding strength of each node, and the least strength each operand needs
+# to go without parentheses: unary minus takes an atom, so -a^2 is (-a)^2.
+_STRENGTH = {"+": 1, "-": 1, "*": 2, "^": 3, "neg": 4, "name": 5, "number": 5}
+
+
+def _render(tree, least: int = 0) -> str:
+    kind = tree[0]
+    if kind == "name":
+        text = tree[1]
+    elif kind == "number":
+        text = str(tree[1]) if tree[2] is None else f"{tree[1]}/{tree[2]}"
+    elif kind == "neg":
+        text = "-" + _render(tree[1], 4)
+    elif kind == "^":
+        text = f"{_render(tree[1], 4)}{tree[3]}{tree[2]}"
+    else:
+        strength = _STRENGTH[kind]
+        text = f"{_render(tree[1], strength)} {kind} {_render(tree[2], strength + 1)}"
+    return text if _STRENGTH[kind] >= least else f"({text})"
+
+
+def _scalar_or_class(value):
+    """A codimension-0 class as the scalar it is; anything else unchanged."""
+    if isinstance(value, CycleClass) and value.codim == 0:
+        return Fraction(value.numerators[0], value.denominator)
+    return value
+
+
+def _reference(tree, g, d):
+    """The tree's value with scalars kept as ``Fraction``: a scalar scales a
+    class, and a scalar and a class do not add.  Only a class of codimension
+    0, which is read as its scalar, goes beyond what the parser did before
+    scalars became classes (``theta^0 + 1`` was refused then)."""
+    kind = tree[0]
+    if kind == "name":
+        return (theta_class if tree[1] == "theta" else x_class)(g, d)
+    if kind == "number":
+        return Fraction(tree[1], 1 if tree[2] is None else tree[2])
+    left = _reference(tree[1], g, d)
+    if kind == "neg":
+        return -left
+    if kind == "^":
+        return _scalar_or_class(left ** tree[2])
+    right = _reference(tree[2], g, d)
+    if kind == "*":
+        if isinstance(left, Fraction) and isinstance(right, Fraction):
+            return left * right
+        if isinstance(left, Fraction) or isinstance(right, Fraction):
+            scalar, cls = (left, right) if isinstance(left, Fraction) else (right, left)
+            return cls.scale(scalar)
+        return _scalar_or_class(multiply(left, right))
+    if isinstance(left, Fraction) != isinstance(right, Fraction):
+        raise PreconditionError("cannot add a scalar to a class")
+    return left + right if kind == "+" else left - right
+
+
+def _reference_outcome(tree, g, d):
+    """(exit code, printed value or None) of ``intersect`` on the tree."""
+    try:
+        value = _reference(tree, g, d)
+    except ZeroDivisionError:
+        return 2, None
+    except PreconditionError:
+        return 3, None
+    if isinstance(value, Fraction) or value.codim != d:
+        return 3, None
+    return 0, str(evaluate_top(value))
+
+
+@pytest.mark.parametrize("expression", ["2 * mystery", "2 +", "theta * mystery", "1/2"])
+def test_intersect_literal_needs_a_valid_space_like_a_name(capsys, expression):
+    # A literal is a class on C_d in genus g, so it is refused on a genus
+    # below 2 as theta is, before the parser reads on.
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", "1", "--d", "3")
+    assert (code, out, err) == (3, "", "error: genus must be at least 2 (got 1)\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.integers(2, 5), d=st.integers(2, 4), data=st.data())
+def test_intersect_agrees_with_a_reference_that_keeps_scalars_apart(g, d, data):
+    tree = data.draw(_TREES | _homogeneous(d, 3), label="tree")
+    expression = _render(tree)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", "intersect", "--g", str(g), "--d", str(d), "--", expression])
+    value = json.loads(out.getvalue())["result"]["value"] if code == 0 else None
+    assert (code, value) == _reference_outcome(tree, g, d), (expression, err.getvalue())
+
+
 def test_cone_hyperelliptic(capsys):
     code, doc, _ = run_json(capsys, "cone", "--g", "5", "--d", "3", "--curve", "hyperelliptic")
     assert code == 0
@@ -477,6 +619,23 @@ def test_cone_nef_kind(capsys):
 def test_cone_out_of_range(capsys):
     code, out, err = run_cli(capsys, "cone", "--g", "3", "--d", "2", "--curve", "general")
     assert code == 3
+
+
+@pytest.mark.parametrize("flag", ["--n", "--r", "--k"])
+@pytest.mark.parametrize(
+    "argv",
+    [["cone", "--g", "5", "--d", "3"], ["volume", "--g", "5", "--d", "4", "--t", "1/2"]],
+    ids=["cone", "volume"],
+)
+def test_cone_and_volume_refuse_flags_they_do_not_read(capsys, argv, flag):
+    assert run_cli(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, flag, "4"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # argparse reads cone's --k as an abbreviation of --kind, which refuses 4
+    assert f"unrecognized arguments: {flag} 4" in captured.err or "argument --kind: invalid choice" in captured.err
 
 
 def test_volume_general(capsys):

@@ -17,8 +17,12 @@ from symcd.catalog import (
     _residual_sums,
     bipartition_diagonal_extraction,
     binomial_convolution_identity,
+    hyperelliptic_pencil_locus_class,
+    ramification_divisor_class,
+    subordinate_class,
     subordinate_pencil_intersections,
 )
+from symcd.cones import effective_slope_bound
 
 m, k, j, l = sympy.symbols("m k j l", integer=True, positive=True)
 
@@ -125,3 +129,52 @@ def test_mixed_derivative_reproduces_the_diagonal_extraction(g, d):
     expected = _extraction_from_the_mixed_derivative(g, d)
     assert any(expected)
     assert list(bipartition_diagonal_extraction(g, d).coeffs) == expected
+
+
+# ------------------------------------------------------------ divisor classes in g and d
+
+g_, d_ = sympy.symbols("g d", integer=True, positive=True)
+
+
+def _subordinate_formula(g, d, n, r):
+    """The coefficients of sum_k C(n-g-r, k) x^k theta^(d-r-k) / (d-r-k)!, the
+    degeneracy-locus class of the locus subordinate to a g^r_n on C_d, for a
+    codimension d - r that is a number."""
+    codim = sympy.simplify(d - r)
+    assert codim.is_Integer
+    return [sympy.expand_func(binomial(n - g - r, k)) / factorial(codim - k) for k in range(codim + 1)]
+
+
+def test_hyperelliptic_pencil_locus_is_theta_minus_g_minus_d_plus_one_x():
+    # the (d-1)-st power of the hyperelliptic pencil is a g^(d-1)_(2d-2)
+    coeffs = _subordinate_formula(g_, d_, 2 * (d_ - 1), d_ - 1)
+    assert [sympy.simplify(c) for c in coeffs] == [1, -(g_ - d_ + 1)]
+
+
+@pytest.mark.parametrize("g, d", [(2, 2), (5, 2), (5, 5), (9, 4), (40, 17)])
+def test_hyperelliptic_closed_form_matches_the_kernel(g, d):
+    point = {g_: g, d_: d}
+    formula = [c.subs(point) for c in _subordinate_formula(g_, d_, 2 * (d_ - 1), d_ - 1)]
+    assert list(subordinate_class(g, d, 2 * (d - 1), d - 1).coeffs) == formula
+    assert list(hyperelliptic_pencil_locus_class(g, d).coeffs) == formula == [1, d - g - 1]
+
+
+# The ramification divisor a*theta - b*x, as its docstring states it.
+RAMIFICATION_A = (g_ - d_ + 1) * (g_**2 - d_ * g_ + d_ - 2)
+RAMIFICATION_B = (g_ - d_ + 1) * (g_**2 - (d_ - 1) * g_ - 2)
+SLOPE_BOUND = 1 + (g_ - d_) / (g_**2 - d_ * g_ + d_ - 2)
+
+
+def test_ramification_slope_is_the_effective_bound_as_a_rational_function():
+    assert sympy.cancel(RAMIFICATION_B / RAMIFICATION_A - SLOPE_BOUND) == 0
+
+
+def test_ramification_closed_form_matches_the_kernel():
+    # The kernel's a and b are polynomials of degree at most 3 in each of g
+    # and d, so agreeing on a 4 x 4 grid they agree everywhere.
+    for g in range(10, 14):
+        for d in range(2, 6):
+            point = {g_: g, d_: d}
+            divisor = ramification_divisor_class(g, d)
+            assert (divisor.a, divisor.b) == (RAMIFICATION_A.subs(point), RAMIFICATION_B.subs(point))
+            assert effective_slope_bound(g, d) == SLOPE_BOUND.subs(point) == divisor.b / divisor.a

@@ -208,6 +208,18 @@ def test_diagonal_check_rejects_tiny_bound():
         check_diagonal_agreement(3)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [check_combsum, check_pencil_residual_link, check_orth, check_diagonal_agreement, check_dd_system, check_volume_identity],
+    ids=lambda check: check.__name__,
+)
+def test_checks_refuse_a_bound_too_long_to_print(check):
+    # -10^5000 has more decimal digits than CPython prints by default; the
+    # refusal names it by its bit length instead.
+    with pytest.raises(PreconditionError, match="negative number of 16610 bits"):
+        check(-(10**5000))
+
+
 # ----------------------------------------------------------------- value types
 
 
@@ -264,22 +276,23 @@ def _orthogonality_plus_one(evaluate_top):
     return mutated
 
 
-# (suite, --max, route that verify calls, case, the route's arguments at that case)
+# (suite, --max, route that verify calls, case, the route's arguments at that case),
+# each with an explicit id so that removing a row renames no other case
 MUTATIONS = [
-    ("combsum", 10, "binomial_convolution_identity", (7,), (7,)),
-    ("pencil-link", 10, "pencil_residual_sums", (6,), (6,)),
-    ("pencil-link", 10, "pencil_residual_divisor_class", (5,), (5,)),
-    ("orth", 10, "subordinate_pencil_intersections", (6,), (6,)),
-    ("orth", 10, "subordinate_class", (5,), (9, 5, 6, 1)),
-    ("orth", 10, "theta_class", (7,), (13, 7)),
-    ("orth", 10, "evaluate_top", (5,), None),
-    ("diagonal", 8, "bipartition_diagonal_extraction", (6, 3), (6, 3)),
-    ("diagonal", 8, "bipartition_diagonal_class", (7, 5), (7, 5)),
-    ("dd-system", 8, "solve_test_curve_system", (7, 3), (7, 3)),
-    ("dd-system", 8, "ramification_divisor_class", (6, 4), (6, 4)),
-    ("dd-system", 8, "effective_slope_bound", (8, 2), (8, 2)),
-    ("volume", 8, "volume_polynomial", (6,), (6,)),
-    ("volume", 8, "pencil_expansion_polynomial", (7,), (7,)),
+    pytest.param("combsum", 10, "binomial_convolution_identity", (7,), (7,), id="combsum-binomial_convolution_identity"),
+    pytest.param("pencil-link", 10, "pencil_residual_sums", (6,), (6,), id="pencil-link-pencil_residual_sums"),
+    pytest.param("pencil-link", 10, "pencil_residual_divisor_class", (5,), (5,), id="pencil-link-pencil_residual_divisor_class"),
+    pytest.param("orth", 10, "subordinate_pencil_intersections", (6,), (6,), id="orth-subordinate_pencil_intersections"),
+    pytest.param("orth", 10, "subordinate_class", (5,), (9, 5, 6, 1), id="orth-subordinate_class"),
+    pytest.param("orth", 10, "theta_class", (7,), (13, 7), id="orth-theta_class"),
+    pytest.param("orth", 10, "evaluate_top", (5,), None, id="orth-evaluate_top"),
+    pytest.param("diagonal", 8, "bipartition_diagonal_extraction", (6, 3), (6, 3), id="diagonal-bipartition_diagonal_extraction"),
+    pytest.param("diagonal", 8, "bipartition_diagonal_class", (7, 5), (7, 5), id="diagonal-bipartition_diagonal_class"),
+    pytest.param("dd-system", 8, "solve_test_curve_system", (7, 3), (7, 3), id="dd-system-solve_test_curve_system"),
+    pytest.param("dd-system", 8, "ramification_divisor_class", (6, 4), (6, 4), id="dd-system-ramification_divisor_class"),
+    pytest.param("dd-system", 8, "effective_slope_bound", (8, 2), (8, 2), id="dd-system-effective_slope_bound"),
+    pytest.param("volume", 8, "volume_polynomial", (6,), (6,), id="volume-volume_polynomial"),
+    pytest.param("volume", 8, "pencil_expansion_polynomial", (7,), (7,), id="volume-pencil_expansion_polynomial"),
 ]
 
 
