@@ -28,6 +28,7 @@ other.
 from __future__ import annotations
 
 import math
+import operator
 
 from .combinatorics import gen_binomial
 from .cycles import CycleClass, DivisorClass, _Frozen, divisor_class, evaluate_top
@@ -58,9 +59,11 @@ def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:
 
         sum_{k=0}^{d-r}  C(n-g-r, k) * x^k * theta^(d-r-k) / (d-r-k)!
 
-    The upper binomial index n - g - r is frequently negative (e.g. -1 for the
-    residual series used throughout); the binomials are stepped by exact
-    ratios below, which hold for any integer upper index.
+    The upper binomial index N = n - g - r is frequently negative (e.g. -1 for
+    the residual series used throughout).  Over the denominator (d-r)!, term k
+    is C(N, k) * perm(d-r, k), and one running numerator steps to the next by
+    (N-k)(d-r-k)/(k+1); the division is exact for any integer N, because the
+    next numerator is again a binomial times a falling factorial.
     """
     # Checked ahead of CycleClass's own check: at a huge negative genus the
     # binomials below would run for seconds first.
@@ -71,16 +74,13 @@ def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:
             f"subordinate locus needs n >= d >= r >= 0 (got n={shown(n)}, d={shown(d)}, r={shown(r)})"
         )
     codim = d - r
-    # Over the common denominator codim!, 1/(codim-k)! is perm(codim, k).
-    # Both factors step in k: C(N, k+1) = C(N, k)(N-k)/(k+1), exactly, for
-    # any integer N, and perm(codim, k+1) = perm(codim, k)(codim-k).
+    # C(N, k+1) = C(N, k)(N-k)/(k+1) and perm(codim, k+1) = perm(codim, k)(codim-k).
     upper = n - g - r
-    binomial, falling = 1, 1
+    numerator = 1
     numerators = []
     for k in range(codim + 1):
-        numerators.append(binomial * falling)
-        binomial = binomial * (upper - k) // (k + 1)
-        falling *= codim - k
+        numerators.append(numerator)
+        numerator = numerator * ((upper - k) * (codim - k)) // (k + 1)
     return CycleClass.from_numerators(g, d, numerators, math.factorial(codim))
 
 
@@ -156,8 +156,11 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
             [t1*t2] (1 + (g-d+1)t1 + d*t2)^(2-g+b) * (1 + (g-d+1)^2 t1 + d^2 t2)^(g-b)
 
     all times the same 2:1 multiplicity correction as the closed form.  Times
-    a!, the sum over b is the integer sum_b (-1)^(a+b) C(a, b) [t1*t2](...),
-    so each coefficient is one integer over a!.  For any integers n and m the
+    a!, the sum over b is the integer sum_b (-1)^(a+b) C(a, b) f(b), with f(b)
+    the [t1*t2] coefficient, so each coefficient is one integer over a!.  That
+    sum is the a-th forward difference of f at 0, so one difference table,
+    differenced once per a, gives every coefficient; its entries are integer
+    differences, so nothing is divided.  For any integers n and m the
     mixed coefficient is
 
         [t1*t2] (1 + a*t1 + b*t2)^n (1 + c*t1 + e*t2)^m
@@ -175,18 +178,13 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
     def mixed_coefficient(n: int, m: int) -> int:
         return n * (n - 1) * ab + m * (m - 1) * ce + n * m * ae_bc
 
-    mixed = [mixed_coefficient(2 - g + beta, g - beta) for beta in range(g)]
-    # Numerators over (g-1)!: the integer sum for alpha times (g-1)!/alpha!,
-    # which is perm(g-1, g-1-alpha), stepped down from alpha = g-1.
+    differences = [mixed_coefficient(2 - g + beta, g - beta) for beta in range(g)]
+    # Numerators over (g-1)!: the alpha-th difference at 0 times (g-1)!/alpha!,
+    # which is perm(g-1, g-1-alpha).
     numerators = [0] * g
-    falling = 1
-    for alpha in range(g - 1, -1, -1):
-        total, signed = 0, (-1) ** alpha  # (-1)^(alpha+beta) C(alpha, beta) at beta = 0
-        for beta in range(alpha + 1):
-            total += signed * mixed[beta]
-            signed = -signed * (alpha - beta) // (beta + 1)
-        numerators[g - 1 - alpha] = total * falling
-        falling *= alpha
+    for alpha in range(g):
+        numerators[g - 1 - alpha] = differences[0] * math.perm(g - 1, g - 1 - alpha)
+        differences = list(map(operator.sub, differences[1:], differences[:-1]))
     return CycleClass.from_numerators(g, g + 1, numerators, _bipartition_halving(g, d) * math.factorial(g - 1))
 
 
@@ -284,26 +282,25 @@ def _residual_sums(m: int) -> tuple[int, int]:
 
     Both run over one term R_l = C(2m-l-1, m-1) C(2m+2, l+3).  By
     C(n-1, m-1) = C(n, m-1)(n-m+1)/n and C(n, j+1) = C(n, j)(n-j)/(j+1) the
-    factor 2m-l-1 cancels, so
+    factor 2m-l-1 cancels, so the signed term t_l = (-1)^l R_l steps as
 
-        R_(l+1) = R_l (m-l) / (l+4),
+        t_(l+1) = t_l (l-m) / (l+4),
 
-    an exact division since R_(l+1) is an integer.  As C(2m-l, m) is
+    an exact division since t_(l+1) is an integer.  As C(2m-l, m) is
     C(2m-l-1, m-1)(2m-l)/m and C(2m+3, l+3) is C(2m+2, l+3)(2m+3)/(2m-l),
-    the terms are (l+1)(2m-l) R_l / m and l(l+1)(2m+3) R_l / m; each sum is
-    divided by m once, at the end.
+    the terms are (2m-l) s_l / m and (2m+3) l s_l / m with s_l = (l+1) t_l.
+    So with T0 = sum s_l and T1 = sum l s_l the sums are (2m T0 - T1)/m and
+    (2m+3) T1/m; each is divided by m once, at the end, exactly, since it is
+    an integer.
     """
     term = gen_binomial(2 * m - 1, m - 1) * gen_binomial(2 * m + 2, 3)
-    left_sum = right_sum = 0
+    t0 = t1 = 0
     for l in range(m + 1):
-        if l & 1:
-            left_sum -= (l + 1) * (2 * m - l) * term
-            right_sum -= l * (l + 1) * term
-        else:
-            left_sum += (l + 1) * (2 * m - l) * term
-            right_sum += l * (l + 1) * term
-        term = term * (m - l) // (l + 4)
-    return left_sum // m, (2 * m + 3) * right_sum // m
+        s = (l + 1) * term
+        t0 += s
+        t1 += l * s
+        term = (l - m) * term // (l + 4)
+    return (2 * m * t0 - t1) // m, (2 * m + 3) * t1 // m
 
 
 def pencil_residual_divisor_class(k: int) -> DivisorClass:

@@ -550,8 +550,11 @@ def render(document: dict, fmt: str) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
+    # Every parser takes flags spelled in full only (allow_abbrev=False): a
+    # prefix that works today would change meaning once a flag sharing it is added.
     parser = argparse.ArgumentParser(
         prog="symcd",
+        allow_abbrev=False,
         description="Exact divisor classes, intersection numbers, cones, and volumes on symmetric powers of curves.",
     )
     parser.add_argument(
@@ -583,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_curve(sub):
         sub.add_argument("--curve", choices=("general", "hyperelliptic"), default="general", help="curve type")
 
-    class_parser = subparsers.add_parser("class", help="print a named class from the catalog")
+    class_parser = subparsers.add_parser("class", allow_abbrev=False, help="print a named class from the catalog")
     class_parser.add_argument("name", choices=tuple(_CLASSES))
     add_flags(class_parser, "gdnrk")
     class_parser.add_argument(
@@ -593,24 +596,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     class_parser.set_defaults(handler=_cmd_class)
 
-    intersect_parser = subparsers.add_parser("intersect", help="evaluate a top-degree product expression")
+    intersect_parser = subparsers.add_parser(
+        "intersect", allow_abbrev=False, help="evaluate a top-degree product expression"
+    )
     intersect_parser.add_argument("expression")
     add_flags(intersect_parser, "gdnrk")
     intersect_parser.set_defaults(handler=_cmd_intersect)
 
-    cone_parser = subparsers.add_parser("cone", help="cone boundary data")
+    cone_parser = subparsers.add_parser("cone", allow_abbrev=False, help="cone boundary data")
     add_flags(cone_parser, "gd")
     add_curve(cone_parser)
     cone_parser.add_argument("--kind", choices=("effective", "nef"), default="effective")
     cone_parser.set_defaults(handler=_cmd_cone)
 
-    volume_parser = subparsers.add_parser("volume", help="exact volume of theta - t*x")
+    volume_parser = subparsers.add_parser("volume", allow_abbrev=False, help="exact volume of theta - t*x")
     add_flags(volume_parser, "gd")
     volume_parser.add_argument("--t", type=_parse_fraction, default=None, help="rational 'p/q' literal")
     add_curve(volume_parser)
     volume_parser.set_defaults(handler=_cmd_volume)
 
-    verify_parser = subparsers.add_parser("verify", help="run the exact identity suite")
+    verify_parser = subparsers.add_parser("verify", allow_abbrev=False, help="run the exact identity suite")
     add_flags(verify_parser, "")
     verify_parser.add_argument("--suite", choices=("all", *_SUITE_NAMES), default="all")
     verify_parser.add_argument("--max", type=int, default=None, help="sweep bound override")

@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -65,6 +65,21 @@ def test_subordinate_refuses_a_low_genus_before_building(g):
     with pytest.raises(PreconditionError, match="genus must be at least 2"):
         subordinate_class(g, 300, 300, 0)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("codim", [1, 2, 3, 7, 50, 200])
+def test_subordinate_numerators_match_the_degeneracy_locus_sum(codim):
+    # sum_k C(N, k) x^k theta^(c-k) / (c-k)! with N = n-g-r and c = d-r, for N
+    # negative, zero, and positive below c, where the sum stops at k = N
+    for upper in sorted({-codim - 3, -2, -1, 0, 1, codim // 2, codim - 1}):
+        for r in (1, 3):
+            d = codim + r
+            n = d + max(0, upper + 2 - codim)  # keeps g = n - r - N at 2 or more
+            cls = subordinate_class(n - r - upper, d, n, r)
+            expected = tuple(Fraction(gen_binomial(upper, k), factorial(codim - k)) for k in range(codim + 1))
+            assert cls.coeffs == expected, (codim, upper, r)
+            if 0 <= upper < codim:
+                assert expected[upper] and not any(expected[upper + 1 :])
 
 
 # -------------------------------------------------------------- small diagonal
@@ -153,6 +168,37 @@ def _series_extraction(g, d):
 def test_closed_form_extraction_matches_series_powers(g):
     for d in range(2, g):
         assert bipartition_diagonal_extraction(g, d).coeffs == _series_extraction(g, d), (g, d)
+
+
+def _double_sum_extraction(g, d):
+    """The extraction as its docstring states it: the coefficient of
+    x^(g-1-a) theta^a is sum_b (-1)^(a+b) C(a, b) f(b) / a!, each f(b) a
+    [t1*t2] coefficient taken from the terms of degree at most 2 of two
+    binomial series, (1 + X)^n = 1 + C(n, 1) X + C(n, 2) X^2 + ..."""
+    u, v = g - d + 1, d
+
+    def low_terms(n, a, b):
+        # the t1, t2 and t1*t2 coefficients of (1 + a*t1 + b*t2)^n
+        return gen_binomial(n, 1) * a, gen_binomial(n, 1) * b, 2 * gen_binomial(n, 2) * a * b
+
+    def mixed(n, m):
+        (a1, a2, a12), (b1, b2, b12) = low_terms(n, u, v), low_terms(m, u * u, v * v)
+        return a12 + a1 * b2 + a2 * b1 + b12
+
+    scale = Fraction(1, 2) if 2 * d == g + 1 else 1
+    return tuple(
+        scale
+        * Fraction(
+            sum((-1) ** (a + b) * comb(a, b) * mixed(2 - g + b, g - b) for b in range(a + 1)), factorial(a)
+        )
+        for a in range(g - 1, -1, -1)
+    )
+
+
+@pytest.mark.parametrize("g", range(3, 31))
+def test_extraction_matches_the_double_sum(g):
+    for d in range(2, g):
+        assert bipartition_diagonal_extraction(g, d).coeffs == _double_sum_extraction(g, d), (g, d)
 
 
 def test_bipartition_top_theta_coefficients_vanish():
@@ -407,7 +453,9 @@ def test_convolution_identity_sweep():
 
 
 def test_stepped_convolution_sums_match_binomial_sums():
-    for m in range(1, 121):
+    # Every m up to 250, then every 10th up to the stress bound of 400; every
+    # m to 400 would take about 3 s.
+    for m in [*range(1, 251), *range(260, 401, 10)]:
         lhs = (2 * m + 3) * sum(
             (-1) ** l * (l + 1) * gen_binomial(2 * m - l, m) * gen_binomial(2 * m + 2, l + 3)
             for l in range(m + 1)

@@ -634,8 +634,43 @@ def test_cone_and_volume_refuse_flags_they_do_not_read(capsys, argv, flag):
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # argparse reads cone's --k as an abbreviation of --kind, which refuses 4
-    assert f"unrecognized arguments: {flag} 4" in captured.err or "argument --kind: invalid choice" in captured.err
+    assert f"unrecognized arguments: {flag} 4" in captured.err
+
+
+# Each argv spells a real flag by a prefix: --kind, --statement-variant, --max
+# and the root's --format.  A prefix is not a flag.
+FLAG_PREFIXES = {
+    "cone-kind": ["cone", "--g", "5", "--d", "3", "--k", "nef"],
+    "class-statement-variant": ["class", "ramification", "--g", "4", "--d", "3", "--stat"],
+    "verify-max": ["verify", "--suite", "combsum", "--ma", "5"],
+    "root-format": ["--form", "json", "cone", "--g", "5", "--d", "3"],
+}
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_refused_in_one_error_line(out, err):
+    # argparse prints its usage synopsis first, then the one line that says what is wrong
+    assert out == "" and "Traceback" not in err
+    messages = [line for line in err.splitlines() if "error: " in line]
+    assert len(messages) == 1 and messages[0] == err.splitlines()[-1], err
+
+
+@pytest.mark.parametrize("argv", FLAG_PREFIXES.values(), ids=FLAG_PREFIXES)
+def test_a_prefix_of_a_flag_is_a_usage_error(argv):
+    code, out, err = _outcome(argv)
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    assert "unrecognized arguments" in err or "invalid choice: 'json'" in err
 
 
 def test_volume_general(capsys):
@@ -898,3 +933,100 @@ def test_text_verify_renders_one_line_per_check(capsys):
     lines = out.splitlines()
     assert any(line.startswith("PASS") for line in lines)
     assert any(line.startswith("DOCUMENTED-DISCREPANCY") for line in lines)
+
+
+# --------------------------------------------------------------------------
+# every argv of every subcommand ends in a documented exit code
+
+
+def _integer_edges():
+    """0, +-1, 2, each cap on an integer flag, cap + 1, their negatives, a
+    100-digit value, and values of 4,300 digits, past CPython's int-from-str
+    limit, which argparse refuses."""
+    from symcd import cli, verify
+
+    caps = {cli._MAX_CLASS_FLAG, cli._MAX_INTERSECT_GENUS, cli._MAX_VOLUME_GENUS - 1, cli._MAX_VOLUME_GENUS}
+    for row in verify.SUITES.values():
+        caps |= {row.minimum, row.maximum, *([row.cap] if row.cap else [])}
+    values = {0, 1, 2, 10**100, *caps, *(cap + 1 for cap in caps)}
+    return (*sorted(str(sign * value) for value in values for sign in (1, -1)), "9" * 4300, "-" + "9" * 4300)
+
+
+_INTEGERS = _integer_edges()
+_T_VALUES = ("0", "1", "-1", "1/2", "2", "2097150/2097151", "1/2097152", "1/0", "one", "9" * 4300)
+_CURVES = ("general", "hyperelliptic")
+# The flags of each subcommand: None for a switch, else the values to draw.
+_CLASS_INTEGERS = dict.fromkeys(("--g", "--d", "--n", "--r", "--k"), _INTEGERS)
+_ARGV_FLAGS = {
+    "class": {**_CLASS_INTEGERS, "--statement-variant": None},
+    "intersect": _CLASS_INTEGERS,
+    "cone": {"--g": _INTEGERS, "--d": _INTEGERS, "--curve": _CURVES, "--kind": ("effective", "nef")},
+    "volume": {"--g": _INTEGERS, "--d": _INTEGERS, "--t": _T_VALUES, "--curve": _CURVES},
+    "verify": {"--suite": tuple(SUITE_MINIMUMS), "--max": _INTEGERS},
+}
+_ROOT_FLAGS = {"--format": ("json", "text"), "--version": None}
+# Expressions keep to unit coefficients: a power of a class whose coefficients
+# have many bits is a known slow path (minutes at the caps).
+_POSITIONAL = {
+    "class": tuple(CLASS_FLAGS),
+    "intersect": (
+        "theta^3",
+        "(theta - x)^1000",
+        "smalldiag * theta",
+        "ek",
+        "c1d * theta^999",
+        "subordinate * x",
+        "ramification * theta^999",
+        "1/0 * theta^3",
+        "2^100001",
+        "(" * 101 + "theta" + ")" * 101,
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    """An argv over one subcommand, and whether one of its flags is spelled
+    by a proper prefix, which is then not a flag at all."""
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    flags = {**_ARGV_FLAGS[command], "--format": _ROOT_FLAGS["--format"]}
+    argv = [command, *([draw(st.sampled_from(_POSITIONAL[command]))] if command in _POSITIONAL else [])]
+    for flag, values in sorted(flags.items()):
+        if not draw(st.integers(0, 4)):  # each flag is given four times in five
+            continue
+        if values is None:
+            argv.append(flag)
+        elif values is _INTEGERS and draw(st.integers(0, 2)):  # and an integer is small twice in three
+            argv += [flag, str(draw(st.integers(-1, 12)))]
+        else:
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        argv = ["--format", draw(st.sampled_from(_ROOT_FLAGS["--format"])), *argv]
+    if draw(st.integers(0, 3)):
+        return argv, False
+    every = {**flags, **_ROOT_FLAGS}
+    prefixes = [
+        (flag[:end], values, at_root)
+        for at_root, pool in ((False, flags), (True, _ROOT_FLAGS))
+        for flag, values in pool.items()
+        for end in range(3, len(flag))
+        if flag[:end] not in every
+    ]
+    prefix, values, at_root = draw(st.sampled_from(prefixes))
+    token = [prefix] if values is None else [prefix, draw(st.sampled_from(values))]
+    return (token + argv if at_root else argv + token), True
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_argv())
+def test_every_argv_ends_in_a_documented_exit_code(case):
+    argv, abbreviated = case
+    start = time.perf_counter()
+    code, out, err = _outcome(argv)
+    assert time.perf_counter() - start < 4, argv
+    assert code in (0, 1, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err, argv
+    if abbreviated:
+        assert code == 2, argv
+    if code in (2, 3, 4):
+        _assert_refused_in_one_error_line(out, err)

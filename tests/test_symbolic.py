@@ -1,7 +1,8 @@
 """Symbolic proofs, for every parameter value, of identities the library sweeps.
 
 sympy closes the binomial sums by Gosper's and Zeilberger's methods
-(Petkovsek-Wilf-Zeilberger, *A = B*, 1996).  The convolution sums call
+(Petkovsek-Wilf-Zeilberger, *A = B*, 1996), and the volume identity by
+induction, since it is the binomial theorem.  The convolution sums call
 Gosper's algorithm directly, which takes about a third of the time
 ``sympy.summation`` spends trying other methods first.  Symbolic summation
 has returned wrong closed forms before, so each closed form is also checked
@@ -23,6 +24,8 @@ from symcd.catalog import (
     subordinate_pencil_intersections,
 )
 from symcd.cones import effective_slope_bound
+from symcd.cycles import evaluate_top, theta_class, x_class
+from symcd.verify import pencil_expansion_polynomial, volume_polynomial
 
 m, k, j, l = sympy.symbols("m k j l", integer=True, positive=True)
 
@@ -178,3 +181,53 @@ def test_ramification_closed_form_matches_the_kernel():
             divisor = ramification_divisor_class(g, d)
             assert (divisor.a, divisor.b) == (RAMIFICATION_A.subs(point), RAMIFICATION_B.subs(point))
             assert effective_slope_bound(g, d) == SLOPE_BOUND.subs(point) == divisor.b / divisor.a
+
+
+# ------------------------------------------------------------ volume identity
+
+t_, u_ = sympy.symbols("t u")
+n_exp = sympy.symbols("n", integer=True, nonnegative=True)
+k_exp = sympy.symbols("k", integer=True, nonnegative=True)
+
+
+def _binomial_term(n, k):
+    """C(n, k) t^k u^(n-k): with u = 1 - t, the coefficient of x^k theta^(n-k)
+    in ((1-t)theta + t*x)^n, as the induction below shows."""
+    return binomial(n, k) * t_**k * u_ ** (n - k)
+
+
+# The volume polynomial as volume_polynomial states it, term k of the sum.
+VOLUME_TERM = (
+    binomial(g_ - 1, k_exp) * factorial(g_) / factorial(k_exp + 1) * t_**k_exp * u_ ** (g_ - 1 - k_exp)
+)
+
+
+def test_volume_identity_holds_for_every_g():
+    # The binomial theorem, by induction on n.  At n = 0 the power is 1.  One
+    # more factor (1-t)theta + t*x sends the coefficient of x^k theta^(n-k)
+    # to u times it plus t times that of x^(k-1) theta^(n-k+1), the step
+    # pencil_expansion_polynomial takes; the terms satisfy it for every n
+    # and k, as polynomials in t and u.
+    assert [_binomial_term(0, k) for k in range(3)] == [1, 0, 0]
+    step = (
+        _binomial_term(n_exp + 1, k_exp) - t_ * _binomial_term(n_exp, k_exp - 1) - u_ * _binomial_term(n_exp, k_exp)
+    )
+    assert sympy.simplify(sympy.combsimp(step / (t_**k_exp * u_ ** (n_exp + 1 - k_exp)))) == 0
+    assert sympy.simplify(step.subs(k_exp, 0)) == 0
+    # Poincare's formula x^k theta^(d-k) = g!/(g-d+k)! on C_d, at d = g-1.
+    poincare = factorial(g_) / factorial(g_ - (g_ - 1) + k_exp)
+    assert sympy.simplify(poincare - factorial(g_) / factorial(k_exp + 1)) == 0
+    # Evaluating ((1-t)theta + t*x)^(g-1) term by term gives the volume sum.
+    assert sympy.simplify(_binomial_term(g_ - 1, k_exp) * poincare - VOLUME_TERM) == 0
+
+
+@pytest.mark.parametrize("g", (4, 5, 10, 20))
+def test_volume_closed_form_matches_the_kernels(g):
+    volume = sympy.Poly(sum(VOLUME_TERM.subs({g_: g, k_exp: k, u_: 1 - t_}) for k in range(g)), t_)
+    coefficients = volume.all_coeffs()[::-1]
+    assert coefficients == volume_polynomial(g) == pencil_expansion_polynomial(g)
+    assert sum(coefficients) == 1
+    d = g - 1
+    for k in range(g):
+        monomial = x_class(g, d) ** k * theta_class(g, d) ** (d - k)
+        assert evaluate_top(monomial) == factorial(g) / factorial(k + 1)
