@@ -342,20 +342,16 @@ def subordinate_pencil_intersections(k: int) -> tuple[int, int]:
     """
     if k < 2:
         raise PreconditionError(f"pencil intersections need k >= 2 (got {shown(k)})")
-    # One product S_j = C(k-2+j, j) C(2k-2, k-1-j) steps by exact ratios,
-    # C(n+1, j+1) = C(n, j)(n+1)/(j+1) and C(n, i-1) = C(n, i) i/(n-i+1);
-    # the x term is S_j (2k-1)/(k+j), since C(2k-1, i) = C(2k-2, i)(2k-1)/(2k-1-i).
+    # One signed product t_j = (-1)^j C(k-2+j, j) C(2k-2, k-1-j) steps by exact
+    # ratios, C(n+1, j+1) = C(n, j)(n+1)/(j+1) and C(n, i-1) = C(n, i) i/(n-i+1);
+    # the x term is t_j (2k-1)/(k+j), since C(2k-1, i) = C(2k-2, i)(2k-1)/(2k-1-i).
+    # Each division is exact, as its quotient is an integer.
     term = gen_binomial(2 * k - 2, k - 1)
     theta_sum = x_sum = 0
     for j in range(k):
-        x_term = term * (2 * k - 1) // (k + j)
-        if j & 1:
-            theta_sum -= term
-            x_sum -= x_term
-        else:
-            theta_sum += term
-            x_sum += x_term
-        term = term * ((k - 1 + j) * (k - 1 - j)) // ((j + 1) * (k + j))
+        theta_sum += term
+        x_sum += term * (2 * k - 1) // (k + j)
+        term = -term * ((k - 1 + j) * (k - 1 - j)) // ((j + 1) * (k + j))
     return (2 * k - 1) * theta_sum, x_sum
 
 

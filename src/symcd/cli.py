@@ -107,7 +107,7 @@ def _build(entry: _Entry, *args):
 
 
 class UsageError(Exception):
-    """Bad command usage that argparse itself cannot detect."""
+    """Bad command usage, whether argparse or a handler detects it."""
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -308,8 +308,10 @@ def _bounded(value):
 # size grow without limit in --d; at the cap the largest,
 # ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.3 s and prints 2.5 MB
 # as one CLI call.  ``intersect`` takes a genus up to that of the largest ``ek``
-# (genus 2k-1 at k = 1,000); at the caps, products and powers of the named
-# classes, such as ``(theta-x)^1000``, answer in well under a second.
+# (genus 2k-1 at k = 1,000).  At the caps ``(theta-x)^1000`` answers in about
+# 0.1 s as one CLI call, but a power of a named class with larger
+# coefficients is slow: ``ramification^1000`` (31-bit coefficients) took
+# 10-14 s on a 2-vCPU VM; ROADMAP Direction 5 is the faster power.
 _MAX_CLASS_FLAG = 1_000
 _MAX_INTERSECT_GENUS = 2 * _MAX_CLASS_FLAG - 1
 
@@ -547,14 +549,23 @@ def render(document: dict, fmt: str) -> str:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses by raising :class:`UsageError`, which ``main`` prints as one line,
+    and takes flags spelled in full only: a prefix would change meaning once a
+    flag sharing it is added.  Subparsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
-    # Every parser takes flags spelled in full only (allow_abbrev=False): a
-    # prefix that works today would change meaning once a flag sharing it is added.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symcd",
-        allow_abbrev=False,
         description="Exact divisor classes, intersection numbers, cones, and volumes on symmetric powers of curves.",
     )
     parser.add_argument(
@@ -586,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_curve(sub):
         sub.add_argument("--curve", choices=("general", "hyperelliptic"), default="general", help="curve type")
 
-    class_parser = subparsers.add_parser("class", allow_abbrev=False, help="print a named class from the catalog")
+    class_parser = subparsers.add_parser("class", help="print a named class from the catalog")
     class_parser.add_argument("name", choices=tuple(_CLASSES))
     add_flags(class_parser, "gdnrk")
     class_parser.add_argument(
@@ -596,26 +607,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     class_parser.set_defaults(handler=_cmd_class)
 
-    intersect_parser = subparsers.add_parser(
-        "intersect", allow_abbrev=False, help="evaluate a top-degree product expression"
-    )
+    intersect_parser = subparsers.add_parser("intersect", help="evaluate a top-degree product expression")
     intersect_parser.add_argument("expression")
     add_flags(intersect_parser, "gdnrk")
     intersect_parser.set_defaults(handler=_cmd_intersect)
 
-    cone_parser = subparsers.add_parser("cone", allow_abbrev=False, help="cone boundary data")
+    cone_parser = subparsers.add_parser("cone", help="cone boundary data")
     add_flags(cone_parser, "gd")
     add_curve(cone_parser)
     cone_parser.add_argument("--kind", choices=("effective", "nef"), default="effective")
     cone_parser.set_defaults(handler=_cmd_cone)
 
-    volume_parser = subparsers.add_parser("volume", allow_abbrev=False, help="exact volume of theta - t*x")
+    volume_parser = subparsers.add_parser("volume", help="exact volume of theta - t*x")
     add_flags(volume_parser, "gd")
     volume_parser.add_argument("--t", type=_parse_fraction, default=None, help="rational 'p/q' literal")
     add_curve(volume_parser)
     volume_parser.set_defaults(handler=_cmd_volume)
 
-    verify_parser = subparsers.add_parser("verify", allow_abbrev=False, help="run the exact identity suite")
+    verify_parser = subparsers.add_parser("verify", help="run the exact identity suite")
     add_flags(verify_parser, "")
     verify_parser.add_argument("--suite", choices=("all", *_SUITE_NAMES), default="all")
     verify_parser.add_argument("--max", type=int, default=None, help="sweep bound override")
@@ -649,22 +658,23 @@ def _uncapped_int_digits():
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    fmt = _resolve_format(getattr(args, "format", None))
-    with _uncapped_int_digits():
-        try:
+    """Run one command and return its exit code; ``--help`` and ``--version`` exit 0."""
+    try:
+        # Parsed under CPython's digit cap, so an integer flag of more than
+        # 4,300 digits is refused as an invalid int.
+        args = _build_parser().parse_args(argv)
+        with _uncapped_int_digits():
             document, code = args.handler(args)
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
-        except OutOfProvenDomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        except PreconditionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(render(document, fmt))
+            print(render(document, _resolve_format(getattr(args, "format", None))))
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except OutOfProvenDomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

@@ -139,21 +139,12 @@ class Membership(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-def _decompose(upper: Ray, lower: Ray, vec: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    # Solve vec = alpha*upper + beta*lower by Cramer's rule.
-    det = Fraction(upper.theta * lower.x - upper.x * lower.theta)
-    alpha = (vec[0] * lower.x - vec[1] * lower.theta) / det
-    beta = (Fraction(upper.theta) * vec[1] - Fraction(upper.x) * vec[0]) / det
-    return alpha, beta
-
-
-def _exact_membership(upper: Ray, lower: Ray, vec: tuple[Fraction, Fraction]) -> Membership:
-    alpha, beta = _decompose(upper, lower, vec)
-    if alpha > 0 and beta > 0:
-        return Membership.INSIDE
-    if alpha < 0 or beta < 0:
-        return Membership.OUTSIDE
-    return Membership.BOUNDARY
+def _coordinates(upper: Ray, lower: Ray, numerators) -> tuple[int, int]:
+    # alpha and beta in numerators = alpha*upper + beta*lower by Cramer's rule, times
+    # the squared determinant and the class's denominator, so with their signs.
+    theta, x = numerators
+    det = upper.theta * lower.x - upper.x * lower.theta
+    return (theta * lower.x - x * lower.theta) * det, (upper.theta * x - upper.x * theta) * det
 
 
 class Cone2D(_Frozen):
@@ -184,21 +175,19 @@ class Cone2D(_Frozen):
                 f"class on C_{shown(divisor.d)} (g={shown(divisor.genus)}) tested against the cone of "
                 f"C_{shown(self.context.d)} (g={shown(self.context.genus)})"
             )
-        vec = (divisor.coeffs[0], divisor.coeffs[1])
-        inner = _exact_membership(self.upper, self.lower, vec)
-        if self.status is ConeStatus.EXACT:
-            return inner
-        if inner is Membership.INSIDE:
+        alpha, beta = _coordinates(self.upper, self.lower, divisor.numerators)
+        if alpha > 0 and beta > 0:
             return Membership.INSIDE
-        if inner is Membership.BOUNDARY:
-            _, beta = _decompose(self.upper, self.lower, vec)
+        if alpha >= 0 and beta >= 0:
             # On the upper ray (or at the apex) the cone is settled; on the
-            # inner ray only effectivity is known, not extremality.
-            return Membership.BOUNDARY if beta == 0 else Membership.UNDETERMINED
-        outer = _exact_membership(self.upper, self.lower_outer, vec)
-        if outer is Membership.OUTSIDE:
+            # inner ray of a bracket only effectivity is known, not extremality.
+            if self.status is ConeStatus.EXACT or beta == 0:
+                return Membership.BOUNDARY
+            return Membership.UNDETERMINED
+        if self.status is ConeStatus.EXACT:
             return Membership.OUTSIDE
-        return Membership.UNDETERMINED
+        alpha, beta = _coordinates(self.upper, self.lower_outer, divisor.numerators)
+        return Membership.OUTSIDE if alpha < 0 or beta < 0 else Membership.UNDETERMINED
 
 
 def effective_slope_bound(g: int, d: int) -> Fraction:

@@ -10,7 +10,7 @@ A homogeneous class of codimension c is the coefficient vector of the
 monomials x^k * theta^(c-k), k = 0..c.  It is held as integer numerators over
 one positive denominator, in lowest terms, so sums, scalings and products are
 integer arithmetic with one reduction per result; the ``Fraction``
-coefficients are built only when ``coeffs`` is first read, and then kept.
+coefficients are built from them each time ``coeffs`` is read.
 Products are purely formal: coefficient vectors are convolved by Kronecker
 substitution (each vector is packed into one integer, one slot per
 coefficient, so a product or a power is one big-integer operation), and no
@@ -113,8 +113,7 @@ class CycleClass(_Frozen):
     stored as ``numerators[k] / denominator``: a tuple of integers and one
     positive integer with ``gcd(denominator, *numerators) == 1``, so equal
     classes have equal fields however they were built.  ``coeffs``, the tuple
-    of ``Fraction``s, is built from them on first access (or kept from the
-    constructor's input) and cached.
+    of ``Fraction``s, is built from them each time it is read.
 
     Instances are immutable value objects; arithmetic returns new instances
     and refuses to mix classes living on different (genus, d).  Equality and
@@ -122,18 +121,15 @@ class CycleClass(_Frozen):
     instances are equal only when they are of the same class.
     """
 
-    __slots__ = ("genus", "d", "numerators", "denominator", "_coeffs")
+    __slots__ = ("genus", "d", "numerators", "denominator")
 
     def __init__(self, genus: int, d: int, coeffs: Iterable[int | Fraction | str]):
-        # A tuple of Fractions is kept as given; anything else is coerced,
-        # which also refuses floats.
-        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
-            coeffs = tuple([as_rational(c) for c in coeffs])
+        coeffs = [as_rational(c) for c in coeffs]  # refuses floats
         # Over the least common denominator of Fractions in lowest terms the
         # numerators share no factor with it, so no further reduction is due.
         denominator = math.lcm(*[c.denominator for c in coeffs])
         numerators = tuple([c.numerator * (denominator // c.denominator) for c in coeffs])
-        self._fill(genus, d, numerators, denominator, coeffs)
+        self._fill(genus, d, numerators, denominator)
 
     @classmethod
     def from_numerators(cls, genus: int, d: int, numerators: Iterable[int], denominator: int = 1):
@@ -153,15 +149,14 @@ class CycleClass(_Frozen):
                 numerators = tuple([n // common for n in numerators])
                 denominator //= common
         self = object.__new__(cls)
-        self._fill(genus, d, numerators, denominator, None)
+        self._fill(genus, d, numerators, denominator)
         return self
 
-    def _fill(self, genus, d, numerators, denominator, coeffs) -> None:
+    def _fill(self, genus, d, numerators, denominator) -> None:
         _set(self, "genus", genus)
         _set(self, "d", d)
         _set(self, "numerators", numerators)
         _set(self, "denominator", denominator)
-        _set(self, "_coeffs", coeffs)
         self.__post_init__()
 
     def __post_init__(self):
@@ -179,12 +174,7 @@ class CycleClass(_Frozen):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        coeffs = self._coeffs
-        if coeffs is None:
-            denominator = self.denominator
-            coeffs = tuple([Fraction(n, denominator) for n in self.numerators])
-            _set(self, "_coeffs", coeffs)
-        return coeffs
+        return tuple([Fraction(n, self.denominator) for n in self.numerators])
 
     @property
     def codim(self) -> int:
@@ -344,7 +334,7 @@ def divisor_class(genus: int, d: int, a: int | Fraction, b: int | Fraction) -> D
     """The divisor class a*theta - b*x on C_d."""
     if type(a) is int and type(b) is int:
         return DivisorClass.from_numerators(genus, d, (a, -b))
-    return DivisorClass(genus, d, (as_rational(a), -as_rational(b)))
+    return DivisorClass(genus, d, (a, -as_rational(b)))
 
 
 def theta_class(genus: int, d: int) -> DivisorClass:

@@ -83,9 +83,10 @@ def test_class_e_k(capsys):
 
 
 def test_class_unknown_name_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["class", "nonsense", "--g", "4"])
-    assert excinfo.value.code == 2
+    code, out, err = run_cli(capsys, "class", "nonsense", "--g", "4")
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    assert err.startswith("usage error: argument name: invalid choice: 'nonsense'")
 
 
 def test_class_missing_flag(capsys):
@@ -629,12 +630,10 @@ def test_cone_out_of_range(capsys):
 )
 def test_cone_and_volume_refuse_flags_they_do_not_read(capsys, argv, flag):
     assert run_cli(capsys, *argv)[0] == 0
-    with pytest.raises(SystemExit) as excinfo:
-        main([*argv, flag, "4"])
-    assert excinfo.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"unrecognized arguments: {flag} 4" in captured.err
+    code, out, err = run_cli(capsys, *argv, flag, "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: unrecognized arguments: {flag} 4\n"
 
 
 # Each argv spells a real flag by a prefix: --kind, --statement-variant, --max
@@ -648,21 +647,18 @@ FLAG_PREFIXES = {
 
 
 def _outcome(argv):
-    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits included."""
+    """Exit code, stdout and stderr of ``main(argv)``; a refusal raises no ``SystemExit``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
 def _assert_refused_in_one_error_line(out, err):
-    # argparse prints its usage synopsis first, then the one line that says what is wrong
+    # stderr is exactly one line, the one that says what is wrong
     assert out == "" and "Traceback" not in err
-    messages = [line for line in err.splitlines() if "error: " in line]
-    assert len(messages) == 1 and messages[0] == err.splitlines()[-1], err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith(("usage error: ", "error: ")), err
 
 
 @pytest.mark.parametrize("argv", FLAG_PREFIXES.values(), ids=FLAG_PREFIXES)
@@ -671,6 +667,41 @@ def test_a_prefix_of_a_flag_is_a_usage_error(argv):
     assert code == 2
     _assert_refused_in_one_error_line(out, err)
     assert "unrecognized arguments" in err or "invalid choice: 'json'" in err
+
+
+# What argparse refuses, each as main's one usage-error line and exit 2 (with
+# the abbreviated flags, unknown class names and malformed --t tested above).
+ARGPARSE_REFUSALS = {
+    "bad-choice": (["cone", "--g", "5", "--d", "3", "--kind", "foo"], "argument --kind: invalid choice: 'foo'"),
+    "no-subcommand": ([], "the following arguments are required: command"),
+    "root-flag-only": (["--format", "json"], "the following arguments are required: command"),
+    "unknown-subcommand": (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    "missing-expression": (["intersect", "--g", "4", "--d", "3"], "the following arguments are required: expression"),
+    # parsed under CPython's digit cap, which main lifts only to run a command
+    "cone-genus-of-5000-digits": (["cone", "--g", "1" * 5000, "--d", "3"], "argument --g: invalid int value"),
+    "class-degree-of-5000-digits": (
+        ["class", "ramification", "--g", "4", "--d", "9" * 5000],
+        "argument --d: invalid int value",
+    ),
+    "verify-max-of-5000-digits": (["verify", "--max", "-" + "9" * 5000], "argument --max: invalid int value"),
+}
+
+
+@pytest.mark.parametrize("argv, message", ARGPARSE_REFUSALS.values(), ids=ARGPARSE_REFUSALS)
+def test_argparse_refusals_are_one_usage_error_line(argv, message):
+    code, out, err = _outcome(argv)
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    assert err.startswith(f"usage error: {message}"), err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cone", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
 
 
 def test_volume_general(capsys):
@@ -789,9 +820,10 @@ def test_version_names_the_package_and_python(capsys):
 
 
 def test_volume_malformed_t_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["volume", "--g", "4", "--d", "3", "--curve", "general", "--t", "one"])
-    assert excinfo.value.code == 2
+    code, out, err = run_cli(capsys, "volume", "--g", "4", "--d", "3", "--curve", "general", "--t", "one")
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    assert err.startswith("usage error: argument --t: not an exact rational: 'one'")
 
 
 def test_verify_all_passes(capsys):
@@ -941,15 +973,16 @@ def test_text_verify_renders_one_line_per_check(capsys):
 
 def _integer_edges():
     """0, +-1, 2, each cap on an integer flag, cap + 1, their negatives, a
-    100-digit value, and values of 4,300 digits, past CPython's int-from-str
-    limit, which argparse refuses."""
+    100-digit value, values of 4,300 digits, the most CPython's int-from-str
+    accepts, and of 4,301 digits, which argparse therefore refuses."""
     from symcd import cli, verify
 
     caps = {cli._MAX_CLASS_FLAG, cli._MAX_INTERSECT_GENUS, cli._MAX_VOLUME_GENUS - 1, cli._MAX_VOLUME_GENUS}
     for row in verify.SUITES.values():
         caps |= {row.minimum, row.maximum, *([row.cap] if row.cap else [])}
     values = {0, 1, 2, 10**100, *caps, *(cap + 1 for cap in caps)}
-    return (*sorted(str(sign * value) for value in values for sign in (1, -1)), "9" * 4300, "-" + "9" * 4300)
+    longest = ("9" * 4300, "-" + "9" * 4300, "9" * 4301, "-" + "9" * 4301)
+    return (*sorted(str(sign * value) for value in values for sign in (1, -1)), *longest)
 
 
 _INTEGERS = _integer_edges()

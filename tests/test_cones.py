@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcd.cones import (
@@ -204,6 +204,101 @@ def test_membership_of_positive_combinations(alpha, beta):
         -(alpha * cone.upper.x + beta * cone.lower.x),
     )
     assert cone.membership(combo) is Membership.INSIDE
+
+
+def _fraction_membership(cone, divisor):
+    """Membership by solving divisor = alpha*upper + beta*lower in Fractions
+    (Cramer's rule) and testing the signs of alpha and beta: the reference for
+    the integer sign tests of ``Cone2D.membership``."""
+
+    def decompose(upper, lower):
+        theta, x = divisor.coeffs
+        det = Fraction(upper.theta * lower.x - upper.x * lower.theta)
+        return (theta * lower.x - x * lower.theta) / det, (upper.theta * x - upper.x * theta) / det
+
+    def locate(lower):
+        alpha, beta = decompose(cone.upper, lower)
+        if alpha > 0 and beta > 0:
+            return Membership.INSIDE
+        if alpha < 0 or beta < 0:
+            return Membership.OUTSIDE
+        return Membership.BOUNDARY
+
+    inner = locate(cone.lower)
+    if cone.status is ConeStatus.EXACT or inner is Membership.INSIDE:
+        return inner
+    if inner is Membership.BOUNDARY:
+        # settled on the upper ray and at the apex, not on the inner ray
+        return Membership.BOUNDARY if decompose(cone.upper, cone.lower)[1] == 0 else Membership.UNDETERMINED
+    return Membership.OUTSIDE if locate(cone.lower_outer) is Membership.OUTSIDE else Membership.UNDETERMINED
+
+
+# every exact and every bracket cone with 4 <= g <= 13
+EVERY_CONE = [effective_cone(_general(g, d)) for g in range(4, 14) for d in range(2, g)] + [
+    effective_cone(_hyperelliptic(g, d)) for g in range(4, 14) for d in range(2, g + 1)
+]
+
+
+def _rays(cone):
+    return [ray for ray in (cone.upper, cone.lower, cone.lower_outer) if ray is not None]
+
+
+def _on_ray(cone, ray, multiple):
+    g, d = cone.context.genus, cone.context.d
+    return divisor_class(g, d, multiple * ray.theta, -multiple * ray.x)
+
+
+def test_bracket_cones_settle_only_the_upper_ray():
+    assert {cone.status for cone in EVERY_CONE} == set(ConeStatus)
+    bracket = [cone for cone in EVERY_CONE if cone.status is ConeStatus.BRACKET]
+    # the upper ray is settled in a bracket; the inner ray is not, the outer ray is outside it
+    for cone in bracket:
+        assert cone.membership(_on_ray(cone, cone.upper, 1)) is Membership.BOUNDARY
+        assert cone.membership(_on_ray(cone, cone.lower, 1)) is Membership.UNDETERMINED
+        assert cone.membership(_on_ray(cone, cone.lower_outer, 1)) is Membership.UNDETERMINED
+        assert cone.membership(_on_ray(cone, cone.lower_outer, -1)) is Membership.OUTSIDE
+
+
+def test_membership_of_every_ray_multiple_matches_the_fraction_solve():
+    for cone in EVERY_CONE:
+        g, d = cone.context.genus, cone.context.d
+        divisors = [divisor_class(g, d, 0, 0)]
+        for ray in _rays(cone):
+            divisors += [_on_ray(cone, ray, m) for m in (1, -1, Fraction(7, 3), Fraction(-1, 2))]
+        for first in _rays(cone):
+            for second in _rays(cone):
+                divisors.append(_on_ray(cone, first, 1) + _on_ray(cone, second, Fraction(-1, 3)))
+        for divisor in divisors:
+            assert cone.membership(divisor) is _fraction_membership(cone, divisor), (cone.context, divisor)
+
+
+_weights = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def cones_and_divisors(draw):
+    """A cone with 4 <= g <= 13 and a divisor: rational, a multiple of one of its
+    rays, a combination of two of them (possibly on a ray), or zero."""
+    cone = draw(st.sampled_from(EVERY_CONE))
+    g, d = cone.context.genus, cone.context.d
+    kind = draw(st.sampled_from(("rational", "ray", "combination", "zero")))
+    if kind == "rational":
+        return cone, divisor_class(g, d, draw(_weights), draw(_weights))
+    if kind == "ray":
+        multiple = draw(_weights.filter(bool))
+        return cone, _on_ray(cone, draw(st.sampled_from(_rays(cone))), multiple)
+    if kind == "combination":
+        first, second = draw(st.sampled_from(_rays(cone))), draw(st.sampled_from(_rays(cone)))
+        weight = st.sampled_from((0, 1, -1, Fraction(1, 2), Fraction(-5, 3))) | _weights
+        return cone, _on_ray(cone, first, draw(weight)) + _on_ray(cone, second, draw(weight))
+    return cone, divisor_class(g, d, 0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_and_divisors())
+def test_integer_membership_matches_the_fraction_solve(case):
+    cone, divisor = case
+    assert cone.membership(divisor) is _fraction_membership(cone, divisor)
 
 
 def test_cone_invariants():
