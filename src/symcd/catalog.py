@@ -159,9 +159,9 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
     a!, the sum over b is the integer sum_b (-1)^(a+b) C(a, b) f(b), with f(b)
     the [t1*t2] coefficient, so each coefficient is one integer over a!.  That
     sum is the a-th forward difference of f at 0, so one difference table,
-    differenced once per a, gives every coefficient; its entries are integer
-    differences, so nothing is divided.  For any integers n and m the
-    mixed coefficient is
+    differenced once per a until a row is all zero, gives every coefficient;
+    its entries are integer differences, so nothing is divided.  For any
+    integers n and m the mixed coefficient is
 
         [t1*t2] (1 + a*t1 + b*t2)^n (1 + c*t1 + e*t2)^m
             = n(n-1)ab + m(m-1)ce + nm(ae + bc)
@@ -180,11 +180,13 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
 
     differences = [mixed_coefficient(2 - g + beta, g - beta) for beta in range(g)]
     # Numerators over (g-1)!: the alpha-th difference at 0 times (g-1)!/alpha!,
-    # which is perm(g-1, g-1-alpha).
+    # which is perm(g-1, g-1-alpha).  Every row after an all-zero row is zero.
     numerators = [0] * g
     for alpha in range(g):
         numerators[g - 1 - alpha] = differences[0] * math.perm(g - 1, g - 1 - alpha)
         differences = list(map(operator.sub, differences[1:], differences[:-1]))
+        if not any(differences):
+            break
     return CycleClass.from_numerators(g, g + 1, numerators, _bipartition_halving(g, d) * math.factorial(g - 1))
 
 
@@ -241,12 +243,13 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     """
     _check_ramification_range(g, d)
     small_power = g - d + 1
+    # The short subordinate class is p: Horner's rule runs over its 2 or 3 numerators.
     chi_side = (g - 2) * evaluate_top(
-        small_diagonal_class(g, small_power), subordinate_class(g, small_power, 2 * g - d - 1, g - d)
+        subordinate_class(g, small_power, 2 * g - d - 1, g - d), small_diagonal_class(g, small_power)
     )
     delta = 1 if 2 * d == g + 1 else 0
     diagonal_side = (1 + delta) * evaluate_top(
-        bipartition_diagonal_class(g, d), subordinate_class(g, g + 1, 2 * g - 2, g - 1)
+        subordinate_class(g, g + 1, 2 * g - 2, g - 1), bipartition_diagonal_class(g, d)
     )
     # Over the common denominator L of the two sides, chi_side = C/L and
     # diagonal_side = D/L, so a = (D - dC)/(Ldg(d-1)) and b = a*g - chi_side

@@ -662,7 +662,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Parsed under CPython's digit cap, so an integer flag of more than
         # 4,300 digits is refused as an invalid int.
-        args = _build_parser().parse_args(argv)
+        args, extras = _build_parser().parse_known_args(argv)
+        if extras:  # named here, where the subcommand is known, not by the root parser
+            raise UsageError(f"unrecognized arguments for {args.command}: {' '.join(extras)}")
         with _uncapped_int_digits():
             document, code = args.handler(args)
             print(render(document, _resolve_format(getattr(args, "format", None))))

@@ -133,12 +133,6 @@ def check_orth(k_max: int = 100) -> CheckReport:
     return sweep("pencil-orthogonality", f"2 <= k <= {shown(k_max)}", range(2, k_max + 1), sides)
 
 
-def _diagonal_cases(g_max: int):
-    for g in range(3, g_max + 1):
-        for d in range(2, g):
-            yield (g, d)
-
-
 def check_diagonal_agreement(g_max: int = 12) -> CheckReport:
     """Closed form of the two-part diagonal (proof variant) equals the
     brute-force coefficient extraction."""
@@ -149,12 +143,8 @@ def check_diagonal_agreement(g_max: int = 12) -> CheckReport:
         g, d = params
         return bipartition_diagonal_class(g, d), bipartition_diagonal_extraction(g, d)
 
-    return sweep(
-        "bipartition-diagonal-agreement",
-        f"3 <= g <= {shown(g_max)}, 2 <= d <= g-1",
-        _diagonal_cases(g_max),
-        sides,
-    )
+    cases = ((g, d) for g in range(3, g_max + 1) for d in range(2, g))
+    return sweep("bipartition-diagonal-agreement", f"3 <= g <= {shown(g_max)}, 2 <= d <= g-1", cases, sides)
 
 
 def diagonal_statement_discrepancy() -> CheckReport:
@@ -198,13 +188,15 @@ def check_dd_system(g_max: int = 20) -> CheckReport:
 
 
 def volume_polynomial(g: int) -> list[int]:
-    """Coefficients in t of sum_k C(g-1,k) * g!/(k+1)! * t^k (1-t)^(g-1-k).
+    """Coefficients in t of sum_k C(g-1,k) * g!/(k+1)! * t^k (1-t)^(g-1-k), for g >= 3.
 
     The scale T_k = C(g-1,k) g!/(k+1)! of term k steps by
     T_(k+1) = T_k (g-1-k)/((k+1)(k+2)), and t^k (1-t)^n, n = g-1-k, adds
     T_k (-1)^j C(n, j) at degree k+j, stepped by (-1)(n-j)/(j+1); every
     division is exact, since each quotient is an integer.
     """
+    if g < 3:
+        raise PreconditionError(f"the volume polynomial needs g >= 3 (got {shown(g)})")
     coeffs = [0] * g
     scale = math.factorial(g)
     for k in range(g):
@@ -216,22 +208,24 @@ def volume_polynomial(g: int) -> list[int]:
     return coeffs
 
 
-def pencil_expansion_polynomial(g: int) -> list[Fraction]:
-    """Coefficients in t of the top-degree evaluation of ((1-t)theta + t*x)^(g-1).
+def _pencil_expansions(first: int):
+    """For g = first, first+1, ...: the coefficients in t of the top-degree
+    evaluation of ((1-t)theta + t*x)^(g-1), for first >= 3.
 
-    The power is expanded factor by factor as one class on C_(g-1) whose
-    coefficients are integer polynomials in t: ``rows[k][j]`` is the
-    coefficient of t^j in the coefficient of x^k * theta^(n-k) after n
-    factors.  Each factor sends row k to (1-t)*row[k] + t*row[k-1].  The
-    coefficients of each power t^j then form a class of their own, evaluated
-    on C_(g-1).  No binomial is used and nothing is shared with
-    :func:`volume_polynomial`, so this is an independent route to the volume
-    polynomial.
+    The powers are expanded factor by factor as one class whose coefficients
+    are integer polynomials in t: ``rows[k][j]`` is the coefficient of t^j in
+    the coefficient of x^k * theta^(n-k) after n factors.  Each factor, the
+    same for every genus, sends row k to (1-t)*row[k] + t*row[k-1].  After g-1
+    factors the coefficients of each power t^j form a class of their own,
+    evaluated on C_(g-1).  No binomial is used and nothing is shared with
+    :func:`volume_polynomial`, so this is an independent route to it.
     """
-    d = g - 1
-    rows = [[0] * (d + 1) for _ in range(d + 1)]
-    rows[0][0] = 1
-    for n in range(1, d + 1):
+    if first < 3:
+        raise PreconditionError(f"the pencil expansion needs g >= 3 (got {shown(first)})")
+    rows = [[1]]
+    while True:
+        n = len(rows)
+        rows = [row + [0] for row in rows] + [[0] * (n + 1)]
         # Walking k and j down leaves rows[k-1] and rows[k][j-1] as they were
         # before this factor.  x^k comes with t^k, so rows[k][j] = 0 for j < k.
         for k in range(n, 0, -1):
@@ -241,17 +235,23 @@ def pencil_expansion_polynomial(g: int) -> list[Fraction]:
         row = rows[0]
         for j in range(n, 0, -1):
             row[j] -= row[j - 1]
-    return [evaluate_top(CycleClass.from_numerators(g, d, [row[j] for row in rows])) for j in range(d + 1)]
+        if n + 1 >= first:
+            yield [evaluate_top(CycleClass.from_numerators(n + 1, n, [row[j] for row in rows])) for j in range(n + 1)]
+
+
+def pencil_expansion_polynomial(g: int) -> list[Fraction]:
+    """Coefficients in t of the top-degree evaluation of ((1-t)theta + t*x)^(g-1), for g >= 3."""
+    return next(_pencil_expansions(g))
 
 
 def check_volume_identity(g_max: int = 20) -> CheckReport:
     """The closed volume formula agrees with the formal expansion of
     ((1-t)theta + t*x)^(g-1) as exact polynomials in t, and equals 1 at t = 1."""
+    expansions = _pencil_expansions(4)  # one expansion for the sweep; case g takes the next power
 
     def sides(g: int):
-        expansion = pencil_expansion_polynomial(g)
-        formula = volume_polynomial(g)
-        return (expansion, sum(expansion)), (formula, 1)
+        expansion = next(expansions)
+        return (expansion, sum(expansion)), (volume_polynomial(g), 1)
 
     return sweep("volume-polynomial-identity", f"4 <= g <= {shown(g_max)}", range(4, g_max + 1), sides)
 
@@ -260,10 +260,10 @@ _Suite = namedtuple("_Suite", "checks minimum maximum cap")
 
 # One row per suite, in the order ``run_all`` runs them: the checks it runs
 # (the first takes the bound, the rest take none), the smallest bound at which
-# its sweep holds a case, the largest it accepts (about a second of work), and
-# the cap on the bound under "all" (None for none; below the maximum).  Checks
-# are named, not held, and looked up on this module at every run, so that
-# rebinding one here (as the benchmark's tracer does) takes effect.
+# its sweep holds a case, the largest it accepts (at most about a second of
+# work), and the cap on the bound under "all" (None for none; below the
+# maximum).  Checks are named, not held, and looked up on this module at every
+# run, so that rebinding one here (as the benchmark's tracer does) takes effect.
 SUITES = {
     "combsum": _Suite(("check_combsum",), 1, 1000, None),
     "pencil-link": _Suite(("check_pencil_residual_link",), 3, 800, 50),

@@ -201,6 +201,30 @@ def test_extraction_matches_the_double_sum(g):
         assert bipartition_diagonal_extraction(g, d).coeffs == _double_sum_extraction(g, d), (g, d)
 
 
+def _full_table_extraction(g, d):
+    """The extraction with its difference table differenced to the last row:
+    the coefficient of x^(g-1-a) theta^a is the a-th difference of f at 0
+    over a!, with f the closed [t1*t2] coefficient."""
+    u, v = g - d + 1, d
+
+    def mixed(n, m):
+        return n * (n - 1) * u * v + m * (m - 1) * u**2 * v**2 + n * m * (u * v**2 + v * u**2)
+
+    scale = Fraction(1, 2) if 2 * d == g + 1 else 1
+    row = [mixed(2 - g + b, g - b) for b in range(g)]
+    coeffs = []
+    for a in range(g):
+        coeffs.append(scale * Fraction(row[0], factorial(a)))
+        row = [later - earlier for earlier, later in zip(row, row[1:])]
+    return tuple(reversed(coeffs))
+
+
+@pytest.mark.parametrize("g", range(3, 61))
+def test_extraction_stopped_at_a_zero_row_matches_the_full_table(g):
+    for d in range(2, g):
+        assert bipartition_diagonal_extraction(g, d).coeffs == _full_table_extraction(g, d), (g, d)
+
+
 def test_bipartition_top_theta_coefficients_vanish():
     # the explicit x^(g-3) factor kills theta^(g-1) (and x*theta^(g-2) for g >= 5)
     for g in range(4, 10):

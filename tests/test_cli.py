@@ -633,7 +633,7 @@ def test_cone_and_volume_refuse_flags_they_do_not_read(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, flag, "4")
     assert code == 2
     assert out == ""
-    assert err == f"usage error: unrecognized arguments: {flag} 4\n"
+    assert err == f"usage error: unrecognized arguments for {argv[0]}: {flag} 4\n"
 
 
 # Each argv spells a real flag by a prefix: --kind, --statement-variant, --max
@@ -659,6 +659,27 @@ def _assert_refused_in_one_error_line(out, err):
     assert out == "" and "Traceback" not in err
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert err.startswith(("usage error: ", "error: ")), err
+
+
+# One argv each subcommand answers
+ANSWERED = {
+    "class": ["class", "ramification", "--g", "4", "--d", "3"],
+    "intersect": ["intersect", "theta^3", "--g", "4", "--d", "3"],
+    "cone": ["cone", "--g", "5", "--d", "3"],
+    "volume": ["volume", "--g", "5", "--d", "4", "--t", "1/2"],
+    "verify": ["verify", "--suite", "combsum", "--max", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", ANSWERED.values(), ids=ANSWERED)
+def test_an_unknown_flag_is_refused_in_the_name_of_its_subcommand(argv):
+    assert _outcome(argv)[0] == 0
+    # after the subcommand, and before it, where the root parser collects it
+    for refused in ([*argv, "--zz", "1"], ["--zz", *argv]):
+        code, out, err = _outcome(refused)
+        assert code == 2
+        _assert_refused_in_one_error_line(out, err)
+        assert err.startswith(f"usage error: unrecognized arguments for {argv[0]}: --zz"), err
 
 
 @pytest.mark.parametrize("argv", FLAG_PREFIXES.values(), ids=FLAG_PREFIXES)

@@ -185,6 +185,30 @@ def test_integer_kernels_match_plain_fraction_arithmetic(pair):
     assert evaluate_top(product) == _plain_poincare_sum(p.genus, p.d, product.coeffs)
 
 
+@st.composite
+def sparse_top_degree_pairs(draw):
+    """Two classes on one C_d whose codimensions add up to d, each with a
+    run of leading zero numerators, as the small and two-part diagonals have."""
+    g = draw(st.integers(min_value=2, max_value=14))
+    d = draw(st.integers(min_value=2, max_value=g + 2))
+    codim = draw(st.integers(min_value=0, max_value=d))
+    pair = []
+    for length in (codim + 1, d - codim + 1):
+        zeros = draw(st.integers(min_value=0, max_value=length - 1))
+        numerators = st.integers(min_value=-(10**6), max_value=10**6)
+        rest = draw(st.lists(numerators, min_size=length - zeros, max_size=length - zeros))
+        denominator = draw(st.integers(min_value=1, max_value=720))
+        pair.append(CycleClass.from_numerators(g, d, [0] * zeros + rest, denominator))
+    return pair
+
+
+@given(st.one_of(top_degree_pairs(), sparse_top_degree_pairs()))
+def test_evaluate_top_takes_its_operands_in_either_order(pair):
+    # solve_test_curve_system passes the short class as p and the sparse one as factor
+    p, q = pair
+    assert evaluate_top(p, q) == evaluate_top(q, p) == evaluate_top(multiply(p, q))
+
+
 def test_class_coerces_non_fraction_coefficients_and_refuses_floats():
     cls = CycleClass(4, 3, [1, "1/2"])
     assert cls.coeffs == (Fraction(1), Fraction(1, 2))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from symcd import catalog, cli, verify
 from symcd.catalog import binomial_convolution_identity
 from symcd.combinatorics import gen_binomial
-from symcd.cycles import evaluate_top, multiply, theta_class, x_class
-from symcd.errors import PreconditionError
+from symcd.cycles import CycleClass, evaluate_top, multiply, theta_class, x_class
+from symcd.errors import PreconditionError, shown
 from symcd.verify import (
     SUITES,
     CheckReport,
@@ -156,6 +157,15 @@ def test_volume_polynomials_match_and_evaluate():
     assert value == Fraction(73, 8)
 
 
+@pytest.mark.parametrize("route", [volume_polynomial, pencil_expansion_polynomial], ids=lambda route: route.__name__)
+@pytest.mark.parametrize("g", [2, 1, 0, -5, -(10**5000)], ids=["2", "1", "0", "-5", "-10^5000"])
+def test_volume_routes_refuse_a_genus_below_three(route, g):
+    # g = 3 is the first genus both routes answer; -10^5000 is named by its bit length
+    assert route(3) == [6, -6, 1]
+    with pytest.raises(PreconditionError, match=re.escape(f"g >= 3 (got {shown(g)})")):
+        route(g)
+
+
 def _class_product_expansion(g):
     """((1-t)theta + t*x)^(g-1) expanded with one class per power of t, by
     class products, as the expansion was computed before it ran over Z[t]."""
@@ -179,6 +189,29 @@ def _class_product_expansion(g):
 def test_integer_expansion_matches_class_products():
     for g in range(4, 26):
         assert pencil_expansion_polynomial(g) == _class_product_expansion(g), g
+
+
+def _fresh_pencil_expansion(g):
+    """((1-t)theta + t*x)^(g-1) expanded for this g alone, in a square table
+    of rows sized by g, and evaluated on C_(g-1)."""
+    d = g - 1
+    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    rows[0][0] = 1
+    for n in range(1, d + 1):
+        for k in range(n, 0, -1):
+            for j in range(n, k - 1, -1):
+                rows[k][j] += rows[k - 1][j - 1] - rows[k][j - 1]
+        for j in range(n, 0, -1):
+            rows[0][j] -= rows[0][j - 1]
+    return [evaluate_top(CycleClass.from_numerators(g, d, [row[j] for row in rows])) for j in range(d + 1)]
+
+
+def test_one_shared_expansion_matches_a_fresh_expansion_per_genus():
+    shared = verify._pencil_expansions(3)
+    for g in range(3, 101):
+        expansion = next(shared)
+        if g <= 40 or g == 100:
+            assert expansion == _fresh_pencil_expansion(g), g
 
 
 def test_volume_polynomial_constant_term_is_factorial():
@@ -276,8 +309,19 @@ def _orthogonality_plus_one(evaluate_top):
     return mutated
 
 
-# (suite, --max, route that verify calls, case, the route's arguments at that case),
-# each with an explicit id so that removing a row renames no other case
+def _expansion_plus_one_at_seven(pencil_expansions):
+    """``_pencil_expansions``, one unit off in the expansion it yields for g = 7."""
+
+    def mutated(first):
+        for g, expansion in enumerate(pencil_expansions(first), first):
+            yield _first_plus_one(expansion) if g == 7 else expansion
+
+    return mutated
+
+
+# (suite, --max, route that verify calls, case, the route's arguments at that case
+# or a function that mutates the route), each with an explicit id so that
+# removing a row renames no other case
 MUTATIONS = [
     pytest.param("combsum", 10, "binomial_convolution_identity", (7,), (7,), id="combsum-binomial_convolution_identity"),
     pytest.param("pencil-link", 10, "pencil_residual_sums", (6,), (6,), id="pencil-link-pencil_residual_sums"),
@@ -285,22 +329,22 @@ MUTATIONS = [
     pytest.param("orth", 10, "subordinate_pencil_intersections", (6,), (6,), id="orth-subordinate_pencil_intersections"),
     pytest.param("orth", 10, "subordinate_class", (5,), (9, 5, 6, 1), id="orth-subordinate_class"),
     pytest.param("orth", 10, "theta_class", (7,), (13, 7), id="orth-theta_class"),
-    pytest.param("orth", 10, "evaluate_top", (5,), None, id="orth-evaluate_top"),
+    pytest.param("orth", 10, "evaluate_top", (5,), _orthogonality_plus_one, id="orth-evaluate_top"),
     pytest.param("diagonal", 8, "bipartition_diagonal_extraction", (6, 3), (6, 3), id="diagonal-bipartition_diagonal_extraction"),
     pytest.param("diagonal", 8, "bipartition_diagonal_class", (7, 5), (7, 5), id="diagonal-bipartition_diagonal_class"),
     pytest.param("dd-system", 8, "solve_test_curve_system", (7, 3), (7, 3), id="dd-system-solve_test_curve_system"),
     pytest.param("dd-system", 8, "ramification_divisor_class", (6, 4), (6, 4), id="dd-system-ramification_divisor_class"),
     pytest.param("dd-system", 8, "effective_slope_bound", (8, 2), (8, 2), id="dd-system-effective_slope_bound"),
     pytest.param("volume", 8, "volume_polynomial", (6,), (6,), id="volume-volume_polynomial"),
-    pytest.param("volume", 8, "pencil_expansion_polynomial", (7,), (7,), id="volume-pencil_expansion_polynomial"),
+    pytest.param("volume", 8, "_pencil_expansions", (7,), _expansion_plus_one_at_seven, id="volume-_pencil_expansions"),
 ]
 
 
 @pytest.mark.parametrize("suite, bound, route, case, arguments", MUTATIONS)
 def test_every_suite_fails_when_one_route_is_off_by_one_unit(monkeypatch, capsys, suite, bound, route, case, arguments):
     original = getattr(verify, route)
-    if arguments is None:
-        mutated = _orthogonality_plus_one(original)
+    if callable(arguments):
+        mutated = arguments(original)
     else:
 
         def mutated(*args, **kwargs):
