@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 
 from .combinatorics import gen_binomial
-from .cycles import CycleClass, DivisorClass, _Frozen, divisor_class, evaluate_top
+from .cycles import CycleClass, DivisorClass, _evaluate_top, _Frozen, divisor_class
 from .errors import PreconditionError, shown
 
 __all__ = [
@@ -244,13 +245,15 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     _check_ramification_range(g, d)
     small_power = g - d + 1
     # The short subordinate class is p: Horner's rule runs over its 2 or 3 numerators.
-    chi_side = (g - 2) * evaluate_top(
+    chi, chi_denominator = _evaluate_top(
         subordinate_class(g, small_power, 2 * g - d - 1, g - d), small_diagonal_class(g, small_power)
     )
-    delta = 1 if 2 * d == g + 1 else 0
-    diagonal_side = (1 + delta) * evaluate_top(
+    diagonal, diagonal_denominator = _evaluate_top(
         subordinate_class(g, g + 1, 2 * g - 2, g - 1), bipartition_diagonal_class(g, d)
     )
+    delta = 1 if 2 * d == g + 1 else 0
+    chi_side = Fraction((g - 2) * chi, chi_denominator)
+    diagonal_side = Fraction((1 + delta) * diagonal, diagonal_denominator)
     # Over the common denominator L of the two sides, chi_side = C/L and
     # diagonal_side = D/L, so a = (D - dC)/(Ldg(d-1)) and b = a*g - chi_side
     # = g(D - d^2 C)/(Ldg(d-1)): one integer solve, reduced once.
@@ -283,26 +286,27 @@ def _residual_sums(m: int) -> tuple[int, int]:
     """sum_{l=0}^m (-1)^l (l+1) C(2m-l, m) C(2m+2, l+3) and
     sum_{l=0}^m (-1)^l l(l+1) C(2m-l, m) C(2m+3, l+3), for m >= 1.
 
-    Both run over one term R_l = C(2m-l-1, m-1) C(2m+2, l+3).  By
-    C(n-1, m-1) = C(n, m-1)(n-m+1)/n and C(n, j+1) = C(n, j)(n-j)/(j+1) the
-    factor 2m-l-1 cancels, so the signed term t_l = (-1)^l R_l steps as
+    Both run over one term R_l = C(2m-l-1, m-1) C(2m+2, l+3).  As C(2m-l, m)
+    is C(2m-l-1, m-1)(2m-l)/m and C(2m+3, l+3) is C(2m+2, l+3)(2m+3)/(2m-l),
+    the terms are (2m-l) s_l / m and (2m+3) l s_l / m with
+    s_l = (-1)^l (l+1) R_l.  By C(n-1, m-1) = C(n, m-1)(n-m+1)/n and
+    C(n, j+1) = C(n, j)(n-j)/(j+1) the factor 2m-l-1 cancels, so s_l steps as
 
-        t_(l+1) = t_l (l-m) / (l+4),
+        s_(l+1) = s_l (l+2)(l-m) / ((l+1)(l+4)),
 
-    an exact division since t_(l+1) is an integer.  As C(2m-l, m) is
-    C(2m-l-1, m-1)(2m-l)/m and C(2m+3, l+3) is C(2m+2, l+3)(2m+3)/(2m-l),
-    the terms are (2m-l) s_l / m and (2m+3) l s_l / m with s_l = (l+1) t_l.
-    So with T0 = sum s_l and T1 = sum l s_l the sums are (2m T0 - T1)/m and
-    (2m+3) T1/m; each is divided by m once, at the end, exactly, since it is
-    an integer.
+    an exact division since s_(l+1) is an integer.  With T0 = sum s_l and
+    T1 = sum l s_l the sums are (2m T0 - T1)/m and (2m+3) T1/m, each divided
+    by m once, exactly, at the end.  Abel summation gives T1 from the partial
+    sums P_l = s_0 + ... + s_l as (m+1) T0 - sum_{l<=m} P_l, so a step takes
+    one product of a big integer by a small one.
     """
-    term = gen_binomial(2 * m - 1, m - 1) * gen_binomial(2 * m + 2, 3)
-    t0 = t1 = 0
+    s = gen_binomial(2 * m - 1, m - 1) * gen_binomial(2 * m + 2, 3)
+    t0 = partials = 0
     for l in range(m + 1):
-        s = (l + 1) * term
         t0 += s
-        t1 += l * s
-        term = (l - m) * term // (l + 4)
+        partials += t0
+        s = s * ((l + 2) * (l - m)) // ((l + 1) * (l + 4))
+    t1 = (m + 1) * t0 - partials
     return (2 * m * t0 - t1) // m, (2 * m + 3) * t1 // m
 
 

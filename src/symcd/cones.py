@@ -200,7 +200,8 @@ def effective_slope_bound(g: int, d: int) -> Fraction:
         raise PreconditionError(
             f"slope bound needs g >= 4 and 2 <= d <= g-1 (got g={shown(g)}, d={shown(d)})"
         )
-    return 1 + Fraction(g - d, g * g - d * g + d - 2)
+    q = g * g - d * g + d - 2
+    return Fraction(q + g - d, q)
 
 
 def effective_cone(ctx: CurveContext) -> Cone2D:

@@ -43,7 +43,8 @@ __all__ = [
     "divisor_class",
 ]
 
-# Fields of the frozen classes below are written only through this.  Their
+# Fields of the frozen classes below are written only through this, or through
+# CycleClass's slot setters (after the class), which skip its name lookup.  Their
 # tuples are built from lists, not generators: on CPython 3.11, growing tuples
 # of varying length from generators fragments the heap, and the resident
 # memory of a long sweep creeps up by megabytes.
@@ -70,12 +71,14 @@ class _Frozen:
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
-        # dict(**a, **b) refuses a keyword that repeats a positional field.
-        values = {**self._defaults, **dict(**dict(zip(fields, args)), **kwargs)}
-        if len(args) > len(fields) or values.keys() != set(fields):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
-        for name in fields:
-            _set(self, name, values[name])
+        if kwargs or len(args) != len(fields):
+            # dict(**a, **b) refuses a keyword that repeats a positional field.
+            values = {**self._defaults, **dict(**dict(zip(fields, args)), **kwargs)}
+            if len(args) > len(fields) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            _set(self, name, value)
         self.__post_init__()
 
     def __post_init__(self):
@@ -153,10 +156,10 @@ class CycleClass(_Frozen):
         return self
 
     def _fill(self, genus, d, numerators, denominator) -> None:
-        _set(self, "genus", genus)
-        _set(self, "d", d)
-        _set(self, "numerators", numerators)
-        _set(self, "denominator", denominator)
+        _set_genus(self, genus)
+        _set_d(self, d)
+        _set_numerators(self, numerators)
+        _set_denominator(self, denominator)
         self.__post_init__()
 
     def __post_init__(self):
@@ -273,6 +276,9 @@ class CycleClass(_Frozen):
 
     def __str__(self) -> str:
         return _signed_sum([(c, _monomial_name(k, self.codim - k)) for k, c in enumerate(self.coeffs)])
+
+
+_set_genus, _set_d, _set_numerators, _set_denominator = [CycleClass.__dict__[name].__set__ for name in CycleClass.__slots__]
 
 
 def _signed_sum(terms) -> str:
@@ -405,7 +411,14 @@ def evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> Fraction:
     """Intersection number of a top-codimension class, via the Poincare formula.
 
     With ``factor``, the value of ``multiply(p, factor)``, without building
-    the product.
+    the product.  The ``Fraction`` of :func:`_evaluate_top`'s integers, built
+    once; library routes that go on computing in integers call that core.
+    """
+    return Fraction(*_evaluate_top(p, factor))
+
+
+def _evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> tuple[int, int]:
+    """Integer core of :func:`evaluate_top`: its value as ``(numerator, denominator)``, not reduced.
 
     x^k * theta^(d-k) is the integer g!/(g-d+k)! = perm(g, d-k), the product
     of the factors g-d+i for k < i <= d.  The sum is therefore taken by
@@ -414,8 +427,9 @@ def evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> Fraction:
     for i > g).  A factor of codimension e makes one such pass per nonzero
     term x^j * theta^(e-j): the term shifts p's terms by j, so the pass runs
     with every factor shifted by j and ends with the e-j factors past p's
-    codimension, whose product is perm(g, e-j).  The result is one integer
-    over the product of the denominators.
+    codimension, whose product is perm(g, e-j).  The numerator is that one
+    integer, and the denominator is the product of the classes' denominators,
+    so it is 1 when theirs are.
     """
     codim, denominator, terms = p.codim, p.denominator, ((0, 1),)
     if factor is not None:
@@ -435,4 +449,4 @@ def evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> Fraction:
         for k in range(1, len(nums)):
             partial = partial * (offset + k + j) + nums[k]
         total += b * partial * math.perm(p.genus, extra - j)
-    return Fraction(total, denominator)
+    return total, denominator

@@ -11,8 +11,10 @@ The sweeps compute in integers from their inputs to their comparisons:
 binomials are stepped by exact ratios, classes are integer numerators over
 one denominator and are compared as classes, a product is evaluated in top
 degree without being built, and the formal expansion of the volume runs over
-Z[t].  The only ``Fraction``s in a check are the values that
-``evaluate_top`` and ``effective_slope_bound`` return.
+Z[t] and is evaluated to integers.  The only ``Fraction``s in a check are
+public values, each built once from integers: the three per case that
+``orth`` takes from ``evaluate_top``, the slope ``effective_slope_bound``
+returns and the two intersection fields of a test-curve solution.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import enum
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 
 from .catalog import (
     binomial_convolution_identity,
@@ -35,7 +36,7 @@ from .catalog import (
     subordinate_pencil_intersections,
 )
 from .cones import Ray, effective_slope_bound
-from .cycles import CycleClass, DivisorClass, _Frozen, evaluate_top, theta_class, x_class
+from .cycles import CycleClass, DivisorClass, _evaluate_top, _Frozen, evaluate_top, theta_class, x_class
 from .errors import PreconditionError, shown
 
 __all__ = [
@@ -236,10 +237,11 @@ def _pencil_expansions(first: int):
         for j in range(n, 0, -1):
             row[j] -= row[j - 1]
         if n + 1 >= first:
-            yield [evaluate_top(CycleClass.from_numerators(n + 1, n, [row[j] for row in rows])) for j in range(n + 1)]
+            # Over denominator 1 each value is the numerator of the integer core.
+            yield [_evaluate_top(CycleClass.from_numerators(n + 1, n, [row[j] for row in rows]))[0] for j in range(n + 1)]
 
 
-def pencil_expansion_polynomial(g: int) -> list[Fraction]:
+def pencil_expansion_polynomial(g: int) -> list[int]:
     """Coefficients in t of the top-degree evaluation of ((1-t)theta + t*x)^(g-1), for g >= 3."""
     return next(_pencil_expansions(g))
 

@@ -23,6 +23,12 @@ def _check_value_contract(cls, fields, expected_repr, defaults=()):
             cls(**{other: field for other, field in required.items() if other != name})
     with pytest.raises(TypeError):
         cls(**fields, no_such_field=None)
+    # A full positional set takes the constructor's fast path; it must refuse what the merge refuses.
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    for name, field in fields.items():
+        with pytest.raises(TypeError):
+            cls(*fields.values(), **{name: field})
 
     class Sibling(cls):
         pass

@@ -19,6 +19,7 @@ from symcd.catalog import (
     subordinate_pencil_intersections,
 )
 from symcd.combinatorics import BivariateSeries, gen_binomial
+from symcd.cones import effective_slope_bound
 from symcd.cycles import CycleClass, divisor_class, evaluate_top, multiply, theta_class, x_class
 from symcd.errors import PreconditionError
 
@@ -337,10 +338,16 @@ def _fraction_test_curve_solution(g, d):
 
 @pytest.mark.parametrize("g", range(4, 41))
 def test_integer_solve_matches_fraction_solve(g):
+    # Each intersection field is a Fraction equal to its side through the public
+    # evaluate_top, and the slope bound is a Fraction equal to 1 + (g-d)/q.
     for d in range(2, g):
         solution = solve_test_curve_system(g, d)
         expected = _fraction_test_curve_solution(g, d)
         assert solution == expected, (g, d)
+        assert type(solution.x_curve_intersection) is Fraction, (g, d)
+        assert type(solution.diagonal_intersection) is Fraction, (g, d)
+        bound = effective_slope_bound(g, d)
+        assert type(bound) is Fraction and bound == 1 + Fraction(g - d, g * g - d * g + d - 2), (g, d)
 
 
 def test_test_curve_solution_value_contract(value_contract):
@@ -398,6 +405,14 @@ def test_stepped_pencil_residual_sums_match_binomial_sums():
             for l in range(k - 1)
         )
         assert pencil_residual_sums(k) == (a_sum, b_sum), k
+
+
+@pytest.mark.parametrize("m", [1, 2, 100, 400, 1000])
+def test_residual_sums_match_the_double_sums(m):
+    # Up to combsum's cap, m = 1000: the Abel-summed kernel against both sums term by term.
+    a_sum = sum((-1) ** l * (l + 1) * comb(2 * m - l, m) * comb(2 * m + 2, l + 3) for l in range(m + 1))
+    b_sum = sum((-1) ** l * l * (l + 1) * comb(2 * m - l, m) * comb(2 * m + 3, l + 3) for l in range(m + 1))
+    assert catalog._residual_sums(m) == (a_sum, b_sum)
 
 
 def test_pencil_residual_needs_k_three():
