@@ -31,7 +31,6 @@ import math
 import operator
 from fractions import Fraction
 
-from .combinatorics import gen_binomial
 from .cycles import CycleClass, DivisorClass, _evaluate_top, _Frozen, divisor_class
 from .errors import PreconditionError, shown
 
@@ -289,25 +288,28 @@ def _residual_sums(m: int) -> tuple[int, int]:
     Both run over one term R_l = C(2m-l-1, m-1) C(2m+2, l+3).  As C(2m-l, m)
     is C(2m-l-1, m-1)(2m-l)/m and C(2m+3, l+3) is C(2m+2, l+3)(2m+3)/(2m-l),
     the terms are (2m-l) s_l / m and (2m+3) l s_l / m with
-    s_l = (-1)^l (l+1) R_l.  By C(n-1, m-1) = C(n, m-1)(n-m+1)/n and
-    C(n, j+1) = C(n, j)(n-j)/(j+1) the factor 2m-l-1 cancels, so s_l steps as
+    s_l = (-1)^l (l+1) R_l.  Trinomial revision splits R_l as K C(m+3, l+3)
+    with K = C(2m+2, m+3), a factor common to every term, so the loop steps
+    s_l / K, numbers of about m bits rather than 3m, by
+    C(n, j+1) = C(n, j)(n-j)/(j+1):
 
         s_(l+1) = s_l (l+2)(l-m) / ((l+1)(l+4)),
 
-    an exact division since s_(l+1) is an integer.  With T0 = sum s_l and
-    T1 = sum l s_l the sums are (2m T0 - T1)/m and (2m+3) T1/m, each divided
-    by m once, exactly, at the end.  Abel summation gives T1 from the partial
-    sums P_l = s_0 + ... + s_l as (m+1) T0 - sum_{l<=m} P_l, so a step takes
-    one product of a big integer by a small one.
+    an exact division since s_(l+1) / K is an integer.  With T0 = sum s_l / K
+    and T1 = sum l s_l / K the sums are K (2m T0 - T1)/m and K (2m+3) T1/m,
+    each divided by m once, exactly, at the end.  Abel summation gives T1 from
+    the partial sums P_l = s_0 + ... + s_l as (m+1) T0 - sum_{l<=m} P_l, so a
+    step takes one product of a big integer by a small one.
     """
-    s = gen_binomial(2 * m - 1, m - 1) * gen_binomial(2 * m + 2, 3)
+    s = math.comb(m + 3, 3)
     t0 = partials = 0
     for l in range(m + 1):
         t0 += s
         partials += t0
         s = s * ((l + 2) * (l - m)) // ((l + 1) * (l + 4))
     t1 = (m + 1) * t0 - partials
-    return (2 * m * t0 - t1) // m, (2 * m + 3) * t1 // m
+    common = math.comb(2 * m + 2, m + 3)
+    return common * (2 * m * t0 - t1) // m, common * (2 * m + 3) * t1 // m
 
 
 def pencil_residual_divisor_class(k: int) -> DivisorClass:
@@ -346,20 +348,22 @@ def subordinate_pencil_intersections(k: int) -> tuple[int, int]:
 
     which collapse to 2k-1 and k.  The raw alternating sums are computed here;
     the collapsed values (and the evaluate_top route) live in the test suite.
+
+    Only the x term u_j = (-1)^j C(k-2+j, j) C(2k-1, k-1-j) is stepped, each
+    step an exact division: u_(j+1) = u_j (k-1+j)(j+1-k) / ((j+1)(k+1+j)).  As
+    C(2k-1, i) is C(2k-2, i)(2k-1)/(2k-1-i), each theta term (2k-1) t_j is
+    (k+j) u_j, so Abel summation over the partial sums P_j = u_0 + ... + u_j
+    gives the theta value as 2k U - sum_{j<k} P_j, with U = sum_j u_j.
     """
     if k < 2:
         raise PreconditionError(f"pencil intersections need k >= 2 (got {shown(k)})")
-    # One signed product t_j = (-1)^j C(k-2+j, j) C(2k-2, k-1-j) steps by exact
-    # ratios, C(n+1, j+1) = C(n, j)(n+1)/(j+1) and C(n, i-1) = C(n, i) i/(n-i+1);
-    # the x term is t_j (2k-1)/(k+j), since C(2k-1, i) = C(2k-2, i)(2k-1)/(2k-1-i).
-    # Each division is exact, as its quotient is an integer.
-    term = gen_binomial(2 * k - 2, k - 1)
-    theta_sum = x_sum = 0
+    term = math.comb(2 * k - 1, k - 1)
+    x_sum = partials = 0
     for j in range(k):
-        theta_sum += term
-        x_sum += term * (2 * k - 1) // (k + j)
-        term = -term * ((k - 1 + j) * (k - 1 - j)) // ((j + 1) * (k + j))
-    return (2 * k - 1) * theta_sum, x_sum
+        x_sum += term
+        partials += x_sum
+        term = term * ((k - 1 + j) * (j + 1 - k)) // ((j + 1) * (k + 1 + j))
+    return 2 * k * x_sum - partials, x_sum
 
 
 def binomial_convolution_identity(m: int) -> tuple[int, int]:

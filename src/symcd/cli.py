@@ -309,9 +309,9 @@ def _bounded(value):
 # ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.3 s and prints 2.5 MB
 # as one CLI call.  ``intersect`` takes a genus up to that of the largest ``ek``
 # (genus 2k-1 at k = 1,000).  At the caps ``(theta-x)^1000`` answers in about
-# 0.1 s as one CLI call, but a power of a named class with larger
-# coefficients is slow: ``ramification^1000`` (31-bit coefficients) took
-# 10-14 s on a 2-vCPU VM; ROADMAP Direction 5 is the faster power.
+# 0.1 s as one CLI call, but a power of a named class with larger coefficients
+# is slow: ``ramification^1000`` (31-bit coefficients) took 10-14 s on a 2-vCPU
+# VM; the ROADMAP direction "Exact powers at the caps" plans the faster power.
 _MAX_CLASS_FLAG = 1_000
 _MAX_INTERSECT_GENUS = 2 * _MAX_CLASS_FLAG - 1
 

@@ -460,11 +460,10 @@ def test_pencil_intersections_match_evaluation():
 
 
 def test_stepped_pencil_intersections_match_binomial_sums():
-    for k in range(2, 61):
-        theta_sum = sum(
-            (-1) ** j * gen_binomial(k - 2 + j, j) * gen_binomial(2 * k - 2, k - 1 - j) for j in range(k)
-        )
-        x_sum = sum((-1) ** j * gen_binomial(k - 2 + j, j) * gen_binomial(2 * k - 1, k - 1 - j) for j in range(k))
+    # Every k up to 60, then 100, the orth stress bound 200 and its maximum 500.
+    for k in [*range(2, 61), 100, 200, 500]:
+        theta_sum = sum((-1) ** j * comb(k - 2 + j, j) * comb(2 * k - 2, k - 1 - j) for j in range(k))
+        x_sum = sum((-1) ** j * comb(k - 2 + j, j) * comb(2 * k - 1, k - 1 - j) for j in range(k))
         assert subordinate_pencil_intersections(k) == ((2 * k - 1) * theta_sum, x_sum), k
 
 

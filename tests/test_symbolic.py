@@ -75,6 +75,13 @@ def test_convolution_closed_forms_match_the_kernel(convolution_sums, point):
     assert lhs == rhs == (2 * point + 3) * kernel[0]
 
 
+def test_residual_term_factors_through_one_common_binomial():
+    # Trinomial revision: _residual_sums steps C(m+3, l+3) and applies
+    # C(2m+2, m+3) once, at the end.
+    term = binomial(2 * m - l - 1, m - 1) * binomial(2 * m + 2, l + 3)
+    assert _vanishes(term - binomial(2 * m + 2, m + 3) * binomial(m + 3, l + 3))
+
+
 # ------------------------------------------------------------ pencil sums
 
 
@@ -98,6 +105,12 @@ def test_pencil_closed_forms_match_the_kernel(pencil_sums, point):
     theta, x = (sympy.simplify(s.subs(k, point)) for s in pencil_sums)
     assert (theta, x) == (1, point)
     assert subordinate_pencil_intersections(point) == ((2 * point - 1) * theta, x)
+
+
+def test_pencil_theta_term_is_a_multiple_of_the_x_term():
+    # subordinate_pencil_intersections steps only the x term and weights it
+    # by k+j for the theta value.
+    assert _vanishes((2 * k - 1) * binomial(2 * k - 2, k - 1 - j) - (k + j) * binomial(2 * k - 1, k - 1 - j))
 
 
 # ------------------------------------------------------------ [t1*t2] closed form
