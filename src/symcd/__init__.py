@@ -25,7 +25,6 @@ _EXPORTS = {
     ),
     "cycles": (
         "CycleClass",
-        "DivisorClass",
         "divisor_class",
         "evaluate_top",
         "multiply",

@@ -31,7 +31,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .cycles import CycleClass, DivisorClass, _evaluate_top, _Frozen, divisor_class
+from .cycles import CycleClass, _evaluate_top, _Frozen, divisor_class
 from .errors import PreconditionError, shown
 
 __all__ = [
@@ -197,7 +197,7 @@ def _check_ramification_range(g: int, d: int) -> None:
         )
 
 
-def ramification_divisor_class(g: int, d: int) -> DivisorClass:
+def ramification_divisor_class(g: int, d: int) -> CycleClass:
     """Closed-form class a*theta - b*x of the Gauss-map ramification divisor on C_d.
 
         a = (g-d+1)(g^2 - dg + (d-2)),   b = (g-d+1)(g^2 - (d-1)g - 2)
@@ -216,8 +216,10 @@ class TestCurveSolution(_Frozen):
 
     ``x_curve_intersection`` is the intersection with the curve of divisors
     p + q_1 + ... + q_(d-1) (class x^(d-1)); ``diagonal_intersection`` is the
-    raw intersection with the small-diagonal curve.  The solved class satisfies
-    a*g - b = x_curve_intersection and a*d*g - b = diagonal_intersection / d.
+    raw intersection with the small-diagonal curve.  ``divisor`` is the solved
+    class a*theta - b*x, the codimension-1 ``CycleClass`` with coefficients
+    (a, -b); it satisfies a*g - b = x_curve_intersection and
+    a*d*g - b = diagonal_intersection / d.
     """
 
     __slots__ = ("divisor", "x_curve_intersection", "diagonal_intersection")
@@ -259,7 +261,7 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     common = math.lcm(chi_side.denominator, diagonal_side.denominator)
     chi = chi_side.numerator * (common // chi_side.denominator)
     diagonal = diagonal_side.numerator * (common // diagonal_side.denominator)
-    divisor = DivisorClass.from_numerators(
+    divisor = CycleClass.from_numerators(
         g, d, [diagonal - d * chi, g * (d * d * chi - diagonal)], common * d * g * (d - 1)
     )
     return TestCurveSolution(divisor, chi_side, diagonal_side)
@@ -312,29 +314,28 @@ def _residual_sums(m: int) -> tuple[int, int]:
     return common * (2 * m * t0 - t1) // m, common * (2 * m + 3) * t1 // m
 
 
-def pencil_residual_divisor_class(k: int) -> DivisorClass:
+def pencil_residual_divisor_class(k: int) -> CycleClass:
     """Class of the divisor on C_k (genus 2k-1) swept by residuals of pencils.
 
     Proportional to theta - (2 - 1/k)x; at k = 3 it is 3*theta - 5*x, which
     spans a boundary ray of the effective cone of C_3 in genus 5.
     """
-    return DivisorClass.from_numerators(2 * k - 1, k, pencil_residual_sums(k), k - 1)
+    return CycleClass.from_numerators(2 * k - 1, k, pencil_residual_sums(k), k - 1)
 
 
-def hyperelliptic_pencil_locus_class(g: int, d: int) -> DivisorClass:
+def hyperelliptic_pencil_locus_class(g: int, d: int) -> CycleClass:
     """Class of C^1_d = {D : dim|D| >= 1} on a hyperelliptic curve of genus g.
 
     C^1_d coincides with the locus subordinate to the (d-1)-st power of the
     hyperelliptic pencil, a series of degree 2(d-1) and dimension d-1, so its
-    class comes straight from :func:`subordinate_class`; it simplifies to
-    theta - (g-d+1)x.
+    class is the :func:`subordinate_class` of that series, returned as built;
+    it simplifies to theta - (g-d+1)x.
     """
     if not 2 <= d <= g:
         raise PreconditionError(
             f"hyperelliptic pencil locus needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})"
         )
-    locus = subordinate_class(g, d, 2 * (d - 1), d - 1)
-    return DivisorClass.from_numerators(g, d, locus.numerators, locus.denominator)
+    return subordinate_class(g, d, 2 * (d - 1), d - 1)
 
 
 def subordinate_pencil_intersections(k: int) -> tuple[int, int]:

@@ -10,7 +10,10 @@ A homogeneous class of codimension c is the coefficient vector of the
 monomials x^k * theta^(c-k), k = 0..c.  It is held as integer numerators over
 one positive denominator, in lowest terms, so sums, scalings and products are
 integer arithmetic with one reduction per result; the ``Fraction``
-coefficients are built from them each time ``coeffs`` is read.
+coefficients are built from them each time ``coeffs`` is read.  Every class,
+a divisor included, is a ``CycleClass``, and two classes are equal when these
+numbers are, however each was built.  A divisor a*theta - b*x is the
+codimension-1 class with coefficients (a, -b).
 Products are purely formal: coefficient vectors are convolved by Kronecker
 substitution (each vector is packed into one integer, one slot per
 coefficient, so a product or a power is one big-integer operation), and no
@@ -35,7 +38,6 @@ from .errors import PreconditionError, shown
 
 __all__ = [
     "CycleClass",
-    "DivisorClass",
     "multiply",
     "evaluate_top",
     "theta_class",
@@ -120,8 +122,9 @@ class CycleClass(_Frozen):
 
     Instances are immutable value objects; arithmetic returns new instances
     and refuses to mix classes living on different (genus, d).  Equality and
-    hashing behave like a frozen dataclass over (genus, d, coeffs): two
-    instances are equal only when they are of the same class.
+    hashing are by the numbers (genus, d, numerators, denominator), not by how
+    a class was built: a sum, a scaled class, ``divisor_class`` and a catalog
+    constructor that reach the same numbers give equal classes.
     """
 
     __slots__ = ("genus", "d", "numerators", "denominator")
@@ -315,39 +318,18 @@ def _monomial_name(x_power: int, theta_power: int) -> str:
     return "*".join(parts)
 
 
-class DivisorClass(CycleClass):
-    """A codimension-1 class, conventionally written a*theta - b*x."""
-
-    __slots__ = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.codim != 1:
-            raise PreconditionError(f"a divisor class has codimension 1 (got {self.codim})")
-
-    @property
-    def a(self) -> Fraction:
-        """Coefficient of theta."""
-        return self.coeffs[0]
-
-    @property
-    def b(self) -> Fraction:
-        """Negated coefficient of x, so that the class reads a*theta - b*x."""
-        return -self.coeffs[1]
-
-
-def divisor_class(genus: int, d: int, a: int | Fraction, b: int | Fraction) -> DivisorClass:
-    """The divisor class a*theta - b*x on C_d."""
+def divisor_class(genus: int, d: int, a: int | Fraction, b: int | Fraction) -> CycleClass:
+    """The divisor class a*theta - b*x on C_d: coefficients (a, -b)."""
     if type(a) is int and type(b) is int:
-        return DivisorClass.from_numerators(genus, d, (a, -b))
-    return DivisorClass(genus, d, (a, -as_rational(b)))
+        return CycleClass.from_numerators(genus, d, (a, -b))
+    return CycleClass(genus, d, (a, -as_rational(b)))
 
 
-def theta_class(genus: int, d: int) -> DivisorClass:
+def theta_class(genus: int, d: int) -> CycleClass:
     return divisor_class(genus, d, 1, 0)
 
 
-def x_class(genus: int, d: int) -> DivisorClass:
+def x_class(genus: int, d: int) -> CycleClass:
     return divisor_class(genus, d, 0, -1)
 
 

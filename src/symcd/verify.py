@@ -36,7 +36,7 @@ from .catalog import (
     subordinate_pencil_intersections,
 )
 from .cones import Ray, effective_slope_bound
-from .cycles import CycleClass, DivisorClass, _evaluate_top, _Frozen, evaluate_top, theta_class, x_class
+from .cycles import CycleClass, _evaluate_top, _Frozen, evaluate_top, theta_class, x_class
 from .errors import PreconditionError, shown
 
 __all__ = [
@@ -127,7 +127,7 @@ def check_orth(k_max: int = 100) -> CheckReport:
         locus = subordinate_class(g, k, k + 1, 1)
         top = (evaluate_top(locus, theta_class(g, k)), evaluate_top(locus, x_class(g, k)))
         # theta - (2 - 1/k)x, as (k*theta - (2k-1)x)/k
-        orthogonal = evaluate_top(locus, DivisorClass.from_numerators(g, k, (k, 1 - 2 * k), k))
+        orthogonal = evaluate_top(locus, CycleClass.from_numerators(g, k, (k, 1 - 2 * k), k))
         expected = (2 * k - 1, k)
         return (sums, top, orthogonal), (expected, expected, 0)
 

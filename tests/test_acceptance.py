@@ -61,13 +61,14 @@ def test_criterion_02_test_curve_system():
     for g in range(4, 21):
         for d in range(2, g):
             solved = solve_test_curve_system(g, d).divisor
-            assert solved.a == (g - d + 1) * (g * g - d * g + d - 2), (g, d)
-            assert solved.b == (g - d + 1) * (g * g - (d - 1) * g - 2), (g, d)
-            assert solved.b / solved.a == effective_slope_bound(g, d), (g, d)
+            a = (g - d + 1) * (g * g - d * g + d - 2)
+            b = (g - d + 1) * (g * g - (d - 1) * g - 2)
+            assert (solved.numerators, solved.denominator) == ((a, -b), 1), (g, d)
+            assert Fraction(b, a) == effective_slope_bound(g, d), (g, d)
     spot = solve_test_curve_system(4, 3)
     assert spot.x_curve_intersection == 28
     assert spot.diagonal_intersection == 324
-    assert (spot.divisor.a, spot.divisor.b) == (10, 12)
+    assert spot.divisor.numerators == (10, -12)
     _report(2, "test-curve system solves to the closed form for 4 <= g <= 20; spot (4,3) = (28, 324, (10,12))")
 
 

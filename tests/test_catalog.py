@@ -290,15 +290,15 @@ def test_bipartition_range_errors():
 
 def test_ramification_examples():
     div = ramification_divisor_class(4, 3)
-    assert (div.a, div.b) == (10, 12)
+    assert (div.numerators, div.denominator) == ((10, -12), 1)
     div = ramification_divisor_class(5, 4)
-    assert (div.a, div.b) == (14, 16)
+    assert (div.numerators, div.denominator) == ((14, -16), 1)
 
 
 def test_ramification_slope_at_top_index():
     for g in range(4, 31):
         div = ramification_divisor_class(g, g - 1)
-        assert div.b / div.a == 1 + Fraction(1, 2 * g - 3)
+        assert Fraction(-div.numerators[1], div.numerators[0]) == 1 + Fraction(1, 2 * g - 3)
 
 
 def test_ramification_range_errors():
@@ -312,7 +312,7 @@ def test_solve_test_curve_system_spot_values():
     solution = solve_test_curve_system(4, 3)
     assert solution.x_curve_intersection == 28
     assert solution.diagonal_intersection == 324
-    assert (solution.divisor.a, solution.divisor.b) == (10, 12)
+    assert (solution.divisor.numerators, solution.divisor.denominator) == ((10, -12), 1)
 
 
 def test_solved_system_matches_closed_form():
@@ -358,7 +358,7 @@ def test_test_curve_solution_value_contract(value_contract):
         "diagonal_intersection": solution.diagonal_intersection,
     }
     expected = (
-        "TestCurveSolution(divisor=DivisorClass(genus=4, d=3, coeffs=(Fraction(10, 1), Fraction(-12, 1))), "
+        "TestCurveSolution(divisor=CycleClass(genus=4, d=3, coeffs=(Fraction(10, 1), Fraction(-12, 1))), "
         "x_curve_intersection=Fraction(28, 1), diagonal_intersection=Fraction(324, 1))"
     )
     value_contract(catalog.TestCurveSolution, fields, expected)
@@ -385,8 +385,9 @@ def test_pencil_residual_class_at_three():
 def test_pencil_residual_direction():
     for k in range(3, 51):
         div = pencil_residual_divisor_class(k)
-        assert div.a > 0
-        assert div.b / div.a == 2 - Fraction(1, k)
+        theta, x = div.numerators
+        assert theta > 0
+        assert Fraction(-x, theta) == 2 - Fraction(1, k)
 
 
 def test_pencil_residual_sums_are_signed():

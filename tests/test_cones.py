@@ -24,7 +24,7 @@ from symcd.cones import (
 )
 from symcd.catalog import hyperelliptic_pencil_locus_class
 from symcd.combinatorics import gen_binomial
-from symcd.cycles import divisor_class
+from symcd.cycles import CycleClass, divisor_class, theta_class, x_class
 from symcd.errors import OutOfProvenDomainError, PreconditionError
 
 
@@ -56,6 +56,12 @@ def test_ray_normalizes_to_primitive():
 def test_ray_from_class_matches_the_ray_of_its_coefficients(a, b):
     if a or b:
         assert Ray.from_class(divisor_class(6, 4, a, b)) == Ray.from_rationals(a, -b)
+
+
+def test_ray_from_class_refuses_classes_that_are_not_divisors():
+    for cls in (CycleClass(6, 4, [1]), theta_class(6, 4) ** 2):  # codimension 0 and 2
+        with pytest.raises(PreconditionError, match="only divisor classes span rays"):
+            Ray.from_class(cls)
 
 
 def test_ray_rejects_zero():
@@ -189,6 +195,13 @@ def test_membership_rejects_foreign_classes():
         cone.membership(divisor_class(6, 4, 1, 1))
     with pytest.raises(PreconditionError):
         cone.membership(divisor_class(7, 5, 1, 1))
+
+
+def test_membership_refuses_classes_that_are_not_divisors():
+    cone = effective_cone(_general(6, 5))
+    for cls in (CycleClass(6, 5, [1]), theta_class(6, 5) * x_class(6, 5)):  # codimension 0 and 2
+        with pytest.raises(PreconditionError, match="divisor classes only"):
+            cone.membership(cls)
 
 
 positive_weights = st.fractions(min_value=Fraction(1, 50), max_value=100, max_denominator=50)

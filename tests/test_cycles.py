@@ -7,15 +7,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcd import cycles
-from symcd.catalog import subordinate_class
+from symcd.catalog import hyperelliptic_pencil_locus_class, subordinate_class
 from symcd.combinatorics import gen_binomial
 from symcd.cycles import (
     CycleClass,
-    DivisorClass,
     divisor_class,
     evaluate_top,
     multiply,
@@ -110,14 +109,8 @@ def test_evaluate_top_is_bilinear(p, p2, q, s, s2):
 
 def test_divisor_class_convention():
     div = divisor_class(4, 3, 10, 12)
-    assert div.a == 10
-    assert div.b == 12
+    assert (div.numerators, div.denominator) == ((10, -12), 1)
     assert div.coeffs == (Fraction(10), Fraction(-12))
-
-
-def test_divisor_class_requires_codim_one():
-    with pytest.raises(PreconditionError):
-        DivisorClass(4, 3, (Fraction(1), Fraction(0), Fraction(0)))
 
 
 def test_class_rejects_bad_parameters():
@@ -299,17 +292,64 @@ def test_from_numerators_reduces_and_refuses_a_zero_denominator():
         CycleClass.from_numerators(6, 4, [1, 2], 0)
     with pytest.raises(PreconditionError):
         CycleClass.from_numerators(6, 4, [1] * 6, 3)  # codim 5 > d = 4
-    with pytest.raises(PreconditionError):
-        DivisorClass.from_numerators(6, 4, [1, 0, 0])
 
 
-def test_divisor_and_cycle_classes_stay_distinct():
-    div = divisor_class(4, 3, 1, 1)
-    plain = CycleClass(4, 3, (1, -1))
-    assert div.coeffs == plain.coeffs
-    assert div != plain and plain != div
-    assert div == DivisorClass.from_numerators(4, 3, [1, -1])
-    assert type(-div) is CycleClass and type(multiply(div, div)) is CycleClass
+def test_a_class_is_equal_to_itself_whichever_constructor_built_it():
+    summed = theta_class(4, 3) + x_class(4, 3)
+    built = divisor_class(4, 3, 1, -1)
+    assert summed == built
+    assert len({summed, built}) == 1
+    assert hyperelliptic_pencil_locus_class(6, 4) == subordinate_class(6, 4, 6, 3)
+
+
+@st.composite
+def divisor_numbers(draw):
+    """Genus, d, and the numerators of a divisor over a positive denominator, not reduced."""
+    numerators = st.integers(min_value=-(10**6), max_value=10**6)
+    return (
+        draw(st.integers(min_value=2, max_value=12)),
+        draw(st.integers(min_value=2, max_value=12)),
+        (draw(numerators), draw(numerators)),
+        draw(st.integers(min_value=1, max_value=10**4)),
+    )
+
+
+def _routes(genus, d, numerators, denominator):
+    """The class numerators / denominator, built by each public route the property covers."""
+    theta, x = [Fraction(n, denominator) for n in numerators]
+    unit = Fraction(1, denominator)
+    built = CycleClass(genus, d, [theta, x])
+    yield built
+    yield CycleClass(genus, d, [str(theta), str(x)])
+    yield CycleClass.from_numerators(genus, d, [6 * n for n in numerators], 6 * denominator)
+    yield CycleClass.from_numerators(genus, d, [-n for n in numerators], -denominator)
+    yield divisor_class(genus, d, theta, -x)
+    yield divisor_class(genus, d, numerators[0], -numerators[1]).scale(unit)
+    yield theta_class(genus, d).scale(theta) + x_class(genus, d).scale(x)
+    yield (theta_class(genus, d) * numerators[0] + numerators[1] * x_class(genus, d)) * unit
+    yield -(-built)
+    yield pickle.loads(pickle.dumps(built))
+    yield copy.deepcopy(built)
+
+
+@settings(max_examples=500, deadline=None)
+@given(divisor_numbers())
+def test_equal_numbers_give_equal_classes_however_they_were_built(case):
+    genus, d, numerators, denominator = case
+    reference = CycleClass.from_numerators(genus, d, numerators, denominator)
+    routes = list(_routes(genus, d, numerators, denominator))
+    for cls in routes:
+        assert type(cls) is CycleClass
+        assert cls == reference and reference == cls
+        assert hash(cls) == hash(reference)
+        assert repr(cls) == repr(reference)
+        assert (cls.genus, cls.d, cls.numerators, cls.denominator) == (
+            genus,
+            d,
+            reference.numerators,
+            reference.denominator,
+        )
+    assert len({reference, *routes}) == 1
 
 
 def test_classes_are_frozen():
@@ -326,7 +366,7 @@ def test_repr_keeps_the_dataclass_layout():
     assert repr(CycleClass(4, 3, ["1/2", 1])) == (
         "CycleClass(genus=4, d=3, coeffs=(Fraction(1, 2), Fraction(1, 1)))"
     )
-    assert repr(theta_class(5, 2)) == "DivisorClass(genus=5, d=2, coeffs=(Fraction(1, 1), Fraction(0, 1)))"
+    assert repr(theta_class(5, 2)) == "CycleClass(genus=5, d=2, coeffs=(Fraction(1, 1), Fraction(0, 1)))"
 
 
 def test_classes_survive_pickle_and_copy():
@@ -426,12 +466,12 @@ def test_fused_product_refuses_what_multiply_and_evaluate_top_refuse():
 
 def test_integer_divisor_classes_equal_the_fraction_built_ones():
     for a, b in ((1, 0), (0, -1), (10, 12), (-3, 7)):
-        built = DivisorClass(4, 3, (Fraction(a), Fraction(-b)))
+        built = CycleClass(4, 3, (Fraction(a), Fraction(-b)))
         assert divisor_class(4, 3, a, b) == built
         assert repr(divisor_class(4, 3, a, b)) == repr(built)
-    assert theta_class(6, 4) == DivisorClass(6, 4, (Fraction(1), Fraction(0)))
-    assert x_class(6, 4) == DivisorClass(6, 4, (Fraction(0), Fraction(1)))
-    assert divisor_class(4, 3, Fraction(1, 2), 2) == DivisorClass(4, 3, (Fraction(1, 2), Fraction(-2)))
+    assert theta_class(6, 4) == CycleClass(6, 4, (Fraction(1), Fraction(0)))
+    assert x_class(6, 4) == CycleClass(6, 4, (Fraction(0), Fraction(1)))
+    assert divisor_class(4, 3, Fraction(1, 2), 2) == CycleClass(4, 3, (Fraction(1, 2), Fraction(-2)))
 
 
 # Packed (Kronecker-substitution) products and powers against a schoolbook reference.

@@ -9,6 +9,8 @@ has returned wrong closed forms before, so each closed form is also checked
 against the library's integer kernel at a few points.
 """
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from sympy import binomial, factorial
@@ -192,8 +194,10 @@ def test_ramification_closed_form_matches_the_kernel():
         for d in range(2, 6):
             point = {g_: g, d_: d}
             divisor = ramification_divisor_class(g, d)
-            assert (divisor.a, divisor.b) == (RAMIFICATION_A.subs(point), RAMIFICATION_B.subs(point))
-            assert effective_slope_bound(g, d) == SLOPE_BOUND.subs(point) == divisor.b / divisor.a
+            theta, x = divisor.numerators
+            assert divisor.denominator == 1
+            assert (theta, -x) == (RAMIFICATION_A.subs(point), RAMIFICATION_B.subs(point))
+            assert effective_slope_bound(g, d) == SLOPE_BOUND.subs(point) == Fraction(-x, theta)
 
 
 # ------------------------------------------------------------ volume identity
