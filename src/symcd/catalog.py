@@ -235,13 +235,14 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
 
     and the intersection with the small-diagonal curve on C_(g+1) as
 
-        (1 + delta) * [two-part diagonal] . [subordinate to a series of degree
-                                             2g-2 and dimension g-1]
+        h * [two-part diagonal] . [subordinate to a series of degree 2g-2
+                                   and dimension g-1]
 
-    (delta the Kronecker delta at d = (g+1)/2).  The direct evaluation of the
-    diagonal intersection against a*theta - b*x gives d*(a*d*g - b), hence the
-    division by d before solving the 2x2 system; the system is never singular
-    since its determinant is g(d-1) != 0 for d >= 2.
+    with h = 2 at d = (g+1)/2 and h = 1 elsewhere, which undoes the halving of
+    the two-part diagonal's class (:func:`_bipartition_halving`).  The direct
+    evaluation of the diagonal intersection against a*theta - b*x gives
+    d*(a*d*g - b), hence the division by d before solving the 2x2 system; the
+    system is never singular since its determinant is g(d-1) != 0 for d >= 2.
     """
     _check_ramification_range(g, d)
     small_power = g - d + 1
@@ -252,9 +253,8 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     diagonal, diagonal_denominator = _evaluate_top(
         subordinate_class(g, g + 1, 2 * g - 2, g - 1), bipartition_diagonal_class(g, d)
     )
-    delta = 1 if 2 * d == g + 1 else 0
     chi_side = Fraction((g - 2) * chi, chi_denominator)
-    diagonal_side = Fraction((1 + delta) * diagonal, diagonal_denominator)
+    diagonal_side = Fraction(_bipartition_halving(g, d) * diagonal, diagonal_denominator)
     # Over the common denominator L of the two sides, chi_side = C/L and
     # diagonal_side = D/L, so a = (D - dC)/(Ldg(d-1)) and b = a*g - chi_side
     # = g(D - d^2 C)/(Ldg(d-1)): one integer solve, reduced once.

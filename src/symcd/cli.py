@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import json
 import os
 import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+
+import symcd
 
 from .errors import OutOfProvenDomainError, PreconditionError
 
@@ -39,15 +40,18 @@ FORMAT_ENV_VAR = "SYMCD_FORMAT"
 _Entry = namedtuple("_Entry", "class_name intersect_name constructor flags provenance")
 
 # One row per named class: its name for ``class``, its name in ``intersect``
-# expressions (None where it has none), its constructor as "module.function",
-# the flags the constructor takes in order, and its provenance line.
+# expressions (None where it has none), the public name of its constructor,
+# the flags the constructor takes in order, and its provenance line.  The
+# constructor is looked up on the package at every call and never kept, so
+# rebinding it in its module (as the benchmark's tracer does) takes effect at
+# once.
 _CATALOG = (
-    _Entry(None, "theta", "cycles.theta_class", ("g", "d"), None),
-    _Entry(None, "x", "cycles.x_class", ("g", "d"), None),
+    _Entry(None, "theta", "theta_class", ("g", "d"), None),
+    _Entry(None, "x", "x_class", ("g", "d"), None),
     _Entry(
         "subordinate",
         "subordinate",
-        "catalog.subordinate_class",
+        "subordinate_class",
         ("g", "d", "n", "r"),
         "degeneracy-locus formula for loci subordinate to a linear series "
         "(Arbarello-Cornalba-Griffiths-Harris)",
@@ -55,35 +59,35 @@ _CATALOG = (
     _Entry(
         "small-diagonal",
         "smalldiag",
-        "catalog.small_diagonal_class",
+        "small_diagonal_class",
         ("g", "d"),
         "pushforward of the curve under p |-> d*p",
     ),
     _Entry(
         "bipartition-diagonal",
         None,
-        "catalog.bipartition_diagonal_class",
+        "bipartition_diagonal_class",
         ("g", "d"),
         "pushforward of C x C under (p, q) |-> (g-d+1)p + d*q, by coefficient extraction",
     ),
     _Entry(
         "ramification",
         "ramification",
-        "catalog.ramification_divisor_class",
+        "ramification_divisor_class",
         ("g", "d"),
         "Gauss-map ramification divisor, solved from small-diagonal and moving-point test curves",
     ),
     _Entry(
         "e-k",
         "ek",
-        "catalog.pencil_residual_divisor_class",
+        "pencil_residual_divisor_class",
         ("k",),
         "pushforward to C_k of the pencil locus C^(k-2)_(3k-5) in genus 2k-1",
     ),
     _Entry(
         "hyperelliptic-c1d",
         "c1d",
-        "catalog.hyperelliptic_pencil_locus_class",
+        "hyperelliptic_pencil_locus_class",
         ("g", "d"),
         "C^1_d equals the locus subordinate to the (d-1)-st power of the hyperelliptic pencil",
     ),
@@ -94,16 +98,6 @@ _INTERSECT_NAMES = {entry.intersect_name: entry for entry in _CATALOG if entry.i
 # The names of ``verify.SUITES``, in its order, for argparse; listed here so
 # that importing the CLI does not import ``verify``.
 _SUITE_NAMES = ("combsum", "pencil-link", "orth", "diagonal", "dd-system", "volume")
-
-
-def _build(entry: _Entry, *args):
-    """Call ``entry``'s constructor, importing its module on first use.
-
-    The function is looked up on its module at every call and never kept, so
-    rebinding it there (as the benchmark's tracer does) takes effect at once.
-    """
-    module, function = entry.constructor.split(".")
-    return getattr(importlib.import_module(f"{__package__}.{module}"), function)(*args)
 
 
 class UsageError(Exception):
@@ -158,7 +152,7 @@ def _tokenize(text: str) -> list[str]:
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
+        if match is None:
             remainder = text[pos:].strip()
             if not remainder:
                 break
@@ -299,7 +293,7 @@ def _bounded(value):
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers; each returns (document, exit_code)
+# subcommand handlers; each returns the (inputs, result, provenance) of its document
 
 
 # Every integer flag ``class`` and ``intersect`` read is at most this in
@@ -324,12 +318,13 @@ def _check_flag_caps(command: str, values: dict, genus_cap: int = _MAX_CLASS_FLA
             raise UsageError(f"--{flag} {value} is too large for {command}: at most {cap} in absolute value")
 
 
-def _cmd_class(args) -> tuple[dict, int]:
+def _cmd_class(args) -> tuple[dict, dict, list]:
     name = args.name
     entry = _CLASSES[name]
     values = [_require(args, flag, name) for flag in entry.flags]
-    _check_flag_caps("class", dict(zip(entry.flags, values)))
-    inputs = {"name": name, **dict(zip(entry.flags, values))}
+    flags = dict(zip(entry.flags, values))
+    _check_flag_caps("class", flags)
+    inputs = {"name": name, **flags}
     provenance = [entry.provenance]
     if name == "bipartition-diagonal":
         inputs["variant"] = "statement" if args.statement_variant else "proof"
@@ -338,13 +333,7 @@ def _cmd_class(args) -> tuple[dict, int]:
             provenance.append(
                 "statement variant: x*theta coefficient known to disagree with the extraction oracle"
             )
-    document = {
-        "command": "class",
-        "inputs": inputs,
-        "result": _class_document(_build(entry, *values)),
-        "provenance": provenance,
-    }
-    return document, 0
+    return inputs, _class_document(getattr(symcd, entry.constructor)(*values)), provenance
 
 
 def _intersect_class(args, g: int, d: int, name: str):
@@ -360,10 +349,10 @@ def _intersect_class(args, g: int, d: int, name: str):
         (k,) = values
         if (g, d) != (2 * k - 1, k):
             raise PreconditionError(f"ek lives on C_k in genus 2k-1; got k={k} with g={g}, d={d}")
-    return _build(entry, *values)
+    return getattr(symcd, entry.constructor)(*values)
 
 
-def _cmd_intersect(args) -> tuple[dict, int]:
+def _cmd_intersect(args) -> tuple[dict, dict, list]:
     from .cycles import evaluate_top
 
     g = _require(args, "g", "intersect")
@@ -374,16 +363,14 @@ def _cmd_intersect(args) -> tuple[dict, int]:
         raise PreconditionError(
             f"expression has codimension {value.codim}; top-degree evaluation on C_{d} needs {d}"
         )
-    document = {
-        "command": "intersect",
-        "inputs": {"expression": args.expression, "g": g, "d": d},
-        "result": {"value": str(evaluate_top(value)), "codimension": value.codim},
-        "provenance": ["Poincare formula: x^k * theta^(d-k) = g!/(g-d+k)! on C_d"],
-    }
-    return document, 0
+    return (
+        {"expression": args.expression, "g": g, "d": d},
+        {"value": str(evaluate_top(value)), "codimension": value.codim},
+        ["Poincare formula: x^k * theta^(d-k) = g!/(g-d+k)! on C_d"],
+    )
 
 
-def _cmd_cone(args) -> tuple[dict, int]:
+def _cmd_cone(args) -> tuple[dict, dict, list]:
     from . import cones
 
     g = _require(args, "g", "cone")
@@ -409,8 +396,7 @@ def _cmd_cone(args) -> tuple[dict, int]:
             "theta_minus_x_ample": facts.theta_minus_x_ample,
         }
         provenance = list(facts.provenance)
-    document = {"command": "cone", "inputs": inputs, "result": result, "provenance": provenance}
-    return document, 0
+    return inputs, result, provenance
 
 
 # The exact volume's cost grows about quadratically in g (0.2 s at g = 5,000,
@@ -420,9 +406,13 @@ def _cmd_cone(args) -> tuple[dict, int]:
 # one, so a t whose denominator power would exceed 2^_MAX_SCALAR_BITS, the
 # bound on every number ``intersect`` builds, is refused too.
 _MAX_VOLUME_GENUS = 5_000
+_VOLUME_PROVENANCE = {
+    "general": "volume of theta - t*x on C_(g-1): residuation onto the nef subcone, then top self-intersection",
+    "hyperelliptic": "Zariski decomposition with positive part proportional to theta",
+}
 
 
-def _cmd_volume(args) -> tuple[dict, int]:
+def _cmd_volume(args) -> tuple[dict, dict, list]:
     from . import cones
 
     g = _require(args, "g", "volume")
@@ -430,33 +420,29 @@ def _cmd_volume(args) -> tuple[dict, int]:
         raise UsageError(f"--g {g} is too large for volume: at most {_MAX_VOLUME_GENUS}")
     d = _require(args, "d", "volume")
     t = _require(args, "t", "volume")
-    base, power = (t.denominator, g - 1) if args.curve == "general" else ((g - d + 1) * t.denominator, d)
-    if (abs(base).bit_length() - 1) * power > _MAX_SCALAR_BITS:
-        raise UsageError(
-            f"--t {t} is too long for volume at g={g}: the value's denominator would exceed 2^{_MAX_SCALAR_BITS}"
-        )
-    inputs = {"g": g, "d": d, "curve": args.curve, "t": str(t)}
-    if args.curve == "general":
+    # A wrong --d is refused before the size of t is judged, since that size
+    # depends on d.
+    general = args.curve == "general"
+    if general:
         if d != g - 1:
             raise PreconditionError(
                 f"the general-curve volume formula applies on C_(g-1); got d={d} with g={g}"
             )
-        value = cones.volume_general(g, t)
         limit = cones.general_volume_limit(g)
-        provenance = (
-            "volume of theta - t*x on C_(g-1): residuation onto the nef subcone, then top self-intersection"
-        )
+        base, power = t.denominator, g - 1
     else:
-        value = cones.volume_hyperelliptic(g, d, t)
         limit = cones.hyperelliptic_volume_limit(g, d)
-        provenance = "Zariski decomposition with positive part proportional to theta"
-    document = {
-        "command": "volume",
-        "inputs": inputs,
-        "result": {"value": str(value), "proven_interval": f"[0, {limit}]"},
-        "provenance": [provenance],
-    }
-    return document, 0
+        base, power = limit * t.denominator, d
+    if (base.bit_length() - 1) * power > _MAX_SCALAR_BITS:
+        raise UsageError(
+            f"--t {t} is too long for volume at g={g}: the value's denominator would exceed 2^{_MAX_SCALAR_BITS}"
+        )
+    value = cones.volume_general(g, t) if general else cones.volume_hyperelliptic(g, d, t)
+    return (
+        {"g": g, "d": d, "curve": args.curve, "t": str(t)},
+        {"value": str(value), "proven_interval": f"[0, {limit}]"},
+        [_VOLUME_PROVENANCE[args.curve]],
+    )
 
 
 def _report_document(report) -> dict:
@@ -476,23 +462,19 @@ def _report_document(report) -> dict:
     return entry
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args) -> tuple[dict, dict, list]:
     from . import verify
 
     reports = verify.run_all(args.suite, args.max)
-    ok = verify.all_passed(reports)
-    failures = sum(1 for report in reports if report.status is verify.CheckStatus.FAIL)
-    document = {
-        "command": "verify",
-        "inputs": {"suite": args.suite, "max": args.max},
-        "result": {
+    return (
+        {"suite": args.suite, "max": args.max},
+        {
             "reports": [_report_document(report) for report in reports],
-            "failures": failures,
-            "all_passed": ok,
+            "failures": sum(1 for report in reports if report.status is verify.CheckStatus.FAIL),
+            "all_passed": verify.all_passed(reports),
         },
-        "provenance": ["exact re-derivation of the identity catalog; no tolerances"],
-    }
-    return document, 0 if ok else 1
+        ["exact re-derivation of the identity catalog; no tolerances"],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -522,12 +504,9 @@ def _render_text_value(value, indent: str, lines: list[str]) -> None:
 def render(document: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(document, sort_keys=True, indent=2)
-    lines: list[str] = [f"command: {document['command']}"]
-    inputs = document.get("inputs") or {}
-    if inputs:
-        rendered = ", ".join(f"{key}={inputs[key]}" for key in sorted(inputs) if inputs[key] is not None)
-        lines.append(f"inputs: {rendered}")
-    result = document.get("result", {})
+    inputs, result = document["inputs"], document["result"]
+    rendered = ", ".join(f"{key}={inputs[key]}" for key in sorted(inputs) if inputs[key] is not None)
+    lines = [f"command: {document['command']}", f"inputs: {rendered}"]
     if document["command"] == "verify":
         for entry in result["reports"]:
             status = entry["status"].upper()
@@ -540,7 +519,7 @@ def render(document: dict, fmt: str) -> str:
         lines.append(f"all passed: {result['all_passed']}")
     else:
         _render_text_value(result, "", lines)
-    for citation in document.get("provenance", []):
+    for citation in document["provenance"]:
         lines.append(f"provenance: {citation}")
     return "\n".join(lines)
 
@@ -658,7 +637,10 @@ def _uncapped_int_digits():
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code; ``--help`` and ``--version`` exit 0."""
+    """Run one command and return its exit code; ``--help`` and ``--version`` exit 0.
+
+    The exit code is 1 when ``verify`` reports a failure, else 0 for an answer.
+    """
     try:
         # Parsed under CPython's digit cap, so an integer flag of more than
         # 4,300 digits is refused as an invalid int.
@@ -666,8 +648,9 @@ def main(argv: list[str] | None = None) -> int:
         if extras:  # named here, where the subcommand is known, not by the root parser
             raise UsageError(f"unrecognized arguments for {args.command}: {' '.join(extras)}")
         with _uncapped_int_digits():
-            document, code = args.handler(args)
-            print(render(document, _resolve_format(getattr(args, "format", None))))
+            inputs, result, provenance = args.handler(args)
+            document = {"command": args.command, "inputs": inputs, "result": result, "provenance": provenance}
+            print(render(document, _resolve_format(args.format)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -677,7 +660,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return code
+    return 0 if result.get("all_passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -302,7 +302,10 @@ def general_volume_limit(g: int) -> Fraction:
 
 
 def hyperelliptic_volume_limit(g: int, d: int) -> int:
-    """Right end of the proven interval [0, g-d+1] of :func:`volume_hyperelliptic`."""
+    """Right end of the proven interval [0, g-d+1] of :func:`volume_hyperelliptic`,
+    which is proven for 2 <= d <= g only."""
+    if not 2 <= d <= g:
+        raise PreconditionError(f"hyperelliptic volume needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})")
     return g - d + 1
 
 
@@ -346,10 +349,8 @@ def volume_hyperelliptic(g: int, d: int, t: int | Fraction) -> Fraction:
     by the Zariski decomposition with positive part proportional to theta;
     the volume vanishes exactly at the endpoint t = g-d+1.
     """
-    if not 2 <= d <= g:
-        raise PreconditionError(f"hyperelliptic volume needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})")
-    t = as_rational(t)
     limit = hyperelliptic_volume_limit(g, d)
+    t = as_rational(t)
     if not 0 <= t <= limit:
         raise OutOfProvenDomainError(
             f"t={shown(t)} is outside the proven interval [0, {shown(limit)}] for (g, d)=({shown(g)}, {shown(d)})"

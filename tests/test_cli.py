@@ -197,6 +197,27 @@ def test_intersect_examples(capsys):
     assert doc["result"]["value"] == "324"
 
 
+def test_class_and_intersect_look_up_the_constructor_at_every_call(capsys, monkeypatch):
+    from symcd import catalog
+
+    _, doc, _ = run_json(capsys, "class", "ramification", "--g", "4", "--d", "3")
+    assert doc["result"]["coefficients"] == ["10", "-12"]
+    calls = []
+
+    def patched(g, d):
+        calls.append((g, d))
+        return x_class(g, d)
+
+    monkeypatch.setattr(catalog, "ramification_divisor_class", patched)
+    code, doc, _ = run_json(capsys, "class", "ramification", "--g", "4", "--d", "3")
+    assert code == 0
+    assert doc["result"]["coefficients"] == ["0", "1"]
+    code, doc, _ = run_json(capsys, "intersect", "smalldiag * ramification", "--g", "4", "--d", "3")
+    assert code == 0
+    assert doc["result"]["value"] == str(evaluate_top(catalog.small_diagonal_class(4, 3) * x_class(4, 3)))
+    assert calls == [(4, 3), (4, 3)]
+
+
 def test_intersect_rational_scalars(capsys):
     code, doc, _ = run_json(capsys, "intersect", "(theta - 5/3 * x)^3", "--g", "5", "--d", "3")
     assert code == 0
@@ -791,6 +812,24 @@ def test_volume_refuses_a_genus_past_the_cap(capsys, curve, d):
     assert code == 2
     assert out == ""
     assert "at most 5000" in err
+    _assert_one_line(err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--curve", "hyperelliptic", "--g", "4", "--d", "20000", "--t", "1/2"), "needs 2 <= d <= g"),
+        (("--curve", "hyperelliptic", "--g", "4", "--d", "100", "--t", "1/2"), "needs 2 <= d <= g"),
+        (("--curve", "hyperelliptic", "--g", "5000", "--d", "5001", "--t", f"1/{2**100}"), "needs 2 <= d <= g"),
+        (("--g", "5000", "--d", "3", "--t", f"1/{2**100}"), "applies on C_(g-1)"),
+        (("--g", "5000", "--d", "3", "--t", "1/2"), "applies on C_(g-1)"),
+    ],
+)
+def test_volume_refuses_a_wrong_d_whatever_t_is(capsys, argv, message):
+    code, out, err = run_cli(capsys, "volume", *argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
     _assert_one_line(err)
 
 

@@ -495,6 +495,12 @@ def test_volume_hyperelliptic_domain():
         volume_hyperelliptic(4, 5, 1)
 
 
+@pytest.mark.parametrize("g, d", [(4, 5), (4, 20000), (4, 1), (5000, -3), (1, 1)])
+def test_hyperelliptic_volume_limit_refuses_d_outside_its_domain(g, d):
+    with pytest.raises(PreconditionError, match=r"hyperelliptic volume needs 2 <= d <= g"):
+        hyperelliptic_volume_limit(g, d)
+
+
 def test_volume_limits_are_the_enforced_domains():
     step = Fraction(1, 10**9)
     for g in range(4, 13):

@@ -185,6 +185,16 @@ def test_public_name_is_the_object_of_its_defining_module(name):
     assert getattr(home, name) is value
 
 
+def test_cli_constructors_are_public_names_of_their_home_modules():
+    from symcd import cli
+
+    for entry in cli._CATALOG:
+        name = entry.constructor
+        assert name in symcd.__all__
+        home = importlib.import_module(f"symcd.{symcd._HOME[name]}")
+        assert getattr(symcd, name) is getattr(home, name)
+
+
 def test_dir_lists_public_names_and_submodules():
     listing = dir(symcd)
     assert set(PUBLIC_NAMES) <= set(listing)
