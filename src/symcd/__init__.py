@@ -49,13 +49,13 @@ _EXPORTS = {
     "cones": (
         "Cone2D",
         "ConeStatus",
-        "CurveContext",
-        "CurveType",
         "Membership",
         "NefFacts",
         "Ray",
         "effective_cone",
         "effective_slope_bound",
+        "general_volume_limit",
+        "hyperelliptic_volume_limit",
         "nef_facts",
         "volume_general",
         "volume_hyperelliptic",

@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 
 from .cycles import CycleClass, _evaluate_top, _Frozen, divisor_class
-from .errors import PreconditionError, shown
+from .errors import PreconditionError, _check_range, shown
 
 __all__ = [
     "subordinate_class",
@@ -190,13 +190,6 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
     return CycleClass.from_numerators(g, g + 1, numerators, _bipartition_halving(g, d) * math.factorial(g - 1))
 
 
-def _check_ramification_range(g: int, d: int) -> None:
-    if g < 4 or not 2 <= d <= g - 1:
-        raise PreconditionError(
-            f"ramification divisor needs g >= 4 and 2 <= d <= g-1 (got g={shown(g)}, d={shown(d)})"
-        )
-
-
 def ramification_divisor_class(g: int, d: int) -> CycleClass:
     """Closed-form class a*theta - b*x of the Gauss-map ramification divisor on C_d.
 
@@ -205,7 +198,7 @@ def ramification_divisor_class(g: int, d: int) -> CycleClass:
     The slope b/a equals 1 + (g-d)/(g^2 - dg + (d-2)), the proven-effective
     bound for the cone of C_d.
     """
-    _check_ramification_range(g, d)
+    _check_range("ramification divisor", g, d, hyperelliptic=False)
     a = (g - d + 1) * (g * g - d * g + d - 2)
     b = (g - d + 1) * (g * g - (d - 1) * g - 2)
     return divisor_class(g, d, a, b)
@@ -244,7 +237,7 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     d*(a*d*g - b), hence the division by d before solving the 2x2 system; the
     system is never singular since its determinant is g(d-1) != 0 for d >= 2.
     """
-    _check_ramification_range(g, d)
+    _check_range("ramification divisor", g, d, hyperelliptic=False)
     small_power = g - d + 1
     # The short subordinate class is p: Horner's rule runs over its 2 or 3 numerators.
     chi, chi_denominator = _evaluate_top(
@@ -331,10 +324,7 @@ def hyperelliptic_pencil_locus_class(g: int, d: int) -> CycleClass:
     class is the :func:`subordinate_class` of that series, returned as built;
     it simplifies to theta - (g-d+1)x.
     """
-    if not 2 <= d <= g:
-        raise PreconditionError(
-            f"hyperelliptic pencil locus needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})"
-        )
+    _check_range("hyperelliptic pencil locus", g, d, hyperelliptic=True)
     return subordinate_class(g, d, 2 * (d - 1), d - 1)
 
 

@@ -11,7 +11,8 @@ Subcommands
 All rationals are printed as "p/q" strings (plain decimal strings for
 integers); JSON output is deterministic, uses sorted keys, and never contains
 a floating-point literal.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 violated precondition, 4 out of the proven domain.
+2 usage error, 3 violated precondition, 4 out of the proven domain, 5 the
+answer could not be written (a closed stdout, a broken pipe, a full disk).
 
 The default output format is text; set SYMCD_FORMAT=json (or pass --format)
 to switch.
@@ -375,10 +376,10 @@ def _cmd_cone(args) -> tuple[dict, dict, list]:
 
     g = _require(args, "g", "cone")
     d = _require(args, "d", "cone")
-    ctx = cones.CurveContext(g, d, cones.CurveType(args.curve))
+    hyperelliptic = args.curve == "hyperelliptic"
     inputs = {"g": g, "d": d, "curve": args.curve, "kind": args.kind}
     if args.kind == "effective":
-        cone = cones.effective_cone(ctx)
+        cone = cones.effective_cone(g, d, hyperelliptic=hyperelliptic)
         result = {
             "status": cone.status.value,
             "upper_ray": _ray_document(cone.upper),
@@ -388,7 +389,7 @@ def _cmd_cone(args) -> tuple[dict, dict, list]:
             result["lower_outer_ray"] = _ray_document(cone.lower_outer)
         provenance = list(cone.provenance)
     else:
-        facts = cones.nef_facts(ctx)
+        facts = cones.nef_facts(g, d, hyperelliptic=hyperelliptic)
         result = {
             "diagonal_nef_ray": None if facts.diagonal_nef_ray is None else _ray_document(facts.diagonal_nef_ray),
             "theta_boundary_ray": None if facts.theta_boundary_ray is None else _ray_document(facts.theta_boundary_ray),
@@ -636,10 +637,29 @@ def _uncapped_int_digits():
             sys.set_int_max_str_digits(cap)
 
 
+def _write(text: str) -> bool:
+    """Print ``text`` on stdout, or say in one line on stderr why it could not be.
+
+    A closed stdout (``sys.stdout is None``) fails too.  After a failure stdout
+    is ``os.devnull``, so the flush at exit (into a broken pipe, say) cannot raise again.
+    """
+    try:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
+        print(text)
+        sys.stdout.flush()
+        return True
+    except OSError as exc:
+        sys.stdout = open(os.devnull, "w")
+        print(f"error: the answer could not be written: {exc}", file=sys.stderr)
+        return False
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; ``--help`` and ``--version`` exit 0.
 
-    The exit code is 1 when ``verify`` reports a failure, else 0 for an answer.
+    The exit code is 5 when the answer could not be written, else 1 when
+    ``verify`` reports a failure, else 0 for an answer.
     """
     try:
         # Parsed under CPython's digit cap, so an integer flag of more than
@@ -650,7 +670,8 @@ def main(argv: list[str] | None = None) -> int:
         with _uncapped_int_digits():
             inputs, result, provenance = args.handler(args)
             document = {"command": args.command, "inputs": inputs, "result": result, "provenance": provenance}
-            print(render(document, _resolve_format(args.format)))
+            if not _write(render(document, _resolve_format(args.format))):
+                return 5
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

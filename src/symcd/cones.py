@@ -15,9 +15,11 @@ the best of the ramification slope, theta - 2x for 2d <= g (Kouvidakis), and
 theta - (2 - 1/k)x at (g, d) = (2k-1, k); and an outer ray theta - (g-d+1)x
 obtained by degenerating to the hyperelliptic cone.
 
-The two volume formulas are likewise restricted to their proven parameter
-ranges, and evaluation outside them raises :class:`OutOfProvenDomainError`
-rather than extrapolating.
+The functions take g and d directly, and ``effective_cone`` and ``nef_facts``
+a keyword ``hyperelliptic`` for the curve type; each proven (g, d) range is
+checked by the one helper in :mod:`symcd.errors`.  The two volume formulas are
+likewise restricted to their proven parameter ranges, and evaluation outside
+them raises :class:`OutOfProvenDomainError` rather than extrapolating.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ from fractions import Fraction
 
 from .combinatorics import as_rational
 from .cycles import CycleClass, _Frozen, _signed_sum
-from .errors import OutOfProvenDomainError, PreconditionError, shown
+from .errors import OutOfProvenDomainError, PreconditionError, _check_range, _check_space, shown
 
 __all__ = [
-    "CurveType",
-    "CurveContext",
     "Ray",
     "ConeStatus",
     "Membership",
@@ -75,23 +75,6 @@ THETA_BOUNDARY_PROVENANCE = (
 AMPLENESS_PROVENANCE = (
     "theta - x is ample whenever no degree-d divisor moves in a pencil (d below the gonality)"
 )
-
-
-class CurveType(enum.Enum):
-    """Which general curve the cone data refers to."""
-
-    GENERAL = "general"
-    HYPERELLIPTIC = "hyperelliptic"
-
-
-class CurveContext(_Frozen):
-    __slots__ = ("genus", "d", "curve_type")
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise PreconditionError(f"genus must be at least 2 (got {shown(self.genus)})")
-        if self.d < 2:
-            raise PreconditionError(f"symmetric power index must be at least 2 (got {shown(self.d)})")
 
 
 class Ray(_Frozen):
@@ -148,32 +131,34 @@ def _coordinates(upper: Ray, lower: Ray, numerators) -> tuple[int, int]:
 
 
 class Cone2D(_Frozen):
-    """A 2-dimensional cone in the (theta, x)-plane.
+    """A 2-dimensional cone in the (theta, x)-plane of C_d in genus ``genus``.
 
-    ``upper`` is always exact (the half-diagonal side).  For ``EXACT`` status
-    ``lower`` is the second boundary ray and ``lower_outer`` is None; for
-    ``BRACKET`` status ``lower`` is the proven-effective inner ray and
-    ``lower_outer`` the outer bound, and membership between them is reported
-    as undetermined.
+    ``upper`` is always exact (the half-diagonal side).  Without
+    ``lower_outer`` the cone is ``EXACT`` and ``lower`` is the second boundary
+    ray; with it the cone is a ``BRACKET``, ``lower`` is the proven-effective
+    inner ray and ``lower_outer`` the outer bound, and membership between them
+    is reported as undetermined.
     """
 
-    __slots__ = ("context", "upper", "lower", "status", "provenance", "lower_outer")
+    __slots__ = ("genus", "d", "upper", "lower", "provenance", "lower_outer")
     _defaults = {"lower_outer": None}
 
     def __post_init__(self):
         if self.upper.theta * self.lower.x == self.upper.x * self.lower.theta:
             raise PreconditionError("boundary rays of a 2-dimensional cone cannot be proportional")
-        if (self.status is ConeStatus.BRACKET) != (self.lower_outer is not None):
-            raise PreconditionError("bracket cones carry an outer ray; exact cones do not")
+
+    @property
+    def status(self) -> ConeStatus:
+        return ConeStatus.EXACT if self.lower_outer is None else ConeStatus.BRACKET
 
     def membership(self, divisor: CycleClass) -> Membership:
         """Locate a divisor class relative to the cone by exact sign tests."""
         if divisor.codim != 1:
             raise PreconditionError("membership is defined for divisor classes only")
-        if divisor.genus != self.context.genus or divisor.d != self.context.d:
+        if divisor.genus != self.genus or divisor.d != self.d:
             raise PreconditionError(
                 f"class on C_{shown(divisor.d)} (g={shown(divisor.genus)}) tested against the cone of "
-                f"C_{shown(self.context.d)} (g={shown(self.context.genus)})"
+                f"C_{shown(self.d)} (g={shown(self.genus)})"
             )
         alpha, beta = _coordinates(self.upper, self.lower, divisor.numerators)
         if alpha > 0 and beta > 0:
@@ -181,10 +166,10 @@ class Cone2D(_Frozen):
         if alpha >= 0 and beta >= 0:
             # On the upper ray (or at the apex) the cone is settled; on the
             # inner ray of a bracket only effectivity is known, not extremality.
-            if self.status is ConeStatus.EXACT or beta == 0:
+            if self.lower_outer is None or beta == 0:
                 return Membership.BOUNDARY
             return Membership.UNDETERMINED
-        if self.status is ConeStatus.EXACT:
+        if self.lower_outer is None:
             return Membership.OUTSIDE
         alpha, beta = _coordinates(self.upper, self.lower_outer, divisor.numerators)
         return Membership.OUTSIDE if alpha < 0 or beta < 0 else Membership.UNDETERMINED
@@ -196,51 +181,25 @@ def effective_slope_bound(g: int, d: int) -> Fraction:
     theta - r*x is the direction of the Gauss-map ramification divisor; at
     d = g-1 the bound becomes 1 + 1/(2g-3) and is sharp.
     """
-    if g < 4 or not 2 <= d <= g - 1:
-        raise PreconditionError(
-            f"slope bound needs g >= 4 and 2 <= d <= g-1 (got g={shown(g)}, d={shown(d)})"
-        )
+    _check_range("slope bound", g, d, hyperelliptic=False)
     q = g * g - d * g + d - 2
     return Fraction(q + g - d, q)
 
 
-def effective_cone(ctx: CurveContext) -> Cone2D:
-    """Effective-cone data for C_d, exact where proven and bracketed elsewhere."""
-    g, d = ctx.genus, ctx.d
+def effective_cone(g: int, d: int, *, hyperelliptic: bool) -> Cone2D:
+    """Effective-cone data for C_d in genus g on a general hyperelliptic curve, or a
+    general nonhyperelliptic one; exact where proven and bracketed elsewhere."""
+    _check_range("hyperelliptic cone" if hyperelliptic else "nonhyperelliptic cone", g, d, hyperelliptic)
     upper = Ray(-1, g + d - 1)
-    if ctx.curve_type is CurveType.HYPERELLIPTIC:
-        if not 2 <= d <= g:
-            raise PreconditionError(
-                f"hyperelliptic cone needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})"
-            )
-        return Cone2D(
-            ctx,
-            upper,
-            Ray(1, -(g - d + 1)),
-            ConeStatus.EXACT,
-            (DIAGONAL_RAY_PROVENANCE, HYPERELLIPTIC_RAY_PROVENANCE),
-        )
-    if g < 4 or not 2 <= d <= g - 1:
-        raise PreconditionError(
-            f"nonhyperelliptic cone needs g >= 4 and 2 <= d <= g-1 (got g={shown(g)}, d={shown(d)})"
-        )
+    if hyperelliptic:
+        return Cone2D(g, d, upper, Ray(1, -(g - d + 1)), (DIAGONAL_RAY_PROVENANCE, HYPERELLIPTIC_RAY_PROVENANCE))
     if d == g - 1:
         slope = effective_slope_bound(g, d)
         return Cone2D(
-            ctx,
-            upper,
-            Ray.from_rationals(1, -slope),
-            ConeStatus.EXACT,
-            (DIAGONAL_RAY_PROVENANCE, RAMIFICATION_RAY_PROVENANCE),
+            g, d, upper, Ray.from_rationals(1, -slope), (DIAGONAL_RAY_PROVENANCE, RAMIFICATION_RAY_PROVENANCE)
         )
     if g == 5 and d == 3:
-        return Cone2D(
-            ctx,
-            upper,
-            Ray(3, -5),
-            ConeStatus.EXACT,
-            (DIAGONAL_RAY_PROVENANCE, PENCIL_RESIDUAL_RAY_PROVENANCE),
-        )
+        return Cone2D(g, d, upper, Ray(3, -5), (DIAGONAL_RAY_PROVENANCE, PENCIL_RESIDUAL_RAY_PROVENANCE))
     candidates = [(effective_slope_bound(g, d), RAMIFICATION_BOUND_PROVENANCE)]
     if 3 <= d and 2 * d <= g:
         candidates.append((Fraction(2), KOUVIDAKIS_BOUND_PROVENANCE))
@@ -248,10 +207,10 @@ def effective_cone(ctx: CurveContext) -> Cone2D:
         candidates.append((2 - Fraction(1, d), PENCIL_RESIDUAL_BOUND_PROVENANCE))
     inner_slope, inner_provenance = max(candidates, key=lambda item: item[0])
     return Cone2D(
-        ctx,
+        g,
+        d,
         upper,
         Ray.from_rationals(1, -inner_slope),
-        ConeStatus.BRACKET,
         (DIAGONAL_RAY_PROVENANCE, inner_provenance, OUTER_BOUND_PROVENANCE),
         lower_outer=Ray(1, -(g - d + 1)),
     )
@@ -267,24 +226,23 @@ class NefFacts(_Frozen):
     ample, which holds exactly when d is below the gonality.
     """
 
-    __slots__ = (
-        "context", "diagonal_nef_ray", "theta_boundary_ray", "gonality", "theta_minus_x_ample", "provenance"
-    )
+    __slots__ = ("diagonal_nef_ray", "theta_boundary_ray", "gonality", "theta_minus_x_ample", "provenance")
 
 
-def nef_facts(ctx: CurveContext) -> NefFacts:
-    g, d = ctx.genus, ctx.d
+def nef_facts(g: int, d: int, *, hyperelliptic: bool) -> NefFacts:
+    """Nef-cone facts for C_d in genus g, on a general hyperelliptic curve if
+    ``hyperelliptic`` (proven for 2 <= d <= g), else on a general curve."""
+    if hyperelliptic:
+        _check_range("hyperelliptic nef data", g, d, hyperelliptic=True)
+    else:
+        _check_space(g, d)
     provenance: list[str] = []
     diagonal_ray = None
     if d >= 3:
         diagonal_ray = Ray(-1, d * g)
         provenance.append(DIAGONAL_NEF_PROVENANCE)
     theta_ray = None
-    if ctx.curve_type is CurveType.HYPERELLIPTIC:
-        if not 2 <= d <= g:
-            raise PreconditionError(
-                f"hyperelliptic nef data needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})"
-            )
+    if hyperelliptic:
         gonality = 2
         theta_ray = Ray(1, 0)
         provenance.append(THETA_BOUNDARY_PROVENANCE)
@@ -293,7 +251,7 @@ def nef_facts(ctx: CurveContext) -> NefFacts:
         gonality = (g + 1) // 2 + 1
     ample = d < gonality
     provenance.append(AMPLENESS_PROVENANCE)
-    return NefFacts(ctx, diagonal_ray, theta_ray, gonality, ample, tuple(provenance))
+    return NefFacts(diagonal_ray, theta_ray, gonality, ample, tuple(provenance))
 
 
 def general_volume_limit(g: int) -> Fraction:
@@ -304,8 +262,7 @@ def general_volume_limit(g: int) -> Fraction:
 def hyperelliptic_volume_limit(g: int, d: int) -> int:
     """Right end of the proven interval [0, g-d+1] of :func:`volume_hyperelliptic`,
     which is proven for 2 <= d <= g only."""
-    if not 2 <= d <= g:
-        raise PreconditionError(f"hyperelliptic volume needs 2 <= d <= g (got g={shown(g)}, d={shown(d)})")
+    _check_range("hyperelliptic volume", g, d, hyperelliptic=True)
     return g - d + 1
 
 

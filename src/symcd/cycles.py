@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .combinatorics import as_rational
-from .errors import PreconditionError, shown
+from .errors import PreconditionError, _check_space, shown
 
 __all__ = [
     "CycleClass",
@@ -167,10 +167,7 @@ class CycleClass(_Frozen):
 
     def __post_init__(self):
         """Validate a new instance; every construction runs this exactly once."""
-        if self.genus < 2:
-            raise PreconditionError(f"genus must be at least 2 (got {shown(self.genus)})")
-        if self.d < 2:
-            raise PreconditionError(f"symmetric power index must be at least 2 (got {shown(self.d)})")
+        _check_space(self.genus, self.d)
         if not self.numerators:
             raise PreconditionError("a class needs at least one coefficient")
         if len(self.numerators) - 1 > self.d:
@@ -188,19 +185,6 @@ class CycleClass(_Frozen):
 
     def __reduce__(self):
         return type(self), (self.genus, self.d, self.coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.genus, self.d, self.numerators, self.denominator) == (
-            other.genus,
-            other.d,
-            other.numerators,
-            other.denominator,
-        )
-
-    def __hash__(self):
-        return hash((self.genus, self.d, self.numerators, self.denominator))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(genus={self.genus!r}, d={self.d!r}, coeffs={self.coeffs!r})"

@@ -12,8 +12,6 @@ from math import factorial
 import pytest
 
 from symcd import (
-    CurveContext,
-    CurveType,
     Membership,
     Ray,
     bipartition_diagonal_class,
@@ -130,23 +128,23 @@ def test_criterion_07_hyperelliptic_volume_and_integrality():
 def test_criterion_08_cone_catalog():
     for g in range(2, 21):
         for d in range(2, g + 1):
-            cone = effective_cone(CurveContext(g, d, CurveType.HYPERELLIPTIC))
+            cone = effective_cone(g, d, hyperelliptic=True)
             assert cone.upper == Ray(-1, g + d - 1), (g, d)
             assert cone.lower == Ray(1, -(g - d + 1)), (g, d)
     for g in range(4, 21):
-        cone = effective_cone(CurveContext(g, g - 1, CurveType.GENERAL))
+        cone = effective_cone(g, g - 1, hyperelliptic=False)
         assert cone.upper == Ray(-1, 2 * g - 2), g
         assert cone.lower == Ray(2 * g - 3, -(2 * g - 2)), g
-    genus5 = effective_cone(CurveContext(5, 3, CurveType.GENERAL))
+    genus5 = effective_cone(5, 3, hyperelliptic=False)
     assert genus5.upper == Ray(-1, 7)
     assert genus5.lower == Ray(3, -5)
     # membership agrees with the ray geometry
-    corollary_cone = effective_cone(CurveContext(6, 5, CurveType.GENERAL))
+    corollary_cone = effective_cone(6, 5, hyperelliptic=False)
     assert corollary_cone.membership(divisor_class(6, 5, 1, 1)) is Membership.INSIDE
     boundary = divisor_class(6, 5, 1, 1 + Fraction(1, 9))
     assert corollary_cone.membership(boundary) is Membership.BOUNDARY
     assert corollary_cone.membership(divisor_class(6, 5, 1, 2)) is Membership.OUTSIDE
-    hyper = effective_cone(CurveContext(5, 3, CurveType.HYPERELLIPTIC))
+    hyper = effective_cone(5, 3, hyperelliptic=True)
     assert hyper.membership(divisor_class(5, 3, 1, 4)) is Membership.OUTSIDE
     assert hyper.membership(divisor_class(5, 3, -1, -7)) is Membership.BOUNDARY
     _report(8, "cone rays match on all stated families and membership answers are consistent")

@@ -1,15 +1,20 @@
 import contextlib
+import errno
 import functools
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symcd
 from symcd.cli import main
 from symcd.cones import volume_general
 from symcd.cycles import CycleClass, evaluate_top, multiply, theta_class, x_class
@@ -643,6 +648,28 @@ def test_cone_out_of_range(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cone", "--g", "9", "--d", "9"), "nonhyperelliptic cone needs g >= 4 and 2 <= d <= g-1 (got g=9, d=9)"),
+        (("cone", "--g", "3", "--d", "2"), "nonhyperelliptic cone needs g >= 4 and 2 <= d <= g-1 (got g=3, d=2)"),
+        (("cone", "--g", "1", "--d", "3"), "nonhyperelliptic cone needs g >= 4 and 2 <= d <= g-1 (got g=1, d=3)"),
+        (("cone", "--g", "9", "--d", "10", "--curve", "hyperelliptic"), "hyperelliptic cone needs 2 <= d <= g"),
+        (("cone", "--g", "9", "--d", "1", "--curve", "hyperelliptic", "--kind", "nef"), "nef data needs 2 <= d <= g"),
+        (("cone", "--g", "1", "--d", "3", "--kind", "nef"), "genus must be at least 2 (got 1)"),
+        (("volume", "--g", "9", "--d", "10", "--t", "1/2", "--curve", "hyperelliptic"), "volume needs 2 <= d <= g"),
+        (("volume", "--g", "9", "--d", "1", "--t", "1/2", "--curve", "hyperelliptic"), "volume needs 2 <= d <= g"),
+        (("class", "ramification", "--g", "9", "--d", "9"), "ramification divisor needs g >= 4 and 2 <= d <= g-1"),
+        (("class", "ramification", "--g", "3", "--d", "2"), "ramification divisor needs g >= 4 and 2 <= d <= g-1"),
+    ],
+)
+def test_a_pair_outside_its_proven_range_exits_three_in_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    _assert_refused_in_one_error_line(out, err)
+    assert message in err
+
+
 @pytest.mark.parametrize("flag", ["--n", "--r", "--k"])
 @pytest.mark.parametrize(
     "argv",
@@ -744,6 +771,66 @@ def test_help_still_exits_zero(capsys, argv):
     assert excinfo.value.code == 0
     captured = capsys.readouterr()
     assert captured.out and captured.err == ""
+
+
+# --------------------------------------------------------------------------
+# an answer that cannot be written exits 5, with one line on stderr
+
+
+class _RefusingStdout(io.StringIO):
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "stdout, reason",
+    [
+        (_RefusingStdout(BrokenPipeError(errno.EPIPE, "Broken pipe")), "[Errno 32] Broken pipe"),
+        (_RefusingStdout(OSError(errno.ENOSPC, "No space left on device")), "[Errno 28] No space left on device"),
+        (None, "standard output is closed"),
+    ],
+    ids=["broken-pipe", "disk-full", "closed"],
+)
+def test_an_answer_that_cannot_be_written_exits_five(stdout, reason):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(["cone", "--g", "6", "--d", "5"])
+        replaced = sys.stdout
+    replaced.close()
+    assert code == 5
+    assert err.getvalue() == f"error: the answer could not be written: {reason}\n"
+    # so that the flush at exit writes nowhere rather than failing again
+    assert replaced.name == os.devnull
+
+
+def _cli_process(argv, **kwargs):
+    src = str(Path(symcd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "symcd.cli", *argv]
+    return subprocess.Popen(command, env=dict(os.environ, PYTHONPATH=path), stderr=subprocess.PIPE, **kwargs)
+
+
+def test_a_reader_that_stops_early_gets_exit_five_and_one_line():
+    # 2.5 MB of output, far more than a pipe holds, so the writer meets the closed end.
+    argv = ["class", "subordinate", "--g", "2", "--d", "1000", "--n", "1000", "--r", "0"]
+    with _cli_process(argv, stdout=subprocess.PIPE) as process:
+        assert len(process.stdout.read(10)) == 10
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 5
+    assert err == "error: the answer could not be written: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_an_answer_written_to_a_full_device_gets_exit_five_and_one_line():
+    with open("/dev/full", "wb") as full, _cli_process(["cone", "--g", "6", "--d", "5"], stdout=full) as process:
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 5
+    assert err == "error: the answer could not be written: [Errno 28] No space left on device\n"
 
 
 def test_volume_general(capsys):

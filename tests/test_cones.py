@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from symcd.cones import (
     Cone2D,
     ConeStatus,
-    CurveContext,
-    CurveType,
     Membership,
     NefFacts,
     Ray,
@@ -26,14 +24,6 @@ from symcd.catalog import hyperelliptic_pencil_locus_class
 from symcd.combinatorics import gen_binomial
 from symcd.cycles import CycleClass, divisor_class, theta_class, x_class
 from symcd.errors import OutOfProvenDomainError, PreconditionError
-
-
-def _general(g, d):
-    return CurveContext(g, d, CurveType.GENERAL)
-
-
-def _hyperelliptic(g, d):
-    return CurveContext(g, d, CurveType.HYPERELLIPTIC)
 
 
 # ------------------------------------------------------------------------ rays
@@ -95,7 +85,7 @@ def test_slope_bound_range():
 
 
 def test_hyperelliptic_cone_is_exact():
-    cone = effective_cone(_hyperelliptic(5, 3))
+    cone = effective_cone(5, 3, hyperelliptic=True)
     assert cone.status is ConeStatus.EXACT
     assert cone.upper == Ray(-1, 7)
     assert cone.lower == Ray(1, -3)
@@ -105,20 +95,20 @@ def test_hyperelliptic_cone_is_exact():
 def test_hyperelliptic_cone_sweep_matches_pencil_locus():
     for g in range(2, 21):
         for d in range(2, g + 1):
-            cone = effective_cone(_hyperelliptic(g, d))
+            cone = effective_cone(g, d, hyperelliptic=True)
             assert cone.upper == Ray(-1, g + d - 1)
             assert cone.lower == Ray.from_class(hyperelliptic_pencil_locus_class(g, d))
 
 
 def test_top_symmetric_power_cone_is_exact():
-    cone = effective_cone(_general(4, 3))
+    cone = effective_cone(4, 3, hyperelliptic=False)
     assert cone.status is ConeStatus.EXACT
     assert cone.upper == Ray(-1, 6)
     assert cone.lower == Ray(5, -6)
 
 
 def test_genus_five_third_power_cone_is_exact():
-    cone = effective_cone(_general(5, 3))
+    cone = effective_cone(5, 3, hyperelliptic=False)
     assert cone.status is ConeStatus.EXACT
     assert cone.upper == Ray(-1, 7)
     assert cone.lower == Ray(3, -5)
@@ -126,7 +116,7 @@ def test_genus_five_third_power_cone_is_exact():
 
 def test_bracket_cone_with_kouvidakis_inner_bound():
     # 3 <= d <= g/2: theta - 2x beats the ramification slope
-    cone = effective_cone(_general(8, 4))
+    cone = effective_cone(8, 4, hyperelliptic=False)
     assert cone.status is ConeStatus.BRACKET
     assert cone.lower == Ray(1, -2)
     assert cone.lower_outer == Ray(1, -5)
@@ -135,14 +125,14 @@ def test_bracket_cone_with_kouvidakis_inner_bound():
 
 def test_bracket_cone_with_pencil_residual_inner_bound():
     # (g, d) = (2k-1, k), k = 4: inner slope 2 - 1/4
-    cone = effective_cone(_general(7, 4))
+    cone = effective_cone(7, 4, hyperelliptic=False)
     assert cone.status is ConeStatus.BRACKET
     assert cone.lower == Ray(4, -7)
     assert cone.lower_outer == Ray(1, -4)
 
 
 def test_bracket_cone_with_ramification_inner_bound():
-    cone = effective_cone(_general(9, 7))
+    cone = effective_cone(9, 7, hyperelliptic=False)
     assert cone.status is ConeStatus.BRACKET
     assert cone.lower == Ray.from_rationals(1, -effective_slope_bound(9, 7))
     assert cone.lower == Ray(23, -25)
@@ -151,11 +141,11 @@ def test_bracket_cone_with_ramification_inner_bound():
 
 def test_effective_cone_range_errors():
     with pytest.raises(PreconditionError):
-        effective_cone(_general(3, 2))
+        effective_cone(3, 2, hyperelliptic=False)
     with pytest.raises(PreconditionError):
-        effective_cone(_general(5, 5))
+        effective_cone(5, 5, hyperelliptic=False)
     with pytest.raises(PreconditionError):
-        effective_cone(_hyperelliptic(4, 5))
+        effective_cone(4, 5, hyperelliptic=True)
 
 
 # ----------------------------------------------------------------- membership
@@ -163,7 +153,7 @@ def test_effective_cone_range_errors():
 
 def test_membership_in_exact_cone():
     g = 6
-    cone = effective_cone(_general(g, g - 1))
+    cone = effective_cone(g, g - 1, hyperelliptic=False)
     assert cone.membership(divisor_class(g, g - 1, 1, 1)) is Membership.INSIDE
     boundary = divisor_class(g, g - 1, 1, 1 + Fraction(1, 2 * g - 3))
     assert cone.membership(boundary) is Membership.BOUNDARY
@@ -171,14 +161,14 @@ def test_membership_in_exact_cone():
 
 
 def test_membership_hyperelliptic_outside():
-    cone = effective_cone(_hyperelliptic(5, 3))
+    cone = effective_cone(5, 3, hyperelliptic=True)
     assert cone.membership(divisor_class(5, 3, 1, 4)) is Membership.OUTSIDE
     assert cone.membership(divisor_class(5, 3, 1, 3)) is Membership.BOUNDARY
     assert cone.membership(divisor_class(5, 3, 1, 2)) is Membership.INSIDE
 
 
 def test_membership_in_bracket_cone():
-    cone = effective_cone(_general(8, 4))  # inner theta - 2x, outer theta - 5x
+    cone = effective_cone(8, 4, hyperelliptic=False)  # inner theta - 2x, outer theta - 5x
     assert cone.membership(divisor_class(8, 4, 1, 1)) is Membership.INSIDE
     assert cone.membership(divisor_class(8, 4, 1, 3)) is Membership.UNDETERMINED
     assert cone.membership(divisor_class(8, 4, 1, 2)) is Membership.UNDETERMINED
@@ -190,7 +180,7 @@ def test_membership_in_bracket_cone():
 
 
 def test_membership_rejects_foreign_classes():
-    cone = effective_cone(_general(6, 5))
+    cone = effective_cone(6, 5, hyperelliptic=False)
     with pytest.raises(PreconditionError):
         cone.membership(divisor_class(6, 4, 1, 1))
     with pytest.raises(PreconditionError):
@@ -198,7 +188,7 @@ def test_membership_rejects_foreign_classes():
 
 
 def test_membership_refuses_classes_that_are_not_divisors():
-    cone = effective_cone(_general(6, 5))
+    cone = effective_cone(6, 5, hyperelliptic=False)
     for cls in (CycleClass(6, 5, [1]), theta_class(6, 5) * x_class(6, 5)):  # codimension 0 and 2
         with pytest.raises(PreconditionError, match="divisor classes only"):
             cone.membership(cls)
@@ -209,7 +199,7 @@ positive_weights = st.fractions(min_value=Fraction(1, 50), max_value=100, max_de
 
 @given(positive_weights, positive_weights)
 def test_membership_of_positive_combinations(alpha, beta):
-    cone = effective_cone(_hyperelliptic(6, 4))
+    cone = effective_cone(6, 4, hyperelliptic=True)
     combo = divisor_class(
         6,
         4,
@@ -247,8 +237,8 @@ def _fraction_membership(cone, divisor):
 
 
 # every exact and every bracket cone with 4 <= g <= 13
-EVERY_CONE = [effective_cone(_general(g, d)) for g in range(4, 14) for d in range(2, g)] + [
-    effective_cone(_hyperelliptic(g, d)) for g in range(4, 14) for d in range(2, g + 1)
+EVERY_CONE = [effective_cone(g, d, hyperelliptic=False) for g in range(4, 14) for d in range(2, g)] + [
+    effective_cone(g, d, hyperelliptic=True) for g in range(4, 14) for d in range(2, g + 1)
 ]
 
 
@@ -257,7 +247,7 @@ def _rays(cone):
 
 
 def _on_ray(cone, ray, multiple):
-    g, d = cone.context.genus, cone.context.d
+    g, d = cone.genus, cone.d
     return divisor_class(g, d, multiple * ray.theta, -multiple * ray.x)
 
 
@@ -274,7 +264,7 @@ def test_bracket_cones_settle_only_the_upper_ray():
 
 def test_membership_of_every_ray_multiple_matches_the_fraction_solve():
     for cone in EVERY_CONE:
-        g, d = cone.context.genus, cone.context.d
+        g, d = cone.genus, cone.d
         divisors = [divisor_class(g, d, 0, 0)]
         for ray in _rays(cone):
             divisors += [_on_ray(cone, ray, m) for m in (1, -1, Fraction(7, 3), Fraction(-1, 2))]
@@ -282,7 +272,7 @@ def test_membership_of_every_ray_multiple_matches_the_fraction_solve():
             for second in _rays(cone):
                 divisors.append(_on_ray(cone, first, 1) + _on_ray(cone, second, Fraction(-1, 3)))
         for divisor in divisors:
-            assert cone.membership(divisor) is _fraction_membership(cone, divisor), (cone.context, divisor)
+            assert cone.membership(divisor) is _fraction_membership(cone, divisor), ((cone.genus, cone.d), divisor)
 
 
 _weights = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -293,7 +283,7 @@ def cones_and_divisors(draw):
     """A cone with 4 <= g <= 13 and a divisor: rational, a multiple of one of its
     rays, a combination of two of them (possibly on a ray), or zero."""
     cone = draw(st.sampled_from(EVERY_CONE))
-    g, d = cone.context.genus, cone.context.d
+    g, d = cone.genus, cone.d
     kind = draw(st.sampled_from(("rational", "ray", "combination", "zero")))
     if kind == "rational":
         return cone, divisor_class(g, d, draw(_weights), draw(_weights))
@@ -316,53 +306,51 @@ def test_integer_membership_matches_the_fraction_solve(case):
 
 def test_cone_invariants():
     with pytest.raises(PreconditionError):
-        Cone2D(_general(6, 5), Ray(1, -2), Ray(2, -4), ConeStatus.EXACT, ())
-    with pytest.raises(PreconditionError):
-        Cone2D(_general(6, 5), Ray(-1, 11), Ray(1, -2), ConeStatus.BRACKET, ())
+        Cone2D(6, 5, Ray(1, -2), Ray(2, -4), ())
+
+
+def test_cone_status_follows_the_outer_ray():
+    # The status is read from lower_outer, so a cone cannot hold a status that disagrees with it.
+    exact = Cone2D(6, 5, Ray(-1, 10), Ray(9, -10), ())
+    bracket = Cone2D(6, 5, Ray(-1, 10), Ray(9, -10), (), lower_outer=Ray(1, -2))
+    assert exact.status is ConeStatus.EXACT
+    assert bracket.status is ConeStatus.BRACKET
+    assert "status" not in Cone2D.__slots__
+    for cone in EVERY_CONE:
+        assert cone.status is (ConeStatus.EXACT if cone.lower_outer is None else ConeStatus.BRACKET)
 
 
 # ------------------------------------------------------------------ nef facts
 
 
 def test_nef_facts_general():
-    facts = nef_facts(_general(4, 3))
+    facts = nef_facts(4, 3, hyperelliptic=False)
     assert facts.diagonal_nef_ray == Ray(-1, 12)
     assert facts.theta_boundary_ray is None
     assert facts.gonality == 3
 
 
 def test_nef_facts_gonality_predicate():
-    assert nef_facts(_general(7, 3)).theta_minus_x_ample is True  # gonality 5 > 3
-    assert nef_facts(_general(7, 5)).theta_minus_x_ample is False
-    assert nef_facts(_general(6, 3)).theta_minus_x_ample is True  # gonality 4
-    assert nef_facts(_general(6, 4)).theta_minus_x_ample is False
+    assert nef_facts(7, 3, hyperelliptic=False).theta_minus_x_ample is True  # gonality 5 > 3
+    assert nef_facts(7, 5, hyperelliptic=False).theta_minus_x_ample is False
+    assert nef_facts(6, 3, hyperelliptic=False).theta_minus_x_ample is True  # gonality 4
+    assert nef_facts(6, 4, hyperelliptic=False).theta_minus_x_ample is False
 
 
 def test_nef_facts_hyperelliptic():
-    facts = nef_facts(_hyperelliptic(5, 3))
+    facts = nef_facts(5, 3, hyperelliptic=True)
     assert facts.theta_boundary_ray == Ray(1, 0)
     assert facts.gonality == 2
     assert facts.theta_minus_x_ample is False
 
 
 def test_nef_facts_diagonal_needs_d_three():
-    assert nef_facts(_general(5, 2)).diagonal_nef_ray is None
+    assert nef_facts(5, 2, hyperelliptic=False).diagonal_nef_ray is None
 
 
 # ----------------------------------------------------------------- value types
 
-_GENERAL_CONTEXT_REPR = "CurveContext(genus=8, d=3, curve_type=<CurveType.GENERAL: 'general'>)"
-_HYPERELLIPTIC_CONTEXT_REPR = "CurveContext(genus=4, d=3, curve_type=<CurveType.HYPERELLIPTIC: 'hyperelliptic'>)"
 _DIAGONAL_RAY_LINE = "half-diagonal class -theta + (g+d-1)x spans an effective boundary ray (Kouvidakis)"
-
-
-def test_curve_context_value_contract(value_contract):
-    fields = {"genus": 8, "d": 3, "curve_type": CurveType.GENERAL}
-    value_contract(CurveContext, fields, _GENERAL_CONTEXT_REPR)
-    with pytest.raises(PreconditionError):
-        CurveContext(genus=1, d=3, curve_type=CurveType.GENERAL)
-    with pytest.raises(PreconditionError):
-        CurveContext(curve_type=CurveType.GENERAL, d=1, genus=4)
 
 
 def test_ray_value_contract(value_contract):
@@ -374,43 +362,38 @@ def test_ray_value_contract(value_contract):
 
 
 def test_cone_value_contract(value_contract):
-    cone = effective_cone(_hyperelliptic(4, 3))
+    cone = effective_cone(4, 3, hyperelliptic=True)
     fields = {
-        "context": cone.context,
+        "genus": cone.genus,
+        "d": cone.d,
         "upper": cone.upper,
         "lower": cone.lower,
-        "status": cone.status,
         "provenance": cone.provenance,
         "lower_outer": None,
     }
     expected = (
-        f"Cone2D(context={_HYPERELLIPTIC_CONTEXT_REPR}, upper=Ray(theta=-1, x=6), "
-        "lower=Ray(theta=1, x=-2), status=<ConeStatus.EXACT: 'exact'>, "
+        "Cone2D(genus=4, d=3, upper=Ray(theta=-1, x=6), lower=Ray(theta=1, x=-2), "
         f"provenance=('{_DIAGONAL_RAY_LINE}', 'theta - (g-d+1)x is the class of the pencil locus "
         "C^1_d, contracted by the Abel map'), lower_outer=None)"
     )
     value_contract(Cone2D, fields, expected, defaults=("lower_outer",))
-    with pytest.raises(PreconditionError):
-        Cone2D(**dict(fields, lower_outer=Ray(1, -2)))
 
 
 def test_bracket_cone_repr_and_keyword_outer_ray(value_contract):
-    cone = effective_cone(_general(8, 3))
+    cone = effective_cone(8, 3, hyperelliptic=False)
     assert repr(cone) == (
-        f"Cone2D(context={_GENERAL_CONTEXT_REPR}, upper=Ray(theta=-1, x=10), "
-        "lower=Ray(theta=1, x=-2), status=<ConeStatus.BRACKET: 'inner-and-outer-bracket'>, "
+        "Cone2D(genus=8, d=3, upper=Ray(theta=-1, x=10), lower=Ray(theta=1, x=-2), "
         f"provenance=('{_DIAGONAL_RAY_LINE}', 'inner bound: theta - 2x is effective for 3 <= d <= g/2 "
         "(Kouvidakis)', 'outer bound: degeneration to a hyperelliptic curve caps the slope at g-d+1'), "
         "lower_outer=Ray(theta=1, x=-6))"
     )
-    rebuilt = Cone2D(cone.context, cone.upper, cone.lower, cone.status, cone.provenance, lower_outer=Ray(1, -6))
+    rebuilt = Cone2D(8, 3, cone.upper, cone.lower, cone.provenance, lower_outer=Ray(1, -6))
     assert rebuilt == cone and hash(rebuilt) == hash(cone)
 
 
 def test_nef_facts_value_contract(value_contract):
-    facts = nef_facts(_hyperelliptic(4, 3))
+    facts = nef_facts(4, 3, hyperelliptic=True)
     fields = {
-        "context": facts.context,
         "diagonal_nef_ray": facts.diagonal_nef_ray,
         "theta_boundary_ray": facts.theta_boundary_ray,
         "gonality": facts.gonality,
@@ -418,7 +401,7 @@ def test_nef_facts_value_contract(value_contract):
         "provenance": facts.provenance,
     }
     expected = (
-        f"NefFacts(context={_HYPERELLIPTIC_CONTEXT_REPR}, diagonal_nef_ray=Ray(theta=-1, x=12), "
+        "NefFacts(diagonal_nef_ray=Ray(theta=-1, x=12), "
         "theta_boundary_ray=Ray(theta=1, x=0), gonality=2, theta_minus_x_ample=False, "
         "provenance=('-theta + dg*x is nef and big with augmented base locus the small diagonal (Pacienza)', "
         "'theta spans a common boundary ray of the nef and movable cones when the Abel map is a divisorial "

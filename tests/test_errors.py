@@ -1,4 +1,7 @@
-"""Refusals that print a caller's number, whatever its size.
+"""Refusals: the edges of the proven (g, d) ranges, and a caller's number shown whatever its size.
+
+Each caller of ``errors._check_space`` and ``errors._check_range`` accepts
+both edges of its range and refuses one step past each.
 
 CPython refuses to turn an int of more than ``sys.get_int_max_str_digits()``
 decimal digits into a string.  A library refusal must still arrive as the
@@ -6,16 +9,65 @@ library's own error, with the number shown by its bit length; with the cap
 lifted, as the CLI runs, the full value is printed.
 """
 
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from symcd.catalog import pencil_residual_divisor_class, subordinate_class
-from symcd.cones import CurveContext, CurveType, effective_slope_bound, volume_general, volume_hyperelliptic
-from symcd.cycles import theta_class
+from symcd.catalog import (
+    hyperelliptic_pencil_locus_class,
+    pencil_residual_divisor_class,
+    ramification_divisor_class,
+    solve_test_curve_system,
+    subordinate_class,
+)
+from symcd.cones import (
+    effective_cone,
+    effective_slope_bound,
+    hyperelliptic_volume_limit,
+    nef_facts,
+    volume_general,
+    volume_hyperelliptic,
+)
+from symcd.cycles import CycleClass, theta_class
 from symcd.errors import OutOfProvenDomainError, PreconditionError, shown
 from symcd.verify import run_all
+
+# (the (g, d) pairs at the edges of a range, the pairs one step past them, the refusal's text)
+SPACE = ([(2, 2), (2, 9), (9, 2)], [(1, 2), (2, 1)], "must be at least 2")
+GENERAL = ([(4, 2), (4, 3), (9, 2), (9, 8)], [(3, 2), (4, 1), (4, 4), (9, 1), (9, 9)], "needs g >= 4 and 2 <= d <= g-1")
+HYPERELLIPTIC = ([(2, 2), (9, 2), (9, 9)], [(2, 1), (2, 3), (9, 1), (9, 10)], "needs 2 <= d <= g")
+
+RANGES = {
+    "CycleClass": (lambda g, d: CycleClass(g, d, [1]), SPACE),
+    "ramification_divisor_class": (ramification_divisor_class, GENERAL),
+    "solve_test_curve_system": (solve_test_curve_system, GENERAL),
+    "hyperelliptic_pencil_locus_class": (hyperelliptic_pencil_locus_class, HYPERELLIPTIC),
+    "effective_slope_bound": (effective_slope_bound, GENERAL),
+    "effective_cone-general": (lambda g, d: effective_cone(g, d, hyperelliptic=False), GENERAL),
+    "effective_cone-hyperelliptic": (lambda g, d: effective_cone(g, d, hyperelliptic=True), HYPERELLIPTIC),
+    "nef_facts-general": (lambda g, d: nef_facts(g, d, hyperelliptic=False), SPACE),
+    "nef_facts-hyperelliptic": (lambda g, d: nef_facts(g, d, hyperelliptic=True), HYPERELLIPTIC),
+    "hyperelliptic_volume_limit": (hyperelliptic_volume_limit, HYPERELLIPTIC),
+}
+EDGE_CASES = [
+    pytest.param(name, g, d, accepted, id=f"{name}-{g}-{d}-{'accepted' if accepted else 'refused'}")
+    for name, (_, (edges, beyond, _)) in RANGES.items()
+    for pairs, accepted in ((edges, True), (beyond, False))
+    for g, d in pairs
+]
+
+
+@pytest.mark.parametrize("name, g, d, accepted", EDGE_CASES)
+def test_each_range_check_accepts_its_edges_and_refuses_one_step_past(name, g, d, accepted):
+    call, (_, _, text) = RANGES[name]
+    if accepted:
+        call(g, d)
+    else:
+        with pytest.raises(PreconditionError, match=re.escape(text)):
+            call(g, d)
+
 
 HUGE = -(10**5000)  # 16,610 bits, past the default cap of 4,300 digits
 
@@ -23,7 +75,8 @@ HUGE = -(10**5000)  # 16,610 bits, past the default cap of 4,300 digits
 REFUSALS = {
     "theta_class": (lambda: theta_class(HUGE, 3), PreconditionError, HUGE),
     "subordinate_class": (lambda: subordinate_class(HUGE, 3, 3, 0), PreconditionError, HUGE),
-    "CurveContext": (lambda: CurveContext(HUGE, 3, CurveType.GENERAL), PreconditionError, HUGE),
+    "effective_cone": (lambda: effective_cone(HUGE, 3, hyperelliptic=False), PreconditionError, HUGE),
+    "nef_facts": (lambda: nef_facts(HUGE, 3, hyperelliptic=True), PreconditionError, HUGE),
     "volume_general": (lambda: volume_general(HUGE, 0), PreconditionError, HUGE),
     "volume_general_t": (lambda: volume_general(5, Fraction(10**5000)), OutOfProvenDomainError, 10**5000),
     "volume_hyperelliptic": (lambda: volume_hyperelliptic(HUGE, 3, 0), PreconditionError, HUGE),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symcd.cones import CurveContext, CurveType, Ray, general_volume_limit, nef_facts
+from symcd.cones import Ray, general_volume_limit, nef_facts
 from symcd.residuation import residuation_pullback
 
 
@@ -55,4 +55,4 @@ def test_volume_interval_ends_where_the_residual_class_meets_the_diagonal_nef_ra
     # theta - t*x at the right end t of the proven interval goes to the ray of
     # -theta + g(g-1)x, Pacienza's nef boundary ray of C_(g-1).
     residual = Ray.from_rationals(*residuation_pullback(1, -general_volume_limit(g)))
-    assert residual == nef_facts(CurveContext(g, g - 1, CurveType.GENERAL)).diagonal_nef_ray
+    assert residual == nef_facts(g, g - 1, hyperelliptic=False).diagonal_nef_ray
