@@ -42,10 +42,10 @@ _Entry = namedtuple("_Entry", "class_name intersect_name constructor flags prove
 
 # One row per named class: its name for ``class``, its name in ``intersect``
 # expressions (None where it has none), the public name of its constructor,
-# the flags the constructor takes in order, and its provenance line.  The
-# constructor is looked up on the package at every call and never kept, so
-# rebinding it in its module (as the benchmark's tracer does) takes effect at
-# once.
+# the flags the constructor takes in order, and its provenance line.  Like
+# every library name here, the constructor is looked up on the package at every
+# call (in ``_cmd_class`` or ``_ExpressionParser.atom``) and never kept, so
+# rebinding it in its module (as the benchmark's tracer does) takes effect at once.
 _CATALOG = (
     _Entry(None, "theta", "theta_class", ("g", "d"), None),
     _Entry(None, "x", "x_class", ("g", "d"), None),
@@ -107,6 +107,9 @@ class UsageError(Exception):
 
 def _parse_fraction(text: str) -> Fraction:
     try:
+        # Fraction alone also takes 1.5, 1_000 and 1e-1000000, a number of a million digits.
+        if not re.fullmatch(r"\s*[-+]?\d+(?:/\d+)?\s*", text):
+            raise ValueError("only an integer or p/q is accepted")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
@@ -119,15 +122,18 @@ def _require(args: argparse.Namespace, flag: str, why: str):
     return value
 
 
-def _class_document(cls) -> dict:
-    from .cycles import _monomial_name
+def _flag_values(entry: _Entry, args: argparse.Namespace, why: str, **given) -> list:
+    """The arguments of ``entry``'s constructor: each flag's value in ``given``, else its required value in ``args``."""
+    return [given[flag] if flag in given else _require(args, flag, why) for flag in entry.flags]
 
+
+def _class_document(cls) -> dict:
     codim = cls.codim
     result = {
         "genus": cls.genus,
         "symmetric_power": cls.d,
         "codimension": codim,
-        "monomials": [_monomial_name(k, codim - k) or "1" for k in range(codim + 1)],
+        "monomials": [symcd.cycles._monomial_name(k, codim - k) or "1" for k in range(codim + 1)],
         "coefficients": [str(c) for c in cls.coeffs],
         "pretty": str(cls),
     }
@@ -173,13 +179,13 @@ class _ExpressionParser:
 
     Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := atom (('^'|'**') INT)?; atom := NUMBER | NAME | '(' expr ')' |
-    '-' atom.  Every value is a homogeneous class on C_d in genus g: ``resolve``
-    maps a NAME to its class, and a NUMBER p or p/q is the codimension-0 class
-    p/q, so a scalar is the degree-0 part of the ring and needs no rules of its
-    own.  Sums take classes of equal codimension, and products and powers add
-    codimensions up to d.  Parentheses and unary minus together may nest at
-    most ``_MAX_NESTING`` levels deep, which keeps the recursion far from the
-    interpreter's limit.
+    '-' atom.  Every value is a homogeneous class on C_d in genus g: ``atom``
+    builds a NAME from its ``_CATALOG`` row, other flags than g and d read from
+    ``args``, and a NUMBER p or p/q is the codimension-0 class p/q, so a scalar
+    is the degree-0 part of the ring and needs no rules of its own.  Sums take
+    classes of equal codimension, and products and powers add codimensions up
+    to d.  Parentheses and unary minus together may nest at most
+    ``_MAX_NESTING`` levels deep, far from the interpreter's recursion limit.
 
     Every value the parser builds is bounded: its integer numerators and
     their common denominator may not exceed 2^``_MAX_SCALAR_BITS`` (about
@@ -204,12 +210,11 @@ class _ExpressionParser:
     a scalar and any other a class.
     """
 
-    def __init__(self, text: str, g: int, d: int, resolve):
+    def __init__(self, text: str, g: int, d: int, args: argparse.Namespace):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.g, self.d = g, d
-        self.resolve = resolve
+        self.g, self.d, self.args = g, d, args
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -275,14 +280,18 @@ class _ExpressionParser:
             self.depth -= 1
             return value
         if token[0].isdigit():
-            from .cycles import CycleClass
-
             numerator, _, denominator = token.partition("/")
             try:
-                return _bounded(CycleClass.from_numerators(self.g, self.d, (int(numerator),), int(denominator or 1)))
+                return _bounded(symcd.CycleClass.from_numerators(self.g, self.d, (int(numerator),), int(denominator or 1)))
             except ZeroDivisionError:
                 raise UsageError(f"zero denominator in {token!r}") from None
-        return self.resolve(token)
+        entry = _INTERSECT_NAMES.get(token)
+        if entry is None:
+            raise UsageError(f"unknown name in expression: {token!r}")
+        values = _flag_values(entry, self.args, f"the {token!r} name", g=self.g, d=self.d)
+        if token == "ek" and (self.g, self.d) != (2 * values[0] - 1, values[0]):
+            raise PreconditionError(f"ek lives on C_k in genus 2k-1; got k={values[0]} with g={self.g}, d={self.d}")
+        return getattr(symcd, entry.constructor)(*values)
 
 
 def _bounded(value):
@@ -322,7 +331,7 @@ def _check_flag_caps(command: str, values: dict, genus_cap: int = _MAX_CLASS_FLA
 def _cmd_class(args) -> tuple[dict, dict, list]:
     name = args.name
     entry = _CLASSES[name]
-    values = [_require(args, flag, name) for flag in entry.flags]
+    values = _flag_values(entry, args, name)
     flags = dict(zip(entry.flags, values))
     _check_flag_caps("class", flags)
     inputs = {"name": name, **flags}
@@ -331,55 +340,31 @@ def _cmd_class(args) -> tuple[dict, dict, list]:
         inputs["variant"] = "statement" if args.statement_variant else "proof"
         values.append(inputs["variant"])
         if args.statement_variant:
-            provenance.append(
-                "statement variant: x*theta coefficient known to disagree with the extraction oracle"
-            )
+            provenance.append("statement variant: x*theta coefficient known to disagree with the extraction oracle")
     return inputs, _class_document(getattr(symcd, entry.constructor)(*values)), provenance
 
 
-def _intersect_class(args, g: int, d: int, name: str):
-    """The class that ``name`` stands for in an expression on C_d in genus g."""
-    entry = _INTERSECT_NAMES.get(name)
-    if entry is None:
-        raise UsageError(f"unknown name in expression: {name!r}")
-    given = {"g": g, "d": d}
-    values = [
-        given[flag] if flag in given else _require(args, flag, f"the {name!r} name") for flag in entry.flags
-    ]
-    if name == "ek":
-        (k,) = values
-        if (g, d) != (2 * k - 1, k):
-            raise PreconditionError(f"ek lives on C_k in genus 2k-1; got k={k} with g={g}, d={d}")
-    return getattr(symcd, entry.constructor)(*values)
-
-
 def _cmd_intersect(args) -> tuple[dict, dict, list]:
-    from .cycles import evaluate_top
-
     g = _require(args, "g", "intersect")
     d = _require(args, "d", "intersect")
     _check_flag_caps("intersect", {flag: getattr(args, flag) for flag in "gdnrk"}, _MAX_INTERSECT_GENUS)
-    value = _ExpressionParser(args.expression, g, d, lambda name: _intersect_class(args, g, d, name)).parse()
+    value = _ExpressionParser(args.expression, g, d, args).parse()
     if value.codim != d:
-        raise PreconditionError(
-            f"expression has codimension {value.codim}; top-degree evaluation on C_{d} needs {d}"
-        )
+        raise PreconditionError(f"expression has codimension {value.codim}; top-degree evaluation on C_{d} needs {d}")
     return (
         {"expression": args.expression, "g": g, "d": d},
-        {"value": str(evaluate_top(value)), "codimension": value.codim},
+        {"value": str(symcd.evaluate_top(value)), "codimension": value.codim},
         ["Poincare formula: x^k * theta^(d-k) = g!/(g-d+k)! on C_d"],
     )
 
 
 def _cmd_cone(args) -> tuple[dict, dict, list]:
-    from . import cones
-
     g = _require(args, "g", "cone")
     d = _require(args, "d", "cone")
     hyperelliptic = args.curve == "hyperelliptic"
     inputs = {"g": g, "d": d, "curve": args.curve, "kind": args.kind}
     if args.kind == "effective":
-        cone = cones.effective_cone(g, d, hyperelliptic=hyperelliptic)
+        cone = symcd.effective_cone(g, d, hyperelliptic=hyperelliptic)
         result = {
             "status": cone.status.value,
             "upper_ray": _ray_document(cone.upper),
@@ -389,7 +374,7 @@ def _cmd_cone(args) -> tuple[dict, dict, list]:
             result["lower_outer_ray"] = _ray_document(cone.lower_outer)
         provenance = list(cone.provenance)
     else:
-        facts = cones.nef_facts(g, d, hyperelliptic=hyperelliptic)
+        facts = symcd.nef_facts(g, d, hyperelliptic=hyperelliptic)
         result = {
             "diagonal_nef_ray": None if facts.diagonal_nef_ray is None else _ray_document(facts.diagonal_nef_ray),
             "theta_boundary_ray": None if facts.theta_boundary_ray is None else _ray_document(facts.theta_boundary_ray),
@@ -414,8 +399,6 @@ _VOLUME_PROVENANCE = {
 
 
 def _cmd_volume(args) -> tuple[dict, dict, list]:
-    from . import cones
-
     g = _require(args, "g", "volume")
     if g > _MAX_VOLUME_GENUS:
         raise UsageError(f"--g {g} is too large for volume: at most {_MAX_VOLUME_GENUS}")
@@ -426,19 +409,17 @@ def _cmd_volume(args) -> tuple[dict, dict, list]:
     general = args.curve == "general"
     if general:
         if d != g - 1:
-            raise PreconditionError(
-                f"the general-curve volume formula applies on C_(g-1); got d={d} with g={g}"
-            )
-        limit = cones.general_volume_limit(g)
+            raise PreconditionError(f"the general-curve volume formula applies on C_(g-1); got d={d} with g={g}")
+        limit = symcd.general_volume_limit(g)
         base, power = t.denominator, g - 1
     else:
-        limit = cones.hyperelliptic_volume_limit(g, d)
+        limit = symcd.hyperelliptic_volume_limit(g, d)
         base, power = limit * t.denominator, d
     if (base.bit_length() - 1) * power > _MAX_SCALAR_BITS:
         raise UsageError(
             f"--t {t} is too long for volume at g={g}: the value's denominator would exceed 2^{_MAX_SCALAR_BITS}"
         )
-    value = cones.volume_general(g, t) if general else cones.volume_hyperelliptic(g, d, t)
+    value = symcd.volume_general(g, t) if general else symcd.volume_hyperelliptic(g, d, t)
     return (
         {"g": g, "d": d, "curve": args.curve, "t": str(t)},
         {"value": str(value), "proven_interval": f"[0, {limit}]"},
@@ -464,15 +445,13 @@ def _report_document(report) -> dict:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, list]:
-    from . import verify
-
-    reports = verify.run_all(args.suite, args.max)
+    reports = symcd.run_all(args.suite, args.max)
     return (
         {"suite": args.suite, "max": args.max},
         {
             "reports": [_report_document(report) for report in reports],
-            "failures": sum(1 for report in reports if report.status is verify.CheckStatus.FAIL),
-            "all_passed": verify.all_passed(reports),
+            "failures": sum(1 for report in reports if report.status is symcd.CheckStatus.FAIL),
+            "all_passed": symcd.all_passed(reports),
         },
         ["exact re-derivation of the identity catalog; no tolerances"],
     )
@@ -542,14 +521,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from . import __version__
-
     parser = _Parser(
         prog="symcd",
         description="Exact divisor classes, intersection numbers, cones, and volumes on symmetric powers of curves.",
     )
     parser.add_argument(
-        "--version", action="version", version=f"symcd {__version__} (Python {sys.version.split()[0]})"
+        "--version", action="version", version=f"symcd {symcd.__version__} (Python {sys.version.split()[0]})"
     )
     parser.add_argument(
         "--format",

@@ -30,6 +30,7 @@ package computes, including those on C_(g+1).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -86,23 +87,26 @@ class _Frozen:
     def __post_init__(self):
         pass
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # ``cls._values_of(value)``: the tuple of the fields (attrgetter returns a bare value for one name).
+        get = operator.attrgetter(*cls.__slots__)
+        cls._values_of = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values_of(self) == self._values_of(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values_of(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self.__slots__, self._values_of(self))])
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values_of(self)
 
     def __setattr__(self, name, value):
         _refuse(f"cannot assign to field {name!r}")

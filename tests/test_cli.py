@@ -223,6 +223,54 @@ def test_class_and_intersect_look_up_the_constructor_at_every_call(capsys, monke
     assert calls == [(4, 3), (4, 3)]
 
 
+# Each other route into the library, patched in its home module so that the
+# first argv is answered as the second one is.
+_ROUTES = {
+    "evaluate_top": (
+        "cycles",
+        lambda original: lambda value: original(2 * value),
+        ("intersect", "theta^3", "--g", "5", "--d", "3"),
+        ("intersect", "2 * theta^3", "--g", "5", "--d", "3"),
+    ),
+    "effective_cone": (
+        "cones",
+        lambda original: lambda g, d, hyperelliptic: original(g + 1, d + 1, hyperelliptic=hyperelliptic),
+        ("cone", "--g", "5", "--d", "3"),
+        ("cone", "--g", "6", "--d", "4"),
+    ),
+    "nef_facts": (
+        "cones",
+        lambda original: lambda g, d, hyperelliptic: original(g + 1, d + 1, hyperelliptic=hyperelliptic),
+        ("cone", "--kind", "nef", "--g", "5", "--d", "3"),
+        ("cone", "--kind", "nef", "--g", "6", "--d", "4"),
+    ),
+    "volume_general": (
+        "cones",
+        lambda original: lambda g, t: original(g, t / 2),
+        ("volume", "--g", "5", "--d", "4", "--t", "1/2"),
+        ("volume", "--g", "5", "--d", "4", "--t", "1/4"),
+    ),
+    "run_all": (
+        "verify",
+        lambda original: lambda suite, bound: original("orth", 3),
+        ("verify", "--suite", "diagonal", "--max", "4"),
+        ("verify", "--suite", "orth", "--max", "3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTES))
+def test_every_subcommand_looks_up_the_library_at_every_call(capsys, monkeypatch, name):
+    home, stand_in, argv, answered_as = _ROUTES[name]
+    unpatched, expected = (run_json(capsys, *each)[1]["result"] for each in (argv, answered_as))
+    assert unpatched != expected
+    module = getattr(symcd, home)
+    monkeypatch.setattr(module, name, stand_in(getattr(module, name)))
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 0, err
+    assert doc["result"] == expected
+
+
 def test_intersect_rational_scalars(capsys):
     code, doc, _ = run_json(capsys, "intersect", "(theta - 5/3 * x)^3", "--g", "5", "--d", "3")
     assert code == 0
@@ -973,6 +1021,27 @@ def test_volume_malformed_t_is_usage_error(capsys):
     assert err.startswith("usage error: argument --t: not an exact rational: 'one'")
 
 
+# Fraction itself accepts these; a short exponent form stands for a number of
+# a million digits, which took 16 s to build and printed a 1 MB refusal.
+@pytest.mark.parametrize("t", ["1e-1000000", "1e1000000", "1e3", "1.5", ".5", "1_000", "1/1_0", "1/2.0"])
+def test_volume_t_other_than_an_integer_or_p_over_q_is_refused_at_once(capsys, t):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "volume", "--g", "5", "--d", "4", f"--t={t}")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    assert len(err.encode()) < 200
+    assert err.startswith(f"usage error: argument --t: not an exact rational: {t!r}")
+
+
+@pytest.mark.parametrize(("t", "shown"), [("3", "3"), ("-1/2", "-1/2"), ("+1/2", "1/2"), (" 2/4 ", "1/2")])
+def test_volume_takes_an_integer_or_p_over_q_with_sign_and_spaces(capsys, t, shown):
+    code, doc, err = run_json(capsys, "volume", "--g", "5", "--d", "4", f"--t={t}")
+    assert code in (0, 4), err
+    if code == 0:
+        assert doc["inputs"]["t"] == shown
+
+
 def test_verify_all_passes(capsys):
     code, doc, _ = run_json(capsys, "verify", "--suite", "all", "--max", "6")
     assert code == 0
@@ -1133,7 +1202,7 @@ def _integer_edges():
 
 
 _INTEGERS = _integer_edges()
-_T_VALUES = ("0", "1", "-1", "1/2", "2", "2097150/2097151", "1/2097152", "1/0", "one", "9" * 4300)
+_T_VALUES = ("0", "1", "-1", "1/2", "2", "2097150/2097151", "1/2097152", "1/0", "one", "9" * 4300, "1e-1000000", "1.5")
 _CURVES = ("general", "hyperelliptic")
 # The flags of each subcommand: None for a switch, else the values to draw.
 _CLASS_INTEGERS = dict.fromkeys(("--g", "--d", "--n", "--r", "--k"), _INTEGERS)

@@ -369,6 +369,15 @@ def test_repr_keeps_the_dataclass_layout():
     assert repr(theta_class(5, 2)) == "CycleClass(genus=5, d=2, coeffs=(Fraction(1, 1), Fraction(0, 1)))"
 
 
+class OneField(cycles._Frozen):
+    __slots__ = ("only",)
+
+
+def test_a_value_type_of_one_field_keeps_the_value_contract(value_contract):
+    # attrgetter returns a bare value for one name: a tuple field shows whether it was wrapped.
+    value_contract(OneField, {"only": (1, 2)}, "OneField(only=(1, 2))")
+
+
 def test_classes_survive_pickle_and_copy():
     for cls in (CycleClass(5, 3, ["1/2", -2, 3]), divisor_class(4, 3, 10, 12)):
         for clone in (pickle.loads(pickle.dumps(cls)), copy.copy(cls), copy.deepcopy(cls)):

@@ -18,6 +18,7 @@ from sympy.concrete.gosper import gosper_sum
 
 from symcd.catalog import (
     _residual_sums,
+    bipartition_diagonal_class,
     bipartition_diagonal_extraction,
     binomial_convolution_identity,
     hyperelliptic_pencil_locus_class,
@@ -198,6 +199,56 @@ def test_ramification_closed_form_matches_the_kernel():
             assert divisor.denominator == 1
             assert (theta, -x) == (RAMIFICATION_A.subs(point), RAMIFICATION_B.subs(point))
             assert effective_slope_bound(g, d) == SLOPE_BOUND.subs(point) == Fraction(-x, theta)
+
+
+# ------------------------------------------------------------ two-part diagonal in g and d
+
+beta_, p_, q_ = sympy.symbols("beta p q", integer=True, nonnegative=True)
+# f(beta) of bipartition_diagonal_extraction, by the mixed coefficient proved above.
+DIAGONAL_F = MIXED.subs(
+    {n_: 2 - g_ + beta_, m_: g_ - beta_, a_: g_ - d_ + 1, b_: d_, c_: (g_ - d_ + 1) ** 2, e_: d_**2}
+)
+# bipartition_diagonal_class as its docstring states it, and the statement variant's B.
+DIAGONAL_SCALE = d_ * (g_ - d_ + 1)
+DIAGONAL_A = (d_ - 1) * g_**3 - (d_**2 - 2) * g_**2 + (d_**2 - d_ - 1) * g_ + 2
+DIAGONAL_B = (2 - 2 * d_) * g_**2 + (2 * d_**2 - 3) * g_ - (2 * d_**2 - 2 * d_ - 1)
+DIAGONAL_B_STATEMENT = (2 - 2 * d_) * g_**2 + (2 * d_**2 - 3) * g_ - (2 * d_**2 - d_ - 2)
+DIAGONAL_C = (d_ - 1) * (g_ - d_)
+
+
+def test_two_part_diagonal_extraction_is_the_closed_form_for_every_g_and_d():
+    # The extraction's coefficient of x^(g-1-alpha) theta^alpha is the alpha-th
+    # forward difference of f at 0 over alpha!, and the closed form's is scale
+    # times A, B, C and then 0; the halving is the same factor on both sides.
+    differences = [sympy.expand(DIAGONAL_F)]
+    for _ in range(3):
+        differences.append(sympy.expand(differences[-1].subs(beta_, beta_ + 1) - differences[-1]))
+    # f is quadratic in beta, so its third difference, and every later one, is 0.
+    assert sympy.degree(differences[0], beta_) == 2 and differences[3] == 0
+    closed = (DIAGONAL_SCALE * DIAGONAL_A, DIAGONAL_SCALE * DIAGONAL_B, 2 * DIAGONAL_SCALE * DIAGONAL_C)
+    assert [sympy.expand(f.subs(beta_, 0) - c) for f, c in zip(differences, closed)] == [0, 0, 0]
+
+
+def test_two_part_diagonal_statement_variant_differs_for_every_g_and_d():
+    gap = sympy.expand(DIAGONAL_SCALE * (DIAGONAL_B_STATEMENT - DIAGONAL_B))
+    assert sympy.expand(gap + DIAGONAL_SCALE * (d_ - 1)) == 0
+    # On the range d = 2 + p, g = d + 1 + q with p, q >= 0, -gap is a polynomial
+    # with positive coefficients and a positive constant, so it is never 0.
+    shifted = sympy.Poly(-gap.subs(g_, d_ + 1 + q_).subs(d_, 2 + p_), p_, q_)
+    assert shifted.coeff_monomial(1) > 0 and all(c > 0 for c in shifted.coeffs())
+
+
+@pytest.mark.parametrize("g, d", [(3, 2), (5, 3), (4, 3), (7, 2), (12, 5)])
+def test_two_part_diagonal_closed_forms_match_the_kernels(g, d):
+    point = {g_: g, d_: d}
+    halving = 2 if 2 * d == g + 1 else 1
+    scale, a, b, c = (sympy.Rational(e.subs(point)) for e in (DIAGONAL_SCALE, DIAGONAL_A, DIAGONAL_B, DIAGONAL_C))
+    expected = [0] * (g - 3) + [scale * c / halving, scale * b / halving, scale * a / halving]
+    assert list(bipartition_diagonal_class(g, d).coeffs) == expected
+    assert list(bipartition_diagonal_extraction(g, d).coeffs) == expected
+    expected[g - 2] -= scale * (d - 1) / halving
+    assert expected[g - 2] == scale * DIAGONAL_B_STATEMENT.subs(point) / halving
+    assert list(bipartition_diagonal_class(g, d, "statement").coeffs) == expected
 
 
 # ------------------------------------------------------------ volume identity
