@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 
 from .cycles import CycleClass, _evaluate_top, _Frozen, divisor_class
-from .errors import PreconditionError, _check_range, shown
+from .errors import PreconditionError, _check_range, _check_space, shown
 
 __all__ = [
     "subordinate_class",
@@ -67,8 +67,7 @@ def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:
     """
     # Checked ahead of CycleClass's own check: at a huge negative genus the
     # binomials below would run for seconds first.
-    if g < 2:
-        raise PreconditionError(f"genus must be at least 2 (got {shown(g)})")
+    _check_space(g, d)
     if not (n >= d >= r >= 0):
         raise PreconditionError(
             f"subordinate locus needs n >= d >= r >= 0 (got n={shown(n)}, d={shown(d)}, r={shown(r)})"
@@ -89,8 +88,7 @@ def small_diagonal_class(g: int, d: int) -> CycleClass:
 
     Codimension d - 1, value d * x^(d-2) * (((d-1)g + 1)x - (d-1)theta).
     """
-    if d < 2:
-        raise PreconditionError(f"the small diagonal needs d >= 2 (got {shown(d)})")
+    _check_space(g, d)
     return CycleClass.from_numerators(g, d, [0] * (d - 2) + [-d * (d - 1), d * ((d - 1) * g + 1)])
 
 

@@ -115,16 +115,12 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
 
 
-def _require(args: argparse.Namespace, flag: str, why: str):
-    value = getattr(args, flag)
-    if value is None:
-        raise UsageError(f"--{flag} is required for {why}")
-    return value
-
-
 def _flag_values(entry: _Entry, args: argparse.Namespace, why: str, **given) -> list:
-    """The arguments of ``entry``'s constructor: each flag's value in ``given``, else its required value in ``args``."""
-    return [given[flag] if flag in given else _require(args, flag, why) for flag in entry.flags]
+    """The arguments of ``entry``'s constructor: each flag's value in ``given``, else in ``args`` if it is there."""
+    values = [given[flag] if flag in given else getattr(args, flag, None) for flag in entry.flags]
+    if None in values:
+        raise UsageError(f"--{entry.flags[values.index(None)]} is required for {why}")
+    return values
 
 
 def _class_document(cls) -> dict:
@@ -306,7 +302,7 @@ def _bounded(value):
 # subcommand handlers; each returns the (inputs, result, provenance) of its document
 
 
-# Every integer flag ``class`` and ``intersect`` read is at most this in
+# Every integer flag ``class`` and ``intersect`` take is at most this in
 # absolute value, but for the genus of ``intersect``.  A class on C_d has up to
 # d+1 coefficients over one denominator as large as d!, so its cost and its
 # size grow without limit in --d; at the cap the largest,
@@ -317,24 +313,22 @@ def _bounded(value):
 # is slow: ``ramification^1000`` (31-bit coefficients) took 10-14 s on a 2-vCPU
 # VM; the ROADMAP direction "Exact powers at the caps" plans the faster power.
 _MAX_CLASS_FLAG = 1_000
-_MAX_INTERSECT_GENUS = 2 * _MAX_CLASS_FLAG - 1
-
-
-def _check_flag_caps(command: str, values: dict, genus_cap: int = _MAX_CLASS_FLAG) -> None:
-    """Refuse a given integer flag beyond its cap, before anything is built."""
-    for flag, value in values.items():
-        cap = genus_cap if flag == "g" else _MAX_CLASS_FLAG
-        if value is not None and abs(value) > cap:
-            raise UsageError(f"--{flag} {value} is too large for {command}: at most {cap} in absolute value")
+# The exact volume's cost grows about quadratically in g (0.2 s at g = 5,000,
+# 2 s at 20,000, for one CLI call), so larger genera are refused.
+_MAX_VOLUME_GENUS = 5_000
+# Each subcommand's capped flags, in the order g, d, n, r, k; ``main`` refuses one past its cap.
+_FLAG_CAPS = {
+    "class": dict.fromkeys("gdnrk", _MAX_CLASS_FLAG),
+    "intersect": {"g": 2 * _MAX_CLASS_FLAG - 1, **dict.fromkeys("dnrk", _MAX_CLASS_FLAG)},
+    "volume": {"g": _MAX_VOLUME_GENUS},
+}
 
 
 def _cmd_class(args) -> tuple[dict, dict, list]:
     name = args.name
     entry = _CLASSES[name]
     values = _flag_values(entry, args, name)
-    flags = dict(zip(entry.flags, values))
-    _check_flag_caps("class", flags)
-    inputs = {"name": name, **flags}
+    inputs = {"name": name, **dict(zip(entry.flags, values))}
     provenance = [entry.provenance]
     if name == "bipartition-diagonal":
         inputs["variant"] = "statement" if args.statement_variant else "proof"
@@ -345,9 +339,7 @@ def _cmd_class(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_intersect(args) -> tuple[dict, dict, list]:
-    g = _require(args, "g", "intersect")
-    d = _require(args, "d", "intersect")
-    _check_flag_caps("intersect", {flag: getattr(args, flag) for flag in "gdnrk"}, _MAX_INTERSECT_GENUS)
+    g, d = args.g, args.d
     value = _ExpressionParser(args.expression, g, d, args).parse()
     if value.codim != d:
         raise PreconditionError(f"expression has codimension {value.codim}; top-degree evaluation on C_{d} needs {d}")
@@ -359,8 +351,7 @@ def _cmd_intersect(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_cone(args) -> tuple[dict, dict, list]:
-    g = _require(args, "g", "cone")
-    d = _require(args, "d", "cone")
+    g, d = args.g, args.d
     hyperelliptic = args.curve == "hyperelliptic"
     inputs = {"g": g, "d": d, "curve": args.curve, "kind": args.kind}
     if args.kind == "effective":
@@ -385,13 +376,10 @@ def _cmd_cone(args) -> tuple[dict, dict, list]:
     return inputs, result, provenance
 
 
-# The exact volume's cost grows about quadratically in g (0.2 s at g = 5,000,
-# 2 s at 20,000, for one CLI call), so larger genera are refused.  Its size
-# grows with the denominator of t = p/q as well: the value is one number over
-# q^(g-1) for the general curve and over ((g-d+1)q)^d for the hyperelliptic
-# one, so a t whose denominator power would exceed 2^_MAX_SCALAR_BITS, the
-# bound on every number ``intersect`` builds, is refused too.
-_MAX_VOLUME_GENUS = 5_000
+# The exact volume's size grows with the denominator of t = p/q: the value is
+# one number over q^(g-1) for the general curve and over ((g-d+1)q)^d for the
+# hyperelliptic one, so a t whose denominator power would exceed
+# 2^_MAX_SCALAR_BITS, the bound on every number ``intersect`` builds, is refused.
 _VOLUME_PROVENANCE = {
     "general": "volume of theta - t*x on C_(g-1): residuation onto the nef subcone, then top self-intersection",
     "hyperelliptic": "Zariski decomposition with positive part proportional to theta",
@@ -399,11 +387,7 @@ _VOLUME_PROVENANCE = {
 
 
 def _cmd_volume(args) -> tuple[dict, dict, list]:
-    g = _require(args, "g", "volume")
-    if g > _MAX_VOLUME_GENUS:
-        raise UsageError(f"--g {g} is too large for volume: at most {_MAX_VOLUME_GENUS}")
-    d = _require(args, "d", "volume")
-    t = _require(args, "t", "volume")
+    g, d, t = args.g, args.d, args.t
     # A wrong --d is refused before the size of t is judged, since that size
     # depends on d.
     general = args.curve == "general"
@@ -529,10 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"symcd {symcd.__version__} (Python {sys.version.split()[0]})"
     )
     parser.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default=None,
-        help=f"output format (default: ${FORMAT_ENV_VAR} or text)",
+        "--format", choices=("json", "text"), help=f"output format (default: ${FORMAT_ENV_VAR} or text)"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -544,12 +525,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "k": "pencil parameter",
     }
 
-    def add_flags(sub, integers: str):
+    def add_flags(sub, integers: str, required: str = ""):
         # Also accepted after the subcommand; SUPPRESS keeps a root-level
         # --format from being clobbered by the subparser default.
         sub.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
         for flag in integers:
-            sub.add_argument(f"--{flag}", type=int, default=None, help=integer_flags[flag])
+            sub.add_argument(f"--{flag}", type=int, required=flag in required, help=integer_flags[flag])
 
     def add_curve(sub):
         sub.add_argument("--curve", choices=("general", "hyperelliptic"), default="general", help="curve type")
@@ -566,18 +547,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     intersect_parser = subparsers.add_parser("intersect", help="evaluate a top-degree product expression")
     intersect_parser.add_argument("expression")
-    add_flags(intersect_parser, "gdnrk")
+    add_flags(intersect_parser, "gdnrk", required="gd")
     intersect_parser.set_defaults(handler=_cmd_intersect)
 
     cone_parser = subparsers.add_parser("cone", help="cone boundary data")
-    add_flags(cone_parser, "gd")
+    add_flags(cone_parser, "gd", required="gd")
     add_curve(cone_parser)
     cone_parser.add_argument("--kind", choices=("effective", "nef"), default="effective")
     cone_parser.set_defaults(handler=_cmd_cone)
 
     volume_parser = subparsers.add_parser("volume", help="exact volume of theta - t*x")
-    add_flags(volume_parser, "gd")
-    volume_parser.add_argument("--t", type=_parse_fraction, default=None, help="rational 'p/q' literal")
+    add_flags(volume_parser, "gd", required="gd")
+    volume_parser.add_argument("--t", type=_parse_fraction, required=True, help="rational 'p/q' literal")
     add_curve(volume_parser)
     volume_parser.set_defaults(handler=_cmd_volume)
 
@@ -591,10 +572,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_format(explicit: str | None) -> str:
-    if explicit in ("json", "text"):
-        return explicit
     env = os.environ.get(FORMAT_ENV_VAR, "")
-    return env if env in ("json", "text") else "text"
+    return explicit or (env if env in ("json", "text") else "text")
 
 
 @contextlib.contextmanager
@@ -614,6 +593,19 @@ def _uncapped_int_digits():
             sys.set_int_max_str_digits(cap)
 
 
+def _refuse(code: int, line: str) -> int:
+    """Print ``line`` on stderr and return ``code``.  A refusal may echo an
+    argument of any length, so a line of 400 bytes or more (in UTF-8, with its
+    newline) keeps its start, which says what was refused, and its end, which
+    often says why, around a count of the characters left out."""
+    data = line.encode(errors="backslashreplace")
+    if len(data) >= 400:
+        head, tail = data[:200].decode(errors="ignore"), data[-150:].decode(errors="ignore")
+        line = f"{head}[... {len(data.decode()) - len(head) - len(tail)} characters left out ...]{tail}"
+    print(line, file=sys.stderr)
+    return code
+
+
 def _write(text: str) -> bool:
     """Print ``text`` on stdout, or say in one line on stderr why it could not be.
 
@@ -628,7 +620,7 @@ def _write(text: str) -> bool:
         return True
     except OSError as exc:
         sys.stdout = open(os.devnull, "w")
-        print(f"error: the answer could not be written: {exc}", file=sys.stderr)
+        _refuse(5, f"error: the answer could not be written: {exc}")
         return False
 
 
@@ -644,20 +636,21 @@ def main(argv: list[str] | None = None) -> int:
         args, extras = _build_parser().parse_known_args(argv)
         if extras:  # named here, where the subcommand is known, not by the root parser
             raise UsageError(f"unrecognized arguments for {args.command}: {' '.join(extras)}")
+        for flag, cap in _FLAG_CAPS.get(args.command, {}).items():
+            value = getattr(args, flag)
+            if value is not None and abs(value) > cap:
+                raise UsageError(f"--{flag} {value} is too large for {args.command}: at most {cap} in absolute value")
         with _uncapped_int_digits():
             inputs, result, provenance = args.handler(args)
             document = {"command": args.command, "inputs": inputs, "result": result, "provenance": provenance}
             if not _write(render(document, _resolve_format(args.format))):
                 return 5
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(2, f"usage error: {exc}")
     except OutOfProvenDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _refuse(4, f"error: {exc}")
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _refuse(3, f"error: {exc}")
     return 0 if result.get("all_passed", True) else 1
 
 

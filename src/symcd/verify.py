@@ -281,8 +281,10 @@ def run_all(suite: str = "all", bound: int | None = None) -> list[CheckReport]:
 
     Without a bound each check runs at its own default; under "all" a bound is
     clamped to each suite's cap.  A bound below the suite's minimum, or above
-    its maximum once clamped, is refused.
+    its maximum once clamped, is refused, and so is an unknown suite.
     """
+    if suite != "all" and suite not in SUITES:
+        raise PreconditionError(f"suite must be one of {', '.join(map(repr, ('all', *SUITES)))} (got {suite!r})")
     rows = SUITES.values() if suite == "all" else (SUITES[suite],)
     # A capped suite runs at its cap under "all", so only the others' maxima bind there.
     low = max(row.minimum for row in rows)

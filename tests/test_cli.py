@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -171,6 +172,15 @@ def test_class_refuses_a_flag_past_the_cap(capsys, name, flag, value):
     assert out == ""
     assert f"{flag} {value} is too large for class: at most 1000 in absolute value" in err
     _assert_one_line(err)
+
+
+def test_class_refuses_a_flag_past_the_cap_that_its_name_does_not_read(capsys):
+    # e-k reads only --k, but every flag of class is held to the same cap
+    assert run_cli(capsys, "class", "e-k", "--k", "3", "--g", "1000")[0] == 0
+    code, out, err = run_cli(capsys, "class", "e-k", "--k", "3", "--g", "5000")
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    assert err == "usage error: --g 5000 is too large for class: at most 1000 in absolute value\n"
 
 
 def test_class_subordinate_at_a_large_degree_is_refused_quickly(capsys):
@@ -751,10 +761,85 @@ def _outcome(argv):
 
 
 def _assert_refused_in_one_error_line(out, err):
-    # stderr is exactly one line, the one that says what is wrong
+    # stderr is exactly one line, the one that says what is wrong, in at most 400 bytes
     assert out == "" and "Traceback" not in err
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert err.startswith(("usage error: ", "error: ")), err
+    assert len(err.encode(errors="backslashreplace")) <= 400, err[:500]
+
+
+def _assert_cut_from(err, line):
+    """``err`` is ``line`` on one line, whole if it fits in 400 bytes, else its
+    start and end around a count of the characters left out between them."""
+    if len(line.encode()) < 400:
+        assert err == line + "\n"
+        return
+    head, left_out, tail = re.fullmatch(r"(.*?)\[\.\.\. (\d+) characters left out \.\.\.\](.*)\n", err).groups()
+    assert line.startswith(head) and line.endswith(tail)
+    assert len(head) + int(left_out) + len(tail) == len(line)
+    assert len(err.encode()) <= 400
+
+
+def _int_refusal(text):
+    """Why ``int`` refuses ``text``: here, CPython's cap on the digits of an int."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Refusals that echo a long argument, each with its exit code and the line it
+# would print whole; an expression with spaces is cut like one without.
+LONG_REFUSALS = {
+    "volume-t": (
+        ["volume", "--g", "5", "--d", "4", "--t=" + "9" * 100_000],
+        2,
+        f"usage error: argument --t: not an exact rational: '{'9' * 100_000}' ({_int_refusal('9' * 100_000)})",
+    ),
+    "cone-g": (
+        ["cone", "--g", "9" * 100_000, "--d", "3"],
+        2,
+        f"usage error: argument --g: invalid int value: '{'9' * 100_000}'",
+    ),
+    "intersect-spaced": (
+        ["intersect", "theta %" + " x" * 50_000, "--g", "4", "--d", "3"],
+        2,
+        f"usage error: cannot tokenize expression at: '%{' x' * 50_000}'",
+    ),
+    "cone-d": (
+        ["cone", "--g", "4", "--d", "9" * 4000],
+        3,
+        f"error: nonhyperelliptic cone needs g >= 4 and 2 <= d <= g-1 (got g=4, d={'9' * 4000})",
+    ),
+    "verify-max": (
+        ["verify", "--max", "9" * 4000],
+        3,
+        f"error: --max must be at most 100 for suite 'all' (got {'9' * 4000})",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, line", LONG_REFUSALS.values(), ids=LONG_REFUSALS)
+def test_a_long_refusal_is_cut_to_one_line_of_400_bytes(argv, code, line):
+    assert len(line.encode()) > 400
+    refused, out, err = _outcome(argv)
+    assert refused == code
+    _assert_refused_in_one_error_line(out, err)
+    _assert_cut_from(err, line)
+
+
+def test_a_cut_refusal_keeps_its_start_and_its_reason():
+    err = _outcome(LONG_REFUSALS["volume-t"][0])[2]
+    assert err.startswith("usage error: argument --t: not an exact rational: '999")
+    assert err.endswith(f"999' ({_int_refusal('9' * 100_000)})\n")
+
+
+def test_a_cut_refusal_line_counts_bytes_not_characters():
+    # each 'é' takes two bytes in UTF-8, so the line is cut at 400 bytes, not 400 characters
+    code, out, err = _outcome(["intersect", "theta %" + "é" * 300, "--g", "4", "--d", "3"])
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    _assert_cut_from(err, f"usage error: cannot tokenize expression at: '%{'é' * 300}'")
 
 
 # One argv each subcommand answers
@@ -778,6 +863,20 @@ def test_an_unknown_flag_is_refused_in_the_name_of_its_subcommand(argv):
         assert err.startswith(f"usage error: unrecognized arguments for {argv[0]}: --zz"), err
 
 
+# The flags each call of a subcommand needs, which argparse requires
+FIXED_FLAGS = {"intersect": "gd", "cone": "gd", "volume": "gdt"}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in FIXED_FLAGS.items() for flag in flags])
+def test_a_missing_fixed_flag_is_refused_by_argparse(command, flag):
+    argv = ANSWERED[command]
+    at = argv.index(f"--{flag}")
+    code, out, err = _outcome(argv[:at] + argv[at + 2 :])
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    assert err == f"usage error: the following arguments are required: --{flag}\n"
+
+
 @pytest.mark.parametrize("argv", FLAG_PREFIXES.values(), ids=FLAG_PREFIXES)
 def test_a_prefix_of_a_flag_is_a_usage_error(argv):
     code, out, err = _outcome(argv)
@@ -794,6 +893,7 @@ ARGPARSE_REFUSALS = {
     "root-flag-only": (["--format", "json"], "the following arguments are required: command"),
     "unknown-subcommand": (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     "missing-expression": (["intersect", "--g", "4", "--d", "3"], "the following arguments are required: expression"),
+    "volume-without-flags": (["volume"], "the following arguments are required: --g, --d, --t"),
     # parsed under CPython's digit cap, which main lifts only to run a command
     "cone-genus-of-5000-digits": (["cone", "--g", "1" * 5000, "--d", "3"], "argument --g: invalid int value"),
     "class-degree-of-5000-digits": (
@@ -948,6 +1048,13 @@ def test_volume_refuses_a_genus_past_the_cap(capsys, curve, d):
     assert out == ""
     assert "at most 5000" in err
     _assert_one_line(err)
+
+
+def test_volume_refuses_a_genus_below_minus_the_cap_as_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "volume", "--g", "-5001", "--d", "4", "--t", "1/2")
+    assert code == 2
+    _assert_refused_in_one_error_line(out, err)
+    assert err == "usage error: --g -5001 is too large for volume: at most 5000 in absolute value\n"
 
 
 @pytest.mark.parametrize(
@@ -1138,7 +1245,8 @@ def test_verify_max_above_suite_maximum_is_refused(capsys, suite):
         assert time.perf_counter() - started < 1, (suite, bound)
         assert code == 3, (suite, bound)
         assert out == ""
-        assert err == f"error: --max must be at most {SUITE_MAXIMA[suite]} for suite {suite!r} (got {bound})\n"
+        # the 4,000-digit bound is echoed cut, in one line of at most 400 bytes
+        _assert_cut_from(err, f"error: --max must be at most {SUITE_MAXIMA[suite]} for suite {suite!r} (got {bound})")
         _assert_one_line(err)
 
 
@@ -1188,15 +1296,16 @@ def test_text_verify_renders_one_line_per_check(capsys):
 
 
 def _integer_edges():
-    """0, +-1, 2, each cap on an integer flag, cap + 1, their negatives, a
-    100-digit value, values of 4,300 digits, the most CPython's int-from-str
-    accepts, and of 4,301 digits, which argparse therefore refuses."""
+    """0, +-1, 2, each cap on an integer flag and each bound of ``--max``
+    with its neighbours, their negatives, a 100-digit value, values of 4,300
+    digits, the most CPython's int-from-str accepts, and of 4,301 digits,
+    which argparse therefore refuses."""
     from symcd import cli, verify
 
-    caps = {cli._MAX_CLASS_FLAG, cli._MAX_INTERSECT_GENUS, cli._MAX_VOLUME_GENUS - 1, cli._MAX_VOLUME_GENUS}
+    edges = {cap for flags in cli._FLAG_CAPS.values() for cap in flags.values()}
     for row in verify.SUITES.values():
-        caps |= {row.minimum, row.maximum, *([row.cap] if row.cap else [])}
-    values = {0, 1, 2, 10**100, *caps, *(cap + 1 for cap in caps)}
+        edges |= {row.minimum, row.maximum, *([row.cap] if row.cap else [])}
+    values = {0, 1, 2, 10**100, *(edge + step for edge in edges for step in (-1, 0, 1))}
     longest = ("9" * 4300, "-" + "9" * 4300, "9" * 4301, "-" + "9" * 4301)
     return (*sorted(str(sign * value) for value in values for sign in (1, -1)), *longest)
 

@@ -19,6 +19,7 @@ from symcd.catalog import (
     hyperelliptic_pencil_locus_class,
     pencil_residual_divisor_class,
     ramification_divisor_class,
+    small_diagonal_class,
     solve_test_curve_system,
     subordinate_class,
 )
@@ -41,6 +42,8 @@ HYPERELLIPTIC = ([(2, 2), (9, 2), (9, 9)], [(2, 1), (2, 3), (9, 1), (9, 10)], "n
 
 RANGES = {
     "CycleClass": (lambda g, d: CycleClass(g, d, [1]), SPACE),
+    "subordinate_class": (lambda g, d: subordinate_class(g, d, d, 0), SPACE),
+    "small_diagonal_class": (small_diagonal_class, SPACE),
     "ramification_divisor_class": (ramification_divisor_class, GENERAL),
     "solve_test_curve_system": (solve_test_curve_system, GENERAL),
     "hyperelliptic_pencil_locus_class": (hyperelliptic_pencil_locus_class, HYPERELLIPTIC),

@@ -23,6 +23,7 @@ from symcd.catalog import (
     binomial_convolution_identity,
     hyperelliptic_pencil_locus_class,
     ramification_divisor_class,
+    solve_test_curve_system,
     subordinate_class,
     subordinate_pencil_intersections,
 )
@@ -114,6 +115,30 @@ def test_pencil_theta_term_is_a_multiple_of_the_x_term():
     # subordinate_pencil_intersections steps only the x term and weights it
     # by k+j for the theta value.
     assert _vanishes((2 * k - 1) * binomial(2 * k - 2, k - 1 - j) - (k + j) * binomial(2 * k - 1, k - 1 - j))
+
+
+# check_orth's second route, evaluate_top(subordinate_class(2k-1, k, k+1, 1), theta or x).
+SIGNED = (-1) ** j * binomial(k - 2 + j, j)
+
+
+def test_pencil_top_degree_route_is_the_displayed_sums_term_for_term():
+    # Term j of the class is C(1-k, j) x^j theta^(k-1-j) / (k-1-j)!, and
+    # C(1-k, j) = (-1)^j C(k-2+j, j): both are 1 at j = 0 and step by (1-k-j)/(j+1).
+    assert SIGNED.subs(j, 0) == 1
+    assert _vanishes(SIGNED.subs(j, j + 1) / SIGNED - (1 - k - j) / (j + 1))
+    # Times theta the term lands on theta^(k-j), and times x on theta^(k-1-j),
+    # which Poincare's formula in genus 2k-1 values (2k-1)!/(k-1+j)! and (2k-1)!/(k+j)!.
+    term = SIGNED / factorial(k - 1 - j) * factorial(2 * k - 1)
+    assert _vanishes(term / factorial(k - 1 + j) - (2 * k - 1) * SIGNED * binomial(2 * k - 2, k - 1 - j))
+    assert _vanishes(term / factorial(k + j) - SIGNED * binomial(2 * k - 1, k - 1 - j))
+
+
+@pytest.mark.parametrize("point", (2, 3, 5, 10, 40))
+def test_pencil_top_degree_route_matches_the_kernel(point):
+    g = 2 * point - 1
+    locus = subordinate_class(g, point, point + 1, 1)
+    assert list(locus.coeffs) == [SIGNED.subs({k: point, j: i}) / factorial(point - 1 - i) for i in range(point)]
+    assert (evaluate_top(locus, theta_class(g, point)), evaluate_top(locus, x_class(g, point))) == (g, point)
 
 
 # ------------------------------------------------------------ [t1*t2] closed form
@@ -249,6 +274,61 @@ def test_two_part_diagonal_closed_forms_match_the_kernels(g, d):
     expected[g - 2] -= scale * (d - 1) / halving
     assert expected[g - 2] == scale * DIAGONAL_B_STATEMENT.subs(point) / halving
     assert list(bipartition_diagonal_class(g, d, "statement").coeffs) == expected
+
+
+# ------------------------------------------------------------ test-curve system in g and d
+
+
+# A class on C_n as a polynomial in T, the power of theta; the power of x is
+# what the codimension leaves.
+T = sympy.Symbol("T")
+
+
+def _top(product):
+    """The top-degree value of a class of codimension n on C_n: x^(n-e) theta^e
+    is g!/(g-e)!, a falling factorial of g with e factors whatever n is, so
+    the value is a polynomial in g."""
+    terms = sympy.Poly(sympy.expand(product), T).terms()
+    return sympy.expand(sum(c * sympy.prod([g_ - i for i in range(e)]) for (e,), c in terms))
+
+
+def _subordinate_in_theta(g, d, n, r):
+    coeffs = _subordinate_formula(g, d, n, r)
+    return sum(c * T ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs))
+
+
+def _test_curve_sides():
+    """The two test-curve intersections of solve_test_curve_system, in g and d."""
+    s = g_ - d_ + 1
+    # On C_(g-d+1): the subordinate class (codimension 1) times the small diagonal
+    # s x^(s-2) (((s-1)g+1)x - (s-1)theta), as its docstring states it.
+    diagonal = s * ((s - 1) * g_ + 1 - (s - 1) * T)
+    chi_side = (g_ - 2) * _top(_subordinate_in_theta(g_, s, 2 * g_ - d_ - 1, g_ - d_) * diagonal)
+    # On C_(g+1): the subordinate class (codimension 2) times the two-part
+    # diagonal proved above; the solve's factor h undoes the class's halving 1/h.
+    two_part = DIAGONAL_SCALE * (DIAGONAL_A + DIAGONAL_B * T + DIAGONAL_C * T**2)
+    return chi_side, _top(_subordinate_in_theta(g_, g_ + 1, 2 * g_ - 2, g_ - 1) * two_part)
+
+
+def test_test_curve_system_solves_to_the_ramification_divisor_for_every_g_and_d():
+    # a*g - b = chi_side and a*d*g - b = diagonal_side / d, solved for a and b.
+    chi_side, diagonal_side = _test_curve_sides()
+    a = (diagonal_side / d_ - chi_side) / (g_ * (d_ - 1))
+    b = a * g_ - chi_side
+    assert sympy.cancel(a - RAMIFICATION_A) == 0
+    assert sympy.cancel(b - RAMIFICATION_B) == 0
+
+
+@pytest.mark.parametrize("g, d", [(4, 2), (5, 3), (7, 4), (9, 5), (12, 7), (13, 4)])
+def test_test_curve_closed_forms_match_the_kernel(g, d):
+    # (5, 3), (7, 4) and (9, 5) have 2d = g+1, where the two-part diagonal is halved.
+    point = {g_: g, d_: d}
+    solution = solve_test_curve_system(g, d)
+    chi_side, diagonal_side = (side.subs(point) for side in _test_curve_sides())
+    assert (solution.x_curve_intersection, solution.diagonal_intersection) == (chi_side, diagonal_side)
+    a, b = (RAMIFICATION_A.subs(point), RAMIFICATION_B.subs(point))
+    assert solution.divisor == ramification_divisor_class(g, d)
+    assert tuple(solution.divisor.numerators) == (a, -b) and solution.divisor.denominator == 1
 
 
 # ------------------------------------------------------------ volume identity

@@ -116,6 +116,13 @@ def test_run_all_runs_one_suite_without_caps():
     assert run_all("orth") == [check_orth()]
 
 
+@pytest.mark.parametrize("suite", ["bogus", "", "ALL", "dd_system"])
+def test_run_all_refuses_an_unknown_suite_and_names_the_suites(suite):
+    names = ", ".join(repr(name) for name in ("all", *SUITES))
+    with pytest.raises(PreconditionError, match=re.escape(f"suite must be one of {names} (got {suite!r})")):
+        run_all(suite)
+
+
 def test_all_passed_counts_injected_failures():
     reports = run_all(bound=5)
     broken = CheckReport("injected", "n/a", CheckStatus.FAIL)
