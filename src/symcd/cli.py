@@ -110,7 +110,13 @@ def _parse_fraction(text: str) -> Fraction:
         # Fraction alone also takes 1.5, 1_000 and 1e-1000000, a number of a million digits.
         if not re.fullmatch(r"\s*[-+]?\d+(?:/\d+)?\s*", text):
             raise ValueError("only an integer or p/q is accepted")
-        return Fraction(text)
+        # At most 2^_MAX_SCALAR_BITS, as in ``intersect``: a part longer than its 30,103 digits is not read,
+        if max(len(digits.lstrip("0")) for digits in re.findall(r"\d+", text)) <= 30_103:
+            with _uncapped_int_digits():  # and a shorter one is read past CPython's 4,300-digit cap
+                value = Fraction(text)
+            if max(abs(value.numerator), value.denominator) <= _MAX_SCALAR:
+                return value
+        raise ValueError(f"its numerator or denominator exceeds 2^{_MAX_SCALAR_BITS}")
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
 
@@ -504,6 +510,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Subparser:
+    """A subcommand's ``_Parser``, built from ``add_parser``'s keywords and ``add_arguments`` when argparse
+    first uses it, so a call builds only its own; every attribute is the built parser's, whichever argparse reads."""
+
+    def __init__(self, add_arguments, **kwargs):
+        self._add_arguments, self._kwargs, self._parser = add_arguments, kwargs, None
+
+    def __getattr__(self, name):
+        if self._parser is None:
+            self._parser = _Parser(**self._kwargs)
+            self._add_arguments(self._parser)
+        return getattr(self._parser, name)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="symcd",
@@ -515,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("json", "text"), help=f"output format (default: ${FORMAT_ENV_VAR} or text)"
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
     integer_flags = {
         "g": "genus",
@@ -535,39 +555,44 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_curve(sub):
         sub.add_argument("--curve", choices=("general", "hyperelliptic"), default="general", help="curve type")
 
-    class_parser = subparsers.add_parser("class", help="print a named class from the catalog")
-    class_parser.add_argument("name", choices=tuple(_CLASSES))
-    add_flags(class_parser, "gdnrk")
-    class_parser.add_argument(
-        "--statement-variant",
-        action="store_true",
-        help="build the statement variant of the bipartition diagonal (documented discrepancy)",
-    )
-    class_parser.set_defaults(handler=_cmd_class)
+    def add_class(sub):
+        sub.add_argument("name", choices=tuple(_CLASSES))
+        add_flags(sub, "gdnrk")
+        sub.add_argument(
+            "--statement-variant",
+            action="store_true",
+            help="build the statement variant of the bipartition diagonal (documented discrepancy)",
+        )
+        sub.set_defaults(handler=_cmd_class)
 
-    intersect_parser = subparsers.add_parser("intersect", help="evaluate a top-degree product expression")
-    intersect_parser.add_argument("expression")
-    add_flags(intersect_parser, "gdnrk", required="gd")
-    intersect_parser.set_defaults(handler=_cmd_intersect)
+    def add_intersect(sub):
+        sub.add_argument("expression")
+        add_flags(sub, "gdnrk", required="gd")
+        sub.set_defaults(handler=_cmd_intersect)
 
-    cone_parser = subparsers.add_parser("cone", help="cone boundary data")
-    add_flags(cone_parser, "gd", required="gd")
-    add_curve(cone_parser)
-    cone_parser.add_argument("--kind", choices=("effective", "nef"), default="effective")
-    cone_parser.set_defaults(handler=_cmd_cone)
+    def add_cone(sub):
+        add_flags(sub, "gd", required="gd")
+        add_curve(sub)
+        sub.add_argument("--kind", choices=("effective", "nef"), default="effective")
+        sub.set_defaults(handler=_cmd_cone)
 
-    volume_parser = subparsers.add_parser("volume", help="exact volume of theta - t*x")
-    add_flags(volume_parser, "gd", required="gd")
-    volume_parser.add_argument("--t", type=_parse_fraction, required=True, help="rational 'p/q' literal")
-    add_curve(volume_parser)
-    volume_parser.set_defaults(handler=_cmd_volume)
+    def add_volume(sub):
+        add_flags(sub, "gd", required="gd")
+        sub.add_argument("--t", type=_parse_fraction, required=True, help="rational 'p/q' literal")
+        add_curve(sub)
+        sub.set_defaults(handler=_cmd_volume)
 
-    verify_parser = subparsers.add_parser("verify", help="run the exact identity suite")
-    add_flags(verify_parser, "")
-    verify_parser.add_argument("--suite", choices=("all", *_SUITE_NAMES), default="all")
-    verify_parser.add_argument("--max", type=int, default=None, help="sweep bound override")
-    verify_parser.set_defaults(handler=_cmd_verify)
+    def add_verify(sub):
+        add_flags(sub, "")
+        sub.add_argument("--suite", choices=("all", *_SUITE_NAMES), default="all")
+        sub.add_argument("--max", type=int, default=None, help="sweep bound override")
+        sub.set_defaults(handler=_cmd_verify)
 
+    subparsers.add_parser("class", help="print a named class from the catalog", add_arguments=add_class)
+    subparsers.add_parser("intersect", help="evaluate a top-degree product expression", add_arguments=add_intersect)
+    subparsers.add_parser("cone", help="cone boundary data", add_arguments=add_cone)
+    subparsers.add_parser("volume", help="exact volume of theta - t*x", add_arguments=add_volume)
+    subparsers.add_parser("verify", help="run the exact identity suite", add_arguments=add_verify)
     return parser
 
 

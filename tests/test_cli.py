@@ -33,6 +33,17 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+@contextlib.contextmanager
+def _uncapped():
+    """Lift CPython's cap on int-to-str digits inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _assert_no_floats(value):
     assert not isinstance(value, float), f"float leaked into JSON output: {value!r}"
     if isinstance(value, dict):
@@ -408,12 +419,8 @@ def test_intersect_scalar_powers_within_the_cap_answer(capsys, expression, value
     code, doc, err = run_json(capsys, "intersect", expression, "--g", "4", "--d", "3")
     assert time.perf_counter() - start < 1
     assert code == 0, err
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with _uncapped():
         assert doc["result"]["value"] == str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 _LONG = " * ".join(["2^100000"] * 20)
@@ -780,13 +787,7 @@ def _assert_cut_from(err, line):
     assert len(err.encode()) <= 400
 
 
-def _int_refusal(text):
-    """Why ``int`` refuses ``text``: here, CPython's cap on the digits of an int."""
-    try:
-        int(text)
-    except ValueError as exc:
-        return str(exc)
-
+_T_TOO_LARGE = "its numerator or denominator exceeds 2^100000"
 
 # Refusals that echo a long argument, each with its exit code and the line it
 # would print whole; an expression with spaces is cut like one without.
@@ -794,7 +795,7 @@ LONG_REFUSALS = {
     "volume-t": (
         ["volume", "--g", "5", "--d", "4", "--t=" + "9" * 100_000],
         2,
-        f"usage error: argument --t: not an exact rational: '{'9' * 100_000}' ({_int_refusal('9' * 100_000)})",
+        f"usage error: argument --t: not an exact rational: '{'9' * 100_000}' ({_T_TOO_LARGE})",
     ),
     "cone-g": (
         ["cone", "--g", "9" * 100_000, "--d", "3"],
@@ -831,7 +832,7 @@ def test_a_long_refusal_is_cut_to_one_line_of_400_bytes(argv, code, line):
 def test_a_cut_refusal_keeps_its_start_and_its_reason():
     err = _outcome(LONG_REFUSALS["volume-t"][0])[2]
     assert err.startswith("usage error: argument --t: not an exact rational: '999")
-    assert err.endswith(f"999' ({_int_refusal('9' * 100_000)})\n")
+    assert err.endswith(f"999' ({_T_TOO_LARGE})\n")
 
 
 def test_a_cut_refusal_line_counts_bytes_not_characters():
@@ -912,13 +913,44 @@ def test_argparse_refusals_are_one_usage_error_line(argv, message):
     assert err.startswith(f"usage error: {message}"), err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["cone", "--help"]])
-def test_help_still_exits_zero(capsys, argv):
+# Each help text as printed at 80 columns when every call built all six
+# parsers; CPython 3.10-3.13 print the same bytes.
+HELP_TEXTS = json.loads((Path(__file__).resolve().parent / "help_texts.json").read_text())
+
+
+@pytest.mark.parametrize("argv", HELP_TEXTS)
+def test_help_still_exits_zero(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as excinfo:
-        main(argv)
+        main(argv.split())
     assert excinfo.value.code == 0
-    captured = capsys.readouterr()
-    assert captured.out and captured.err == ""
+    assert capsys.readouterr() == (HELP_TEXTS[argv], "")
+
+
+@pytest.mark.parametrize(
+    ("argv", "built"),
+    [
+        *[(argv, ["symcd", f"symcd {command}"]) for command, argv in ANSWERED.items()],
+        (["cone", "--help"], ["symcd", "symcd cone"]),
+        (["--help"], ["symcd"]),
+        (["--version"], ["symcd"]),
+    ],
+    ids=[*ANSWERED, "cone-help", "help", "version"],
+)
+def test_a_call_builds_the_root_parser_and_its_own_only(monkeypatch, argv, built):
+    from symcd import cli
+
+    progs = []
+    init = cli._Parser.__init__
+
+    def spy(self, **kwargs):
+        progs.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    with contextlib.suppress(SystemExit):
+        _outcome(argv)
+    assert progs == built
 
 
 # --------------------------------------------------------------------------
@@ -1017,11 +1049,8 @@ def test_volume_prints_numbers_beyond_the_int_str_digit_limit(capsys):
     code, doc, err = run_json(capsys, "volume", "--g", "100", "--d", "99", "--t", t)
     assert code == 0, err
     assert sys.get_int_max_str_digits() == limit  # the cap is restored
-    sys.set_int_max_str_digits(0)
-    try:
+    with _uncapped():
         expected = str(volume_general(100, Fraction(t)))
-    finally:
-        sys.set_int_max_str_digits(limit)
     assert len(expected) > limit
     assert doc["result"]["value"] == expected
 
@@ -1111,6 +1140,53 @@ def test_volume_answers_a_long_t_within_the_bound(capsys, argv):
     assert time.perf_counter() - start < 2
     assert code == 0, err
     assert doc["inputs"]["t"] == argv[-1]
+
+
+def test_volume_answers_a_t_past_the_int_str_digit_limit(capsys):
+    # 4,400 and 4,401 digits, past CPython's 4,300-digit cap on str-to-int, within 2^100000
+    p, q = (10**4400 - 1) // 9, (10**4401 - 1) // 3
+    with _uncapped():
+        t = f"{p}/{q}"
+    limit = sys.get_int_max_str_digits()
+    code, doc, err = run_json(capsys, "volume", "--g", "4", "--d", "3", "--t", t)
+    assert code == 0, err[:300]
+    assert sys.get_int_max_str_digits() == limit
+    with _uncapped():
+        assert doc["result"]["value"] == str(volume_general(4, Fraction(p, q)))
+
+
+with _uncapped():
+    _BOUND = str(1 << 100_000)
+    _PAST_THE_BOUND = str((1 << 100_000) + 1)
+
+
+# A --t integer within 2^100000 is read whatever its length, and then lies
+# outside the proven interval; one past it is refused, by its digit count
+# before it is converted when it has more digits than 2^100000 (30,103).
+@pytest.mark.parametrize(
+    ("t", "code"),
+    [
+        ("9" * 5000, 4),
+        (_BOUND, 4),
+        ("-" + "0" * 40_000 + "7", 4),
+        (_PAST_THE_BOUND, 2),
+        ("9" * 30_103, 2),
+        ("1" * 30_104, 2),
+        ("1/" + "9" * 10**6, 2),
+        ("9" * 10**6 + "/2", 2),
+    ],
+    ids=["5000-digits", "the-bound", "zero-padded", "past-the-bound", "30103-nines", "30104-ones", "long-q", "long-p"],
+)
+def test_volume_reads_a_t_up_to_the_bound_and_refuses_one_past_it(t, code):
+    start = time.perf_counter()
+    refused, out, err = _outcome(["volume", "--g", "5", "--d", "4", f"--t={t}"])
+    assert time.perf_counter() - start < 1
+    assert refused == code
+    _assert_refused_in_one_error_line(out, err)
+    if code == 2:
+        assert err.endswith(f"({_T_TOO_LARGE})\n"), err
+    else:
+        assert err.startswith("error: t=") and err.endswith(" is outside the proven interval [0, 20/19] for genus 5\n")
 
 
 def test_version_names_the_package_and_python(capsys):
