@@ -45,8 +45,8 @@ _EXPORTS = {
         "subordinate_class",
         "subordinate_pencil_intersections",
     ),
-    "residuation": ("residuation_pullback",),
     "cones": (
+        "residuation_pullback",
         "Cone2D",
         "ConeStatus",
         "Membership",

@@ -96,13 +96,13 @@ _CATALOG = (
 _CLASSES = {entry.class_name: entry for entry in _CATALOG if entry.class_name}
 _INTERSECT_NAMES = {entry.intersect_name: entry for entry in _CATALOG if entry.intersect_name}
 
-# The names of ``verify.SUITES``, in its order, for argparse; listed here so
-# that importing the CLI does not import ``verify``.
-_SUITE_NAMES = ("combsum", "pencil-link", "orth", "diagonal", "dd-system", "volume")
-
 
 class UsageError(Exception):
     """Bad command usage, whether argparse or a handler detects it."""
+
+
+class _WriteFailed(Exception):
+    """The answer, or the text of ``--help`` or ``--version``, could not be written."""
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -509,6 +509,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse prints --help and --version on sys.stdout, which is None when it
+        # is closed; that text goes through _write, as an answer does.
+        if file is sys.stdout:
+            _write(message.removesuffix("\n"))
+        else:
+            super()._print_message(message, file)
+
 
 class _Subparser:
     """A subcommand's ``_Parser``, built from ``add_parser``'s keywords and ``add_arguments`` when argparse
@@ -584,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_verify(sub):
         add_flags(sub, "")
-        sub.add_argument("--suite", choices=("all", *_SUITE_NAMES), default="all")
+        sub.add_argument("--suite", choices=("all", *symcd.verify.SUITES), default="all")
         sub.add_argument("--max", type=int, default=None, help="sweep bound override")
         sub.set_defaults(handler=_cmd_verify)
 
@@ -631,8 +639,8 @@ def _refuse(code: int, line: str) -> int:
     return code
 
 
-def _write(text: str) -> bool:
-    """Print ``text`` on stdout, or say in one line on stderr why it could not be.
+def _write(text: str) -> None:
+    """Print ``text`` on stdout, or raise :class:`_WriteFailed` saying why it could not be.
 
     A closed stdout (``sys.stdout is None``) fails too.  After a failure stdout
     is ``os.devnull``, so the flush at exit (into a broken pipe, say) cannot raise again.
@@ -642,18 +650,17 @@ def _write(text: str) -> bool:
             raise OSError("standard output is closed")
         print(text)
         sys.stdout.flush()
-        return True
     except OSError as exc:
         sys.stdout = open(os.devnull, "w")
-        _refuse(5, f"error: the answer could not be written: {exc}")
-        return False
+        raise _WriteFailed(f"the answer could not be written: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; ``--help`` and ``--version`` exit 0.
 
-    The exit code is 5 when the answer could not be written, else 1 when
-    ``verify`` reports a failure, else 0 for an answer.
+    The exit code is 5 when the answer, or the text of ``--help`` or
+    ``--version``, could not be written, else 1 when ``verify`` reports a
+    failure, else 0 for an answer.
     """
     try:
         # Parsed under CPython's digit cap, so an integer flag of more than
@@ -668,8 +675,9 @@ def main(argv: list[str] | None = None) -> int:
         with _uncapped_int_digits():
             inputs, result, provenance = args.handler(args)
             document = {"command": args.command, "inputs": inputs, "result": result, "provenance": provenance}
-            if not _write(render(document, _resolve_format(args.format))):
-                return 5
+            _write(render(document, _resolve_format(args.format)))
+    except _WriteFailed as exc:
+        return _refuse(5, f"error: {exc}")
     except UsageError as exc:
         return _refuse(2, f"usage error: {exc}")
     except OutOfProvenDomainError as exc:

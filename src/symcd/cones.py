@@ -1,4 +1,4 @@
-"""Cone boundaries and volume functions for divisors on C_d.
+"""Cone boundaries, volume functions and residuation for divisors on C_d.
 
 The effective cone of C_d lives in the plane spanned by theta and x.  One
 boundary ray is always the half-diagonal class -theta + (g+d-1)x (Kouvidakis).
@@ -33,6 +33,7 @@ from .cycles import CycleClass, _Frozen, _signed_sum
 from .errors import OutOfProvenDomainError, PreconditionError, _check_range, _check_space, shown
 
 __all__ = [
+    "residuation_pullback",
     "Ray",
     "ConeStatus",
     "Membership",
@@ -255,7 +256,9 @@ def nef_facts(g: int, d: int, *, hyperelliptic: bool) -> NefFacts:
 
 
 def general_volume_limit(g: int) -> Fraction:
-    """Right end of the proven interval [0, 1 + 1/(g^2-g-1)] of :func:`volume_general`."""
+    """Right end of the proven interval [0, 1 + 1/(g^2-g-1)] of :func:`volume_general`,
+    which is proven on C_(g-1) for g >= 4 only."""
+    _check_range("general volume", g, g - 1, hyperelliptic=False)
     return 1 + Fraction(1, g * g - g - 1)
 
 
@@ -264,6 +267,20 @@ def hyperelliptic_volume_limit(g: int, d: int) -> int:
     which is proven for 2 <= d <= g only."""
     _check_range("hyperelliptic volume", g, d, hyperelliptic=True)
     return g - d + 1
+
+
+def residuation_pullback(a: int | Fraction, b: int | Fraction) -> tuple[Fraction, Fraction]:
+    """Image of a*theta + b*x under residuation: (a + b, -b).
+
+    Residuation sends a complete series |L| of degree 2g-2-d to the unique
+    member of |K - L|; only the linear map it induces on classes is modeled,
+    into the basis (theta_hat, X_hat) of C_(2g-2-d), the images of theta and
+    theta - x.  On C_(g-1) the bases coincide, and the map is the involution
+    that sends theta - t*x to (1-t)theta + t*x, which proves
+    :func:`volume_general`.  Floats are refused.
+    """
+    a, b = as_rational(a), as_rational(b)
+    return a + b, -b
 
 
 def volume_general(g: int, t: int | Fraction) -> Fraction:
@@ -276,10 +293,8 @@ def volume_general(g: int, t: int | Fraction) -> Fraction:
     top self-intersection.  Outside the interval the formula is not known to
     hold and evaluation is refused.
     """
-    if g < 4:
-        raise PreconditionError(f"the volume formula needs g >= 4 (got {shown(g)})")
-    t = as_rational(t)
     limit = general_volume_limit(g)
+    t = as_rational(t)
     if not 0 <= t <= limit:
         raise OutOfProvenDomainError(
             f"t={shown(t)} is outside the proven interval [0, {shown(limit)}] for genus {shown(g)}"

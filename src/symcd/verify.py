@@ -150,15 +150,19 @@ def check_diagonal_agreement(g_max: int = 12) -> CheckReport:
 
 def diagonal_statement_discrepancy() -> CheckReport:
     """Document that the statement variant of the two-part diagonal disagrees
-    with the extraction oracle (x*theta coefficient off by d-1 for d >= 2)."""
-    statement = bipartition_diagonal_class(4, 3, variant="statement")
-    extracted = bipartition_diagonal_extraction(4, 3)
+    with the extraction oracle by the erratum alone, or fail: at (g, d) = (4, 3)
+    the x^2*theta coefficients differ by the proof's constant 2d^2-2d-1 less the
+    statement's 2d^2-d-2, times the class's scale d(g-d+1), and no other does."""
+    g, d = 4, 3
+    statement = bipartition_diagonal_class(g, d, variant="statement")
+    extracted = bipartition_diagonal_extraction(g, d)
+    erratum = ((2 * d * d - 2 * d - 1) - (2 * d * d - d - 2)) * d * (g - d + 1)
     return CheckReport(
         "bipartition-diagonal-statement-variant",
         "(g, d) = (4, 3)",
-        CheckStatus.DISCREPANCY,
+        CheckStatus.DISCREPANCY if (statement - extracted).coeffs == (0, 0, erratum, 0) else CheckStatus.FAIL,
         Counterexample(
-            (4, 3),
+            (g, d),
             f"{statement.coeffs[2]} (statement variant, x^2*theta coefficient)",
             f"{extracted.coeffs[2]} (coefficient extraction)",
         ),

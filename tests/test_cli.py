@@ -987,6 +987,26 @@ def test_an_answer_that_cannot_be_written_exits_five(stdout, reason):
     assert replaced.name == os.devnull
 
 
+@pytest.mark.parametrize(
+    "stdout, reason",
+    [
+        (_RefusingStdout(OSError(errno.ENOSPC, "No space left on device")), "[Errno 28] No space left on device"),
+        (None, "standard output is closed"),
+    ],
+    ids=["disk-full", "closed"],
+)
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["volume", "--help"]], ids=" ".join)
+def test_help_or_version_text_that_cannot_be_written_exits_five(stdout, reason, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(argv)
+        replaced = sys.stdout
+    replaced.close()
+    assert code == 5
+    assert err.getvalue() == f"error: the answer could not be written: {reason}\n"
+    assert replaced.name == os.devnull
+
+
 def _cli_process(argv, **kwargs):
     src = str(Path(symcd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -1011,6 +1031,31 @@ def test_an_answer_written_to_a_full_device_gets_exit_five_and_one_line():
         err = process.stderr.read().decode()
         assert process.wait(timeout=60) == 5
     assert err == "error: the answer could not be written: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["cone", "--help"]], ids=" ".join)
+def test_help_or_version_written_to_a_full_device_gets_exit_five_and_one_line(argv):
+    with open("/dev/full", "wb") as full, _cli_process(argv, stdout=full) as process:
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 5
+    assert err == "error: the answer could not be written: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["--help"], ["cone", "--d", "3"], ["cone", "--g", "6", "--d", "5"]], ids=" ".join
+)
+def test_a_closed_stdout_gets_exit_five_and_one_line(argv):
+    # Everything bound for stdout exits 5; a refusal goes to stderr, which stays open.
+    with _cli_process(argv, stdout=subprocess.DEVNULL, preexec_fn=functools.partial(os.close, 1)) as process:
+        err = process.stderr.read().decode()
+        code = process.wait(timeout=60)
+    if argv == ["cone", "--d", "3"]:
+        assert code == 2
+        assert err == "usage error: the following arguments are required: --g\n"
+    else:
+        assert code == 5
+        assert err == "error: the answer could not be written: standard output is closed\n"
 
 
 def test_volume_general(capsys):
@@ -1102,6 +1147,19 @@ def test_volume_refuses_a_wrong_d_whatever_t_is(capsys, argv, message):
     assert out == ""
     assert message in err
     _assert_one_line(err)
+
+
+with _uncapped():
+    _T_WITH_A_LONG_DENOMINATOR = f"1/{2**60000}"
+
+
+# The limit refuses a genus off the general domain before the size of t is judged.
+@pytest.mark.parametrize("t", ["1/2", _T_WITH_A_LONG_DENOMINATOR], ids=["short-t", "long-t"])
+def test_volume_refuses_a_genus_off_the_domain_whatever_t_is(capsys, t):
+    code, out, err = run_cli(capsys, "volume", "--g", "3", "--d", "2", "--t", t)
+    assert code == 3
+    assert out == ""
+    assert err == "error: general volume needs g >= 4 and 2 <= d <= g-1 (got g=3, d=2)\n"
 
 
 LONG_T = "123456789012345678901/123456789012345678902"

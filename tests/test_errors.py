@@ -26,6 +26,7 @@ from symcd.catalog import (
 from symcd.cones import (
     effective_cone,
     effective_slope_bound,
+    general_volume_limit,
     hyperelliptic_volume_limit,
     nef_facts,
     volume_general,
@@ -39,6 +40,8 @@ from symcd.verify import run_all
 SPACE = ([(2, 2), (2, 9), (9, 2)], [(1, 2), (2, 1)], "must be at least 2")
 GENERAL = ([(4, 2), (4, 3), (9, 2), (9, 8)], [(3, 2), (4, 1), (4, 4), (9, 1), (9, 9)], "needs g >= 4 and 2 <= d <= g-1")
 HYPERELLIPTIC = ([(2, 2), (9, 2), (9, 9)], [(2, 1), (2, 3), (9, 1), (9, 10)], "needs 2 <= d <= g")
+# The general volume lives on C_(g-1), so only its genus varies.
+GENERAL_VOLUME = ([(4, 3)], [(3, 2)], "general volume needs g >= 4 and 2 <= d <= g-1")
 
 RANGES = {
     "CycleClass": (lambda g, d: CycleClass(g, d, [1]), SPACE),
@@ -53,6 +56,8 @@ RANGES = {
     "nef_facts-general": (lambda g, d: nef_facts(g, d, hyperelliptic=False), SPACE),
     "nef_facts-hyperelliptic": (lambda g, d: nef_facts(g, d, hyperelliptic=True), HYPERELLIPTIC),
     "hyperelliptic_volume_limit": (hyperelliptic_volume_limit, HYPERELLIPTIC),
+    "general_volume_limit": (lambda g, d: general_volume_limit(g), GENERAL_VOLUME),
+    "volume_general": (lambda g, d: volume_general(g, 0), GENERAL_VOLUME),
 }
 EDGE_CASES = [
     pytest.param(name, g, d, accepted, id=f"{name}-{g}-{d}-{'accepted' if accepted else 'refused'}")

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,17 @@ def _fresh(code: str, packages: tuple = ("symcd",)) -> list:
 
 def test_importing_the_cli_loads_only_errors():
     assert _fresh("import symcd.cli") == ["symcd", "symcd.cli", "symcd.errors"]
+
+
+def test_root_help_loads_no_verify():
+    code = "from symcd.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit as done:\n    assert not done.code"
+    assert _fresh(code) == ["symcd", "symcd.cli", "symcd.errors"]
+
+
+def test_residuation_lives_in_cones():
+    assert symcd.residuation_pullback.__module__ == "symcd.cones"
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("symcd.residuation")
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -205,6 +217,15 @@ def test_cli_constructors_are_public_names_of_their_home_modules():
         assert name in symcd.__all__
         home = importlib.import_module(f"symcd.{symcd._HOME[name]}")
         assert getattr(symcd, name) is getattr(home, name)
+
+
+def test_the_package_metadata_reads_its_version_from_the_package():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+        project = pyprojecttoml.read_configuration(Path(SRC).parent / "pyproject.toml")["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == symcd.__version__
 
 
 def test_dir_lists_public_names_and_submodules():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symcd import residuation_pullback
 from symcd.cones import Ray, general_volume_limit, nef_facts
-from symcd.residuation import residuation_pullback
 
 
 def test_pullback_on_basis():

@@ -71,6 +71,39 @@ def test_discrepancy_report_is_not_a_failure():
     assert all_passed([report])
 
 
+def _statement_as_the_proof(bipartition_diagonal_class):
+    def mutated(g, d, variant="proof"):
+        return bipartition_diagonal_class(g, d)
+
+    return mutated
+
+
+def _statement_one_unit_off_in_theta_cubed(bipartition_diagonal_class):
+    def mutated(g, d, variant="proof"):
+        value = bipartition_diagonal_class(g, d, variant)
+        return _first_plus_one(value) if variant == "statement" else value
+
+    return mutated
+
+
+# The discrepancy is documented only while the statement differs from the
+# extraction by the erratum alone, -12 in the x^2*theta coefficient at (4, 3).
+@pytest.mark.parametrize(
+    "mutate, lhs", [(_statement_as_the_proof, "-90"), (_statement_one_unit_off_in_theta_cubed, "-102")]
+)
+def test_the_discrepancy_report_fails_without_the_erratum(monkeypatch, capsys, mutate, lhs):
+    monkeypatch.setattr(verify, "bipartition_diagonal_class", mutate(verify.bipartition_diagonal_class))
+    code = cli.main(["--format", "json", "verify", "--suite", "diagonal"])
+    reports = json.loads(capsys.readouterr().out)["result"]["reports"]
+    assert code == 1
+    assert [report["status"] for report in reports] == ["pass", "fail"]
+    assert reports[1]["counterexample"] == {
+        "parameters": [4, 3],
+        "lhs": f"{lhs} (statement variant, x^2*theta coefficient)",
+        "rhs": "-90 (coefficient extraction)",
+    }
+
+
 def test_run_all_with_reduced_limits():
     reports = run_all(bound=8)
     assert all_passed(reports)
@@ -131,8 +164,17 @@ def test_all_passed_counts_injected_failures():
     assert sum(1 for report in [*reports, broken] if report.status is CheckStatus.FAIL) == 1
 
 
-def test_cli_offers_exactly_the_runner_suites():
-    assert cli._SUITE_NAMES == tuple(SUITES)
+def test_the_cli_offers_a_suite_added_to_the_runner_with_no_edit_of_its_own(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "SUITES", {**SUITES, "extra": SUITES["combsum"]})
+    assert cli.main(["--format", "json", "verify", "--suite", "extra", "--max", "3"]) == 0
+    reports = json.loads(capsys.readouterr().out)["result"]["reports"]
+    assert [(report["name"], report["parameter_range"]) for report in reports] == [
+        ("binomial-convolution-identity", "1 <= m <= 3")
+    ]
+    assert cli.main(["verify", "--suite", "no-such-suite"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --suite: invalid choice: 'no-such-suite' (choose from ")
+    assert "extra" in err
 
 
 def test_run_all_calls_checks_rebound_on_the_module(monkeypatch):
