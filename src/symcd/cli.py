@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -501,10 +502,26 @@ def render(document: dict, fmt: str) -> str:
 class _Parser(argparse.ArgumentParser):
     """Refuses by raising :class:`UsageError`, which ``main`` prints as one line,
     and takes flags spelled in full only: a prefix would change meaning once a
-    flag sharing it is added.  Subparsers are of this class too."""
+    flag sharing it is added.  Subparsers are of this class too.
+
+    The help texts are argparse's own, without its repeated work: the terminal
+    is read once, for the width argparse computes, not once per argument, and
+    ``-h`` has its help line as written, not looked up in gettext's catalogs.
+    A word ``-p/q`` is a value, as ``-p`` and ``-p.q`` are, so ``--t -1/2``
+    reads t."""
 
     def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
+        import shutil  # here, as in argparse, so that importing the CLI loads no more
+
+        width = shutil.get_terminal_size().columns - 2
+        super().__init__(
+            allow_abbrev=False,
+            add_help=False,
+            formatter_class=functools.partial(argparse.HelpFormatter, width=width),
+            **kwargs,
+        )
+        self.add_argument("-h", "--help", action="help", help="show this help message and exit")
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
         raise UsageError(message)
@@ -538,12 +555,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact divisor classes, intersection numbers, cones, and volumes on symmetric powers of curves.",
     )
     parser.add_argument(
-        "--version", action="version", version=f"symcd {symcd.__version__} (Python {sys.version.split()[0]})"
+        "--version",
+        action="version",
+        version=f"symcd {symcd.__version__} (Python {sys.version.split()[0]})",
+        help="show program's version number and exit",  # CPython 3.13 looks the default up in gettext
     )
     parser.add_argument(
         "--format", choices=("json", "text"), help=f"output format (default: ${FORMAT_ENV_VAR} or text)"
     )
-    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
+    # the prog argparse would find by formatting the root's usage line
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser, prog="symcd")
 
     integer_flags = {
         "g": "genus",

@@ -894,6 +894,11 @@ ARGPARSE_REFUSALS = {
     "root-flag-only": (["--format", "json"], "the following arguments are required: command"),
     "unknown-subcommand": (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     "missing-expression": (["intersect", "--g", "4", "--d", "3"], "the following arguments are required: expression"),
+    # argparse reads a word that starts with "-" as a flag; the README puts such an expression after "--"
+    "expression-with-a-leading-minus": (
+        ["intersect", "-theta^3", "--g", "5", "--d", "3"],
+        "the following arguments are required: expression",
+    ),
     "volume-without-flags": (["volume"], "the following arguments are required: --g, --d, --t"),
     # parsed under CPython's digit cap, which main lifts only to run a command
     "cone-genus-of-5000-digits": (["cone", "--g", "1" * 5000, "--d", "3"], "argument --g: invalid int value"),
@@ -925,6 +930,66 @@ def test_help_still_exits_zero(monkeypatch, capsys, argv):
         main(argv.split())
     assert excinfo.value.code == 0
     assert capsys.readouterr() == (HELP_TEXTS[argv], "")
+
+
+# The same texts at 40 and 200 columns.  CPython 3.13 wraps the root usage
+# line differently at 40 columns, so that one text has a variant of its own.
+HELP_TEXTS_BY_WIDTH = json.loads((Path(__file__).resolve().parent / "help_texts_by_width.json").read_text())
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", HELP_TEXTS)
+def test_help_texts_follow_the_terminal_width(monkeypatch, capsys, argv, columns):
+    expected = HELP_TEXTS_BY_WIDTH[columns][argv]
+    if sys.version_info >= (3, 13):
+        expected = HELP_TEXTS_BY_WIDTH.get(f"{columns} since Python 3.13", {}).get(argv, expected)
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+def _count_calls(monkeypatch, owner, name):
+    """A list that grows by one at each call of ``owner.name`` until the test ends."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# argparse reads the terminal size for each formatter it builds, one per
+# add_argument, unless the parser's formatter is given a width.
+@pytest.mark.parametrize(
+    "argv",
+    [*ANSWERED.values(), ["--help"], ["volume", "--help"], ["--version"]],
+    ids=[*ANSWERED, "help", "volume-help", "version"],
+)
+def test_a_call_reads_the_terminal_size_at_most_once_per_parser_it_builds(monkeypatch, argv):
+    import shutil
+
+    from symcd import cli
+
+    built = _count_calls(monkeypatch, cli._Parser, "__init__")
+    reads = _count_calls(monkeypatch, shutil, "get_terminal_size")
+    with contextlib.suppress(SystemExit):
+        _outcome(argv)
+    assert built and len(reads) <= len(built)
+
+
+# argparse formats the root's usage line to name the subcommands' prog, unless it is given.
+@pytest.mark.parametrize("argv", ANSWERED.values(), ids=ANSWERED)
+def test_an_answered_call_formats_no_usage_line(monkeypatch, argv):
+    import argparse
+
+    usages = _count_calls(monkeypatch, argparse.HelpFormatter, "add_usage")
+    assert _outcome(argv)[0] == 0
+    assert usages == []
 
 
 @pytest.mark.parametrize(
@@ -1281,6 +1346,28 @@ def test_volume_takes_an_integer_or_p_over_q_with_sign_and_spaces(capsys, t, sho
     assert code in (0, 4), err
     if code == 0:
         assert doc["inputs"]["t"] == shown
+
+
+# A signed p/q after --t is its value, as a signed integer always was; a word
+# of another form that starts with "-" is still read as a flag.
+@pytest.mark.parametrize(
+    ("t", "code", "line"),
+    [
+        ("-1/2", 4, "error: t=-1/2 is outside the proven interval [0, 20/19] for genus 5\n"),
+        ("-1", 4, "error: t=-1 is outside the proven interval [0, 20/19] for genus 5\n"),
+        ("-1/2/3", 2, "usage error: argument --t: expected one argument\n"),
+        ("-1/", 2, "usage error: argument --t: expected one argument\n"),
+    ],
+)
+def test_volume_reads_a_signed_t_given_as_the_next_word(t, code, line):
+    assert _outcome(["volume", "--g", "5", "--d", "4", "--t", t]) == (code, "", line)
+
+
+@pytest.mark.parametrize("t", ["-0/3", "-0"])
+def test_volume_reads_minus_zero_over_q_as_zero(capsys, t):
+    code, doc, err = run_json(capsys, "volume", "--g", "5", "--d", "4", "--t", t)
+    assert code == 0, err
+    assert (doc["inputs"]["t"], doc["result"]["value"]) == ("0", "120")
 
 
 def test_verify_all_passes(capsys):

@@ -1,7 +1,9 @@
-"""The README's ``## Example`` block, run as a doctest."""
+"""The README's ``## Example`` block, run as a doctest, and a CLI call the README quotes."""
 
 import doctest
+import json
 import re
+import shlex
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -15,3 +17,12 @@ def test_readme_example_block_runs_as_a_doctest():
     assert len(checked) >= 7, "the Example block lost its checked values"
     results = doctest.DocTestRunner().run(test)
     assert results.failed == 0 and results.attempted == len(test.examples)
+
+
+def test_readme_expression_after_a_double_dash_answers(capsys):
+    from symcd.cli import main
+
+    command = re.search(r'`(symcd intersect [^`]* -- "-[^`]*")` answers (-?\d+)', README.read_text().replace("\n", " "))
+    argv = shlex.split(command.group(1))[1:]
+    assert main(["--format", "json", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == command.group(2) == "-60"
