@@ -16,7 +16,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names the package re-exports from it
+# submodule -> the public names the package re-exports from it.  The one list of them: each
+# submodule reads its __all__ from it, and runs only after this module, which imports none.
 _EXPORTS = {
     "combinatorics": (
         "BivariateSeries",

@@ -31,23 +31,11 @@ import math
 import operator
 from fractions import Fraction
 
+from . import _EXPORTS
 from .cycles import CycleClass, _evaluate_top, _Frozen, divisor_class
 from .errors import PreconditionError, _check_range, _check_space, shown
 
-__all__ = [
-    "subordinate_class",
-    "small_diagonal_class",
-    "bipartition_diagonal_class",
-    "bipartition_diagonal_extraction",
-    "ramification_divisor_class",
-    "solve_test_curve_system",
-    "TestCurveSolution",
-    "pencil_residual_divisor_class",
-    "pencil_residual_sums",
-    "hyperelliptic_pencil_locus_class",
-    "subordinate_pencil_intersections",
-    "binomial_convolution_identity",
-]
+__all__ = list(_EXPORTS["catalog"])
 
 
 def subordinate_class(g: int, d: int, n: int, r: int) -> CycleClass:

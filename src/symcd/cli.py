@@ -111,8 +111,8 @@ def _parse_fraction(text: str) -> Fraction:
         # Fraction alone also takes 1.5, 1_000 and 1e-1000000, a number of a million digits.
         if not re.fullmatch(r"\s*[-+]?\d+(?:/\d+)?\s*", text):
             raise ValueError("only an integer or p/q is accepted")
-        # At most 2^_MAX_SCALAR_BITS, as in ``intersect``: a part longer than its 30,103 digits is not read,
-        if max(len(digits.lstrip("0")) for digits in re.findall(r"\d+", text)) <= 30_103:
+        # At most 2^_MAX_SCALAR_BITS, as in ``intersect``: a part longer than _MAX_SCALAR_DIGITS is not read,
+        if max(len(digits.lstrip("0")) for digits in re.findall(r"\d+", text)) <= _MAX_SCALAR_DIGITS:
             with _uncapped_int_digits():  # and a shorter one is read past CPython's 4,300-digit cap
                 value = Fraction(text)
             if max(abs(value.numerator), value.denominator) <= _MAX_SCALAR:
@@ -122,9 +122,9 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
 
 
-def _flag_values(entry: _Entry, args: argparse.Namespace, why: str, **given) -> list:
-    """The arguments of ``entry``'s constructor: each flag's value in ``given``, else in ``args`` if it is there."""
-    values = [given[flag] if flag in given else getattr(args, flag, None) for flag in entry.flags]
+def _flag_values(entry: _Entry, args: argparse.Namespace, why: str) -> list:
+    """The arguments of ``entry``'s constructor: each flag's value in ``args`` if it is there."""
+    values = [getattr(args, flag, None) for flag in entry.flags]
     if None in values:
         raise UsageError(f"--{entry.flags[values.index(None)]} is required for {why}")
     return values
@@ -175,6 +175,7 @@ def _tokenize(text: str) -> list[str]:
 _MAX_NESTING = 100
 _MAX_SCALAR_BITS = 100_000
 _MAX_SCALAR = 1 << _MAX_SCALAR_BITS
+_MAX_SCALAR_DIGITS = 30_103  # the decimal digits of _MAX_SCALAR
 
 
 class _ExpressionParser:
@@ -183,7 +184,7 @@ class _ExpressionParser:
     Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := atom (('^'|'**') INT)?; atom := NUMBER | NAME | '(' expr ')' |
     '-' atom.  Every value is a homogeneous class on C_d in genus g: ``atom``
-    builds a NAME from its ``_CATALOG`` row, other flags than g and d read from
+    builds a NAME from its ``_CATALOG`` row, every flag (g and d too) read from
     ``args``, and a NUMBER p or p/q is the codimension-0 class p/q, so a scalar
     is the degree-0 part of the ring and needs no rules of its own.  Sums take
     classes of equal codimension, and products and powers add codimensions up
@@ -195,8 +196,9 @@ class _ExpressionParser:
     30,000 decimal digits) in absolute value, or the expression is a usage
     error.  Computing and printing larger numbers takes time quadratic in
     their size, so without the bound a long product of large numbers runs for
-    hours.  Literals, sums, products and powers are checked; a negation keeps
-    the size of a value already checked.
+    hours.  Literals, sums, products and powers are checked, a literal part
+    of more than ``_MAX_SCALAR_DIGITS`` digits before it is read (as ``--t``
+    is); a negation keeps the size of a value already checked.
 
     A power is refused before it is computed when its value must exceed the
     bound.  A power of a class in lowest terms is in lowest terms (Gauss's
@@ -213,11 +215,11 @@ class _ExpressionParser:
     a scalar and any other a class.
     """
 
-    def __init__(self, text: str, g: int, d: int, args: argparse.Namespace):
+    def __init__(self, text: str, args: argparse.Namespace):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.g, self.d, self.args = g, d, args
+        self.args = args
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -282,18 +284,21 @@ class _ExpressionParser:
                 value = -self.atom()
             self.depth -= 1
             return value
+        g, d = self.args.g, self.args.d
         if token[0].isdigit():
             numerator, _, denominator = token.partition("/")
+            if max(len(numerator.lstrip("0")), len(denominator.lstrip("0"))) > _MAX_SCALAR_DIGITS:
+                raise UsageError(f"a scalar in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
             try:
-                return _bounded(symcd.CycleClass.from_numerators(self.g, self.d, (int(numerator),), int(denominator or 1)))
+                return _bounded(symcd.CycleClass.from_numerators(g, d, (int(numerator),), int(denominator or 1)))
             except ZeroDivisionError:
                 raise UsageError(f"zero denominator in {token!r}") from None
         entry = _INTERSECT_NAMES.get(token)
         if entry is None:
             raise UsageError(f"unknown name in expression: {token!r}")
-        values = _flag_values(entry, self.args, f"the {token!r} name", g=self.g, d=self.d)
-        if token == "ek" and (self.g, self.d) != (2 * values[0] - 1, values[0]):
-            raise PreconditionError(f"ek lives on C_k in genus 2k-1; got k={values[0]} with g={self.g}, d={self.d}")
+        values = _flag_values(entry, self.args, f"the {token!r} name")
+        if token == "ek" and (g, d) != (2 * values[0] - 1, values[0]):
+            raise PreconditionError(f"ek lives on C_k in genus 2k-1; got k={values[0]} with g={g}, d={d}")
         return getattr(symcd, entry.constructor)(*values)
 
 
@@ -347,7 +352,7 @@ def _cmd_class(args) -> tuple[dict, dict, list]:
 
 def _cmd_intersect(args) -> tuple[dict, dict, list]:
     g, d = args.g, args.d
-    value = _ExpressionParser(args.expression, g, d, args).parse()
+    value = _ExpressionParser(args.expression, args).parse()
     if value.codim != d:
         raise PreconditionError(f"expression has codimension {value.codim}; top-degree evaluation on C_{d} needs {d}")
     return (

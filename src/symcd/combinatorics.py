@@ -20,11 +20,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = [
-    "as_rational",
-    "gen_binomial",
-    "BivariateSeries",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["combinatorics"])
 
 
 def as_rational(value: int | Fraction | str) -> Fraction:

@@ -28,26 +28,12 @@ import enum
 import math
 from fractions import Fraction
 
+from . import _EXPORTS
 from .combinatorics import as_rational
 from .cycles import CycleClass, _Frozen, _signed_sum
 from .errors import OutOfProvenDomainError, PreconditionError, _check_range, _check_space, shown
 
-__all__ = [
-    "residuation_pullback",
-    "Ray",
-    "ConeStatus",
-    "Membership",
-    "Cone2D",
-    "NefFacts",
-    "effective_slope_bound",
-    "effective_cone",
-    "nef_facts",
-    "volume_general",
-    "volume_hyperelliptic",
-    "volume_integrality",
-    "general_volume_limit",
-    "hyperelliptic_volume_limit",
-]
+__all__ = list(_EXPORTS["cones"])
 
 DIAGONAL_RAY_PROVENANCE = "half-diagonal class -theta + (g+d-1)x spans an effective boundary ray (Kouvidakis)"
 HYPERELLIPTIC_RAY_PROVENANCE = (

@@ -34,17 +34,11 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
+from . import _EXPORTS
 from .combinatorics import as_rational
 from .errors import PreconditionError, _check_space, shown
 
-__all__ = [
-    "CycleClass",
-    "multiply",
-    "evaluate_top",
-    "theta_class",
-    "x_class",
-    "divisor_class",
-]
+__all__ = list(_EXPORTS["cycles"])
 
 # Fields of the frozen classes below are written only through this, or through
 # CycleClass's slot setters (after the class), which skip its name lookup.  Their

@@ -24,6 +24,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
+from . import _EXPORTS
 from .catalog import (
     binomial_convolution_identity,
     bipartition_diagonal_class,
@@ -40,9 +41,8 @@ from .cycles import CycleClass, _evaluate_top, _Frozen, evaluate_top, theta_clas
 from .errors import PreconditionError, shown
 
 __all__ = [
-    "CheckStatus",
+    *_EXPORTS["verify"],
     "Counterexample",
-    "CheckReport",
     "SUITES",
     "sweep",
     "check_combsum",
@@ -52,8 +52,6 @@ __all__ = [
     "diagonal_statement_discrepancy",
     "check_dd_system",
     "check_volume_identity",
-    "run_all",
-    "all_passed",
     "volume_polynomial",
     "pencil_expansion_polynomial",
 ]

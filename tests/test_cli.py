@@ -395,6 +395,7 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
         ("(0*theta^0)^1000000000000 * theta^3", 0),
         ("(2*theta^0)^100000 * theta^3", 24 * 2**100000),
         ("(theta^0 * 1/2)^100000 * theta^3", Fraction(24, 2**100000)),
+        ("0" * 40_000 + "2 * theta^3", 48),
     ],
     ids=[
         "2^10",
@@ -412,6 +413,7 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
         "zero-class^huge",
         "class^100000",
         "reciprocal-class^100000",
+        "zero-padded-literal",
     ],
 )
 def test_intersect_scalar_powers_within_the_cap_answer(capsys, expression, value):
@@ -447,6 +449,30 @@ def test_intersect_scalars_beyond_the_bound_are_refused(capsys, expression, refu
     assert out == ""
     assert f"{refused} in the expression is too large" in err
     _assert_one_line(err)
+
+
+# A literal is judged by the rule --t follows: a part with more digits than
+# 2^100000 (leading zeros aside) is refused before it is read, even where the
+# reduced value would be within the bound.
+@pytest.mark.parametrize(
+    "literal",
+    ["1" * 600_000, "1/" + "1" * 600_000, "1" + "0" * 30_103 + "/1" + "0" * 30_103],
+    ids=["long-p", "long-q", "reduces-within-the-bound"],
+)
+def test_intersect_literal_longer_than_the_bound_is_refused_before_it_is_read(capsys, literal):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "intersect", literal + "*theta^2", "--g", "5", "--d", "2")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: a scalar in the expression is too large: it exceeds 2^100000\n"
+
+
+def test_the_scalar_digit_bound_is_the_digit_count_of_the_scalar_bound():
+    from symcd import cli
+
+    with _uncapped():
+        assert len(str(cli._MAX_SCALAR)) == cli._MAX_SCALAR_DIGITS
 
 
 @pytest.mark.parametrize(
