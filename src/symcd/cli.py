@@ -111,8 +111,8 @@ def _parse_fraction(text: str) -> Fraction:
         # Fraction alone also takes 1.5, 1_000 and 1e-1000000, a number of a million digits.
         if not re.fullmatch(r"\s*[-+]?\d+(?:/\d+)?\s*", text):
             raise ValueError("only an integer or p/q is accepted")
-        # At most 2^_MAX_SCALAR_BITS, as in ``intersect``: a part longer than _MAX_SCALAR_DIGITS is not read,
-        if max(len(digits.lstrip("0")) for digits in re.findall(r"\d+", text)) <= _MAX_SCALAR_DIGITS:
+        # At most 2^_MAX_SCALAR_BITS, by the digit rule ``_tokenize`` applies: a too long part is not read,
+        if not _too_long(text):
             with _uncapped_int_digits():  # and a shorter one is read past CPython's 4,300-digit cap
                 value = Fraction(text)
             if max(abs(value.numerator), value.denominator) <= _MAX_SCALAR:
@@ -167,9 +167,18 @@ def _tokenize(text: str) -> list[str]:
             if not remainder:
                 break
             raise UsageError(f"cannot tokenize expression at: {remainder!r}")
+        if _too_long(match.group("number") or ""):
+            raise UsageError(f"a scalar in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
         tokens.append(match.group("number") or match.group("name") or match.group("op"))
         pos = match.end()
     return tokens
+
+
+def _too_long(text: str) -> bool:
+    """Whether a run of digits in ``text`` has more than _MAX_SCALAR_DIGITS digits, leading zeros aside."""
+    return len(text) > _MAX_SCALAR_DIGITS and any(
+        len(digits.lstrip("0")) > _MAX_SCALAR_DIGITS for digits in re.findall(r"\d+", text)
+    )
 
 
 _MAX_NESTING = 100
@@ -196,9 +205,9 @@ class _ExpressionParser:
     30,000 decimal digits) in absolute value, or the expression is a usage
     error.  Computing and printing larger numbers takes time quadratic in
     their size, so without the bound a long product of large numbers runs for
-    hours.  Literals, sums, products and powers are checked, a literal part
-    of more than ``_MAX_SCALAR_DIGITS`` digits before it is read (as ``--t``
-    is); a negation keeps the size of a value already checked.
+    hours.  Literals, sums, products and powers are checked; a negation keeps
+    the size of a value already checked.  ``_tokenize`` judges every number
+    token, literal or exponent, by ``_too_long`` before it is read.
 
     A power is refused before it is computed when its value must exceed the
     bound.  A power of a class in lowest terms is in lowest terms (Gauss's
@@ -287,8 +296,6 @@ class _ExpressionParser:
         g, d = self.args.g, self.args.d
         if token[0].isdigit():
             numerator, _, denominator = token.partition("/")
-            if max(len(numerator.lstrip("0")), len(denominator.lstrip("0"))) > _MAX_SCALAR_DIGITS:
-                raise UsageError(f"a scalar in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
             try:
                 return _bounded(symcd.CycleClass.from_numerators(g, d, (int(numerator),), int(denominator or 1)))
             except ZeroDivisionError:

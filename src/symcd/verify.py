@@ -14,7 +14,8 @@ degree without being built, and the formal expansion of the volume runs over
 Z[t] and is evaluated to integers.  The only ``Fraction``s in a check are
 public values, each built once from integers: the three per case that
 ``orth`` takes from ``evaluate_top``, the slope ``effective_slope_bound``
-returns and the two intersection fields of a test-curve solution.
+returns, the two intersection fields of a test-curve solution, and the
+coefficients ``diagonal_statement_discrepancy`` reads through ``.coeffs``.
 """
 
 from __future__ import annotations

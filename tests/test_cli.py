@@ -396,6 +396,8 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
         ("(2*theta^0)^100000 * theta^3", 24 * 2**100000),
         ("(theta^0 * 1/2)^100000 * theta^3", Fraction(24, 2**100000)),
         ("0" * 40_000 + "2 * theta^3", 48),
+        ("(theta^0)^" + "9" * 30_103 + " * theta^3", 24),
+        ("(-(theta^0))^" + "9" * 30_103 + " * theta^3", -24),
     ],
     ids=[
         "2^10",
@@ -414,6 +416,8 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
         "class^100000",
         "reciprocal-class^100000",
         "zero-padded-literal",
+        "unit-class^longest-exponent",
+        "negative-unit-class^longest-exponent",
     ],
 )
 def test_intersect_scalar_powers_within_the_cap_answer(capsys, expression, value):
@@ -451,17 +455,23 @@ def test_intersect_scalars_beyond_the_bound_are_refused(capsys, expression, refu
     _assert_one_line(err)
 
 
-# A literal is judged by the rule --t follows: a part with more digits than
-# 2^100000 (leading zeros aside) is refused before it is read, even where the
-# reduced value would be within the bound.
+# A literal, exponents included, is judged by the rule --t follows: a part with
+# more digits than 2^100000 (leading zeros aside) is refused before it is read,
+# even where the reduced value, or the power of a unit, would be within the bound.
 @pytest.mark.parametrize(
-    "literal",
-    ["1" * 600_000, "1/" + "1" * 600_000, "1" + "0" * 30_103 + "/1" + "0" * 30_103],
-    ids=["long-p", "long-q", "reduces-within-the-bound"],
+    "expression",
+    [
+        "1" * 600_000 + "*theta^2",
+        "1/" + "1" * 600_000 + "*theta^2",
+        "1" + "0" * 30_103 + "/1" + "0" * 30_103 + "*theta^2",
+        "theta^" + "1" * 600_000,
+        "(theta^0)^" + "1" * 600_000 + " * theta^2",
+    ],
+    ids=["long-p", "long-q", "reduces-within-the-bound", "long-exponent", "unit-class^long-exponent"],
 )
-def test_intersect_literal_longer_than_the_bound_is_refused_before_it_is_read(capsys, literal):
+def test_intersect_literal_longer_than_the_bound_is_refused_before_it_is_read(capsys, expression):
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "intersect", literal + "*theta^2", "--g", "5", "--d", "2")
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", "5", "--d", "2")
     assert time.perf_counter() - start < 0.5
     assert code == 2
     assert out == ""
