@@ -13,6 +13,8 @@ integers); JSON output is deterministic, uses sorted keys, and never contains
 a floating-point literal.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 violated precondition, 4 out of the proven domain, 5 the
 answer could not be written (a closed stdout, a broken pipe, a full disk).
+Every line goes through one writer, ``_write``; a refusal that cannot be
+written on stderr is lost, and its exit code stays.
 
 The default output format is text; set SYMCD_FORMAT=json (or pass --format)
 to switch.
@@ -103,7 +105,7 @@ class UsageError(Exception):
 
 
 class _WriteFailed(Exception):
-    """The answer, or the text of ``--help`` or ``--version``, could not be written."""
+    """A line could not be written: an answer, the text of ``--help`` or ``--version``, or a refusal."""
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -464,24 +466,18 @@ def _cmd_verify(args) -> tuple[dict, dict, list]:
 # rendering
 
 
-def _render_text_value(value, indent: str, lines: list[str]) -> None:
-    if isinstance(value, dict):
-        for key in sorted(value):
-            inner = value[key]
-            if isinstance(inner, (dict, list)):
-                lines.append(f"{indent}{key}:")
-                _render_text_value(inner, indent + "  ", lines)
-            else:
-                lines.append(f"{indent}{key}: {inner}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{indent}-")
-                _render_text_value(item, indent + "  ", lines)
-            else:
-                lines.append(f"{indent}- {item}")
-    else:
-        lines.append(f"{indent}{value}")
+def _render_text_value(value: dict, indent: str, lines: list[str]) -> None:
+    """A line per key, sorted; a ray (a dict) nests, and a list of scalars has a ``- item`` line each."""
+    for key in sorted(value):
+        inner = value[key]
+        if isinstance(inner, dict):
+            lines.append(f"{indent}{key}:")
+            _render_text_value(inner, indent + "  ", lines)
+        elif isinstance(inner, list):
+            lines.append(f"{indent}{key}:")
+            lines.extend(f"{indent}  - {item}" for item in inner)
+        else:
+            lines.append(f"{indent}{key}: {inner}")
 
 
 def render(document: dict, fmt: str) -> str:
@@ -540,11 +536,8 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message, file=None):
         # argparse prints --help and --version on sys.stdout, which is None when it
-        # is closed; that text goes through _write, as an answer does.
-        if file is sys.stdout:
-            _write(message.removesuffix("\n"))
-        else:
-            super()._print_message(message, file)
+        # is closed; every line goes through _write, as an answer does.
+        _write(message.removesuffix("\n"), "stdout" if file is sys.stdout else "stderr")
 
 
 class _Subparser:
@@ -660,31 +653,35 @@ def _uncapped_int_digits():
 
 
 def _refuse(code: int, line: str) -> int:
-    """Print ``line`` on stderr and return ``code``.  A refusal may echo an
-    argument of any length, so a line of 400 bytes or more (in UTF-8, with its
-    newline) keeps its start, which says what was refused, and its end, which
-    often says why, around a count of the characters left out."""
+    """Write ``line`` on stderr and return ``code``, also when the line cannot be
+    written.  A refusal may echo an argument of any length, so a line of 400
+    bytes or more (in UTF-8, with its newline) keeps its start, which says what
+    was refused, and its end, which often says why, around a count of the
+    characters left out."""
     data = line.encode(errors="backslashreplace")
     if len(data) >= 400:
         head, tail = data[:200].decode(errors="ignore"), data[-150:].decode(errors="ignore")
         line = f"{head}[... {len(data.decode()) - len(head) - len(tail)} characters left out ...]{tail}"
-    print(line, file=sys.stderr)
+    with contextlib.suppress(_WriteFailed):
+        _write(line, "stderr")
     return code
 
 
-def _write(text: str) -> None:
-    """Print ``text`` on stdout, or raise :class:`_WriteFailed` saying why it could not be.
+def _write(text: str, stream: str = "stdout") -> None:
+    """Print ``text`` on ``sys.stdout`` or ``sys.stderr``, as ``stream`` names it, or raise :class:`_WriteFailed`.
 
-    A closed stdout (``sys.stdout is None``) fails too.  After a failure stdout
-    is ``os.devnull``, so the flush at exit (into a broken pipe, say) cannot raise again.
+    Every line the CLI prints goes through here.  A closed stream (``None``, which ``print`` takes for
+    stdout) fails too.  After a failure the stream is ``os.devnull``, so the flush at exit (into a broken
+    pipe, say) cannot raise again.
     """
     try:
-        if sys.stdout is None:
-            raise OSError("standard output is closed")
-        print(text)
-        sys.stdout.flush()
+        file = getattr(sys, stream)
+        if file is None:
+            raise OSError(f"standard {'output' if stream == 'stdout' else 'error'} is closed")
+        print(text, file=file)
+        file.flush()
     except OSError as exc:
-        sys.stdout = open(os.devnull, "w")
+        setattr(sys, stream, open(os.devnull, "w"))
         raise _WriteFailed(f"the answer could not be written: {exc}") from None
 
 

@@ -325,12 +325,21 @@ def _assert_one_line(err):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_intersect_zero_denominator_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "intersect", "1/0 * theta^3", "--g", "4", "--d", "3")
+@pytest.mark.parametrize(
+    "expression, line",
+    [
+        ("1/0 * theta^3", "usage error: zero denominator in '1/0'"),
+        ("theta )", "usage error: trailing input in expression: ')'"),
+        ("theta^x", "usage error: exponent must be a non-negative integer (got 'x')"),
+        ("(theta theta)", "usage error: unbalanced parentheses in expression"),
+    ],
+    ids=["zero-denominator", "trailing-input", "exponent", "unbalanced"],
+)
+def test_intersect_zero_denominator_is_usage_error(capsys, expression, line):
+    code, out, err = run_cli(capsys, "intersect", expression, "--g", "4", "--d", "3")
     assert code == 2
     assert out == ""
-    assert "1/0" in err
-    _assert_one_line(err)
+    assert err == line + "\n"
 
 
 @pytest.mark.parametrize(
@@ -1088,6 +1097,35 @@ def test_an_answer_that_cannot_be_written_exits_five(stdout, reason):
     assert replaced.name == os.devnull
 
 
+# one refusal of each code a handler or argparse finds, with that code
+_REFUSED = {
+    "precondition": (["intersect", "theta^9", "--g", "4", "--d", "3"], 3),
+    "usage": (["bogus"], 2),
+    "out-of-domain": (["volume", "--g", "5", "--d", "4", "--t", "9"], 4),
+}
+
+
+@pytest.mark.parametrize(
+    "stderr",
+    [
+        _RefusingStdout(OSError(errno.ENOSPC, "No space left on device")),
+        _RefusingStdout(BrokenPipeError(errno.EPIPE, "Broken pipe")),
+        None,
+    ],
+    ids=["disk-full", "broken-pipe", "closed"],
+)
+@pytest.mark.parametrize("argv, expected", _REFUSED.values(), ids=_REFUSED)
+def test_a_refusal_that_cannot_be_written_keeps_its_exit_code(stderr, argv, expected):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+        replaced = sys.stderr
+    replaced.close()
+    assert code == expected
+    assert out.getvalue() == ""  # a closed stderr does not send the line where an answer goes
+    assert replaced.name == os.devnull
+
+
 @pytest.mark.parametrize(
     "stdout, reason",
     [
@@ -1108,11 +1146,11 @@ def test_help_or_version_text_that_cannot_be_written_exits_five(stdout, reason, 
     assert replaced.name == os.devnull
 
 
-def _cli_process(argv, **kwargs):
+def _cli_process(argv, stderr=subprocess.PIPE, **kwargs):
     src = str(Path(symcd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     command = [sys.executable, "-m", "symcd.cli", *argv]
-    return subprocess.Popen(command, env=dict(os.environ, PYTHONPATH=path), stderr=subprocess.PIPE, **kwargs)
+    return subprocess.Popen(command, env=dict(os.environ, PYTHONPATH=path), stderr=stderr, **kwargs)
 
 
 def test_a_reader_that_stops_early_gets_exit_five_and_one_line():
@@ -1157,6 +1195,30 @@ def test_a_closed_stdout_gets_exit_five_and_one_line(argv):
     else:
         assert code == 5
         assert err == "error: the answer could not be written: standard output is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv, expected", _REFUSED.values(), ids=_REFUSED)
+def test_a_refusal_with_stderr_on_a_full_device_keeps_its_exit_code(argv, expected):
+    with open("/dev/full", "wb") as full, _cli_process(argv, stdout=subprocess.PIPE, stderr=full) as process:
+        out = process.stdout.read()
+        assert process.wait(timeout=60) == expected
+    assert out == b""
+
+
+@pytest.mark.parametrize("argv, expected", _REFUSED.values(), ids=_REFUSED)
+def test_a_refusal_with_stderr_closed_leaves_stdout_empty(argv, expected):
+    with _cli_process(argv, stdout=subprocess.PIPE, preexec_fn=functools.partial(os.close, 2)) as process:
+        out = process.stdout.read()
+        assert process.wait(timeout=60) == expected
+    assert out == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_an_answer_with_both_streams_on_a_full_device_gets_exit_five():
+    with open("/dev/full", "wb") as full:
+        with _cli_process(["cone", "--g", "6", "--d", "5"], stdout=full, stderr=full) as process:
+            assert process.wait(timeout=60) == 5
 
 
 def test_volume_general(capsys):
@@ -1532,6 +1594,53 @@ def test_format_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("SYMCD_FORMAT", "json")
     code, out, _ = run_cli(capsys, "class", "ramification", "--g", "4", "--d", "3", "--format", "text")
     assert out.startswith("command: class")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            ("class", "ramification", "--g", "4", "--d", "3"),
+            """\
+command: class
+inputs: d=3, g=4, name=ramification
+a: 10
+b: 12
+codimension: 1
+coefficients:
+  - 10
+  - -12
+genus: 4
+monomials:
+  - theta
+  - x
+pretty: 10*theta - 12*x
+symmetric_power: 3
+provenance: Gauss-map ramification divisor, solved from small-diagonal and moving-point test curves
+""",
+        ),
+        (
+            ("cone", "--g", "4", "--d", "3", "--kind", "nef"),
+            """\
+command: cone
+inputs: curve=general, d=3, g=4, kind=nef
+diagonal_nef_ray:
+  pretty: -theta + 12*x
+  theta: -1
+  x: 12
+gonality: 3
+theta_boundary_ray: None
+theta_minus_x_ample: False
+provenance: -theta + dg*x is nef and big with augmented base locus the small diagonal (Pacienza)
+provenance: theta - x is ample whenever no degree-d divisor moves in a pencil (d below the gonality)
+""",
+        ),
+    ],
+    ids=["lists", "nested-none-bool"],
+)
+def test_text_output_lays_out_every_shape_a_result_has(capsys, argv, text):
+    # keys sorted, a nested dict indented under its key, a list one "- item" line each
+    assert run_cli(capsys, *argv, "--format", "text") == (0, text, "")
 
 
 def test_format_flag_before_subcommand(capsys):

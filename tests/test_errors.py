@@ -16,14 +16,17 @@ from fractions import Fraction
 import pytest
 
 from symcd.catalog import (
+    binomial_convolution_identity,
     hyperelliptic_pencil_locus_class,
     pencil_residual_divisor_class,
     ramification_divisor_class,
     small_diagonal_class,
     solve_test_curve_system,
     subordinate_class,
+    subordinate_pencil_intersections,
 )
 from symcd.cones import (
+    Ray,
     effective_cone,
     effective_slope_bound,
     general_volume_limit,
@@ -31,6 +34,7 @@ from symcd.cones import (
     nef_facts,
     volume_general,
     volume_hyperelliptic,
+    volume_integrality,
 )
 from symcd.cycles import CycleClass, theta_class
 from symcd.errors import OutOfProvenDomainError, PreconditionError, shown
@@ -91,6 +95,9 @@ REFUSALS = {
     "effective_slope_bound": (lambda: effective_slope_bound(HUGE, 3), PreconditionError, HUGE),
     "pencil_residual_divisor_class": (lambda: pencil_residual_divisor_class(HUGE), PreconditionError, HUGE),
     "class_power": (lambda: theta_class(5, 3) ** 10**5000, PreconditionError, 10**5000),
+    "volume_integrality": (lambda: volume_integrality(HUGE), PreconditionError, HUGE),
+    "subordinate_pencil_intersections": (lambda: subordinate_pencil_intersections(HUGE), PreconditionError, HUGE),
+    "binomial_convolution_identity": (lambda: binomial_convolution_identity(HUGE), PreconditionError, HUGE),
     "run_all": (lambda: run_all("combsum", HUGE), PreconditionError, HUGE),
 }
 
@@ -131,3 +138,17 @@ def test_with_the_cap_lifted_the_full_value_is_printed(uncapped, name):
         call()
     assert str(value) in str(excinfo.value)
     assert "bits>" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CycleClass(5, 3, []), "a class needs at least one coefficient"),
+        (lambda: theta_class(5, 3) ** -1, "class exponent must be a non-negative integer"),
+        (lambda: Ray(1.5, 2), "ray coefficients must be integers"),
+    ],
+    ids=["class-without-coefficients", "negative-class-power", "ray-of-a-non-integer"],
+)
+def test_a_malformed_value_is_refused_with_its_reason(call, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()
