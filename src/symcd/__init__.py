@@ -21,10 +21,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "combinatorics": (
         "BivariateSeries",
-        "as_rational",
         "gen_binomial",
     ),
     "cycles": (
+        "as_rational",
         "CycleClass",
         "divisor_class",
         "evaluate_top",

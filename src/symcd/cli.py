@@ -29,6 +29,7 @@ import json
 import os
 import re
 import sys
+import threading
 from collections import namedtuple
 from fractions import Fraction
 
@@ -362,8 +363,6 @@ def _cmd_class(args) -> tuple[dict, dict, list]:
 def _cmd_intersect(args) -> tuple[dict, dict, list]:
     g, d = args.g, args.d
     value = _ExpressionParser(args.expression, args).parse()
-    if value.codim != d:
-        raise PreconditionError(f"expression has codimension {value.codim}; top-degree evaluation on C_{d} needs {d}")
     return (
         {"expression": args.expression, "g": g, "d": d},
         {"value": str(symcd.evaluate_top(value)), "codimension": value.codim},
@@ -397,10 +396,6 @@ def _cmd_cone(args) -> tuple[dict, dict, list]:
     return inputs, result, provenance
 
 
-# The exact volume's size grows with the denominator of t = p/q: the value is
-# one number over q^(g-1) for the general curve and over ((g-d+1)q)^d for the
-# hyperelliptic one, so a t whose denominator power would exceed
-# 2^_MAX_SCALAR_BITS, the bound on every number ``intersect`` builds, is refused.
 _VOLUME_PROVENANCE = {
     "general": "volume of theta - t*x on C_(g-1): residuation onto the nef subcone, then top self-intersection",
     "hyperelliptic": "Zariski decomposition with positive part proportional to theta",
@@ -420,6 +415,10 @@ def _cmd_volume(args) -> tuple[dict, dict, list]:
     else:
         limit = symcd.hyperelliptic_volume_limit(g, d)
         base, power = limit * t.denominator, d
+    # The exact volume's size grows with the denominator of t = p/q: the value is
+    # one number over q^(g-1) for the general curve and over ((g-d+1)q)^d for the
+    # hyperelliptic one, so a t whose denominator power would exceed
+    # 2^_MAX_SCALAR_BITS, the bound on every number ``intersect`` builds, is refused.
     if (base.bit_length() - 1) * power > _MAX_SCALAR_BITS:
         raise UsageError(
             f"--t {t} is too long for volume at g={g}: the value's denominator would exceed 2^{_MAX_SCALAR_BITS}"
@@ -635,21 +634,28 @@ def _resolve_format(explicit: str | None) -> str:
     return explicit or (env if env in ("json", "text") else "text")
 
 
+_DIGIT_CAP_LOCK = threading.RLock()
+
+
 @contextlib.contextmanager
 def _uncapped_int_digits():
     """Lift CPython's cap on int-to-str digits while a command runs.
 
     Every answer is printed exactly, and exact answers (a volume at large
-    genus, a long-denominator t) can run past the default 4,300 digits.
+    genus, a long-denominator t) can run past the default 4,300 digits.  The
+    cap is one setting of the process, so concurrent calls take turns here:
+    otherwise the first to leave would put the cap back under one still
+    running.
     """
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if cap:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
+    with _DIGIT_CAP_LOCK:
+        cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
         if cap:
-            sys.set_int_max_str_digits(cap)
+            sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            if cap:
+                sys.set_int_max_str_digits(cap)
 
 
 def _refuse(code: int, line: str) -> int:

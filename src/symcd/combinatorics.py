@@ -1,18 +1,13 @@
-"""Exact combinatorial primitives.
+"""The tests' exact combinatorial references.
 
-Factorials come straight from :mod:`math`.  What this module adds is
-:func:`gen_binomial`, the binomial coefficient with an arbitrary (possibly
-negative) integer upper index, and :func:`as_rational`, the exact coercion
-that refuses floats.
-A tiny bivariate polynomial type truncated at total degree 2 is kept as the
-brute-force reference for the closed-form [t1*t2] extraction in
-:func:`symcd.catalog.bipartition_diagonal_extraction`; the library itself no
-longer expands series.
-
-Every number is exact: public results are ``int`` or ``fractions.Fraction``,
-and the hot kernels -- cycle-class arithmetic and the stepped binomial sums
-in :mod:`symcd.catalog` -- run on integers and build a ``Fraction`` only for
-a result.  Nothing in this package touches floating point.
+:func:`gen_binomial` is the binomial coefficient with an arbitrary (possibly
+negative) integer upper index, and :class:`BivariateSeries` is a bivariate
+polynomial type truncated at total degree 2, the brute-force reference for the
+closed-form [t1*t2] extraction in
+:func:`symcd.catalog.bipartition_diagonal_extraction`.  No library route and
+no subcommand loads this module.  Both names stay until the benchmark refresh
+(ROADMAP Direction 1), because ``perfbench/tracer.py`` wraps them by name, and
+``as_rational`` too, which is imported here from its home, :mod:`symcd.cycles`.
 """
 
 from __future__ import annotations
@@ -21,18 +16,9 @@ import math
 from fractions import Fraction
 
 from . import _EXPORTS
+from .cycles import as_rational
 
 __all__ = list(_EXPORTS["combinatorics"])
-
-
-def as_rational(value: int | Fraction | str) -> Fraction:
-    """Coerce ``value`` to an exact rational, rejecting floats outright."""
-    if isinstance(value, float):
-        raise TypeError(
-            "floating-point input would break exactness; pass an int, a "
-            "Fraction, or a 'p/q' string"
-        )
-    return Fraction(value)
 
 
 def gen_binomial(n: int, k: int) -> int:

@@ -29,8 +29,7 @@ import math
 from fractions import Fraction
 
 from . import _EXPORTS
-from .combinatorics import as_rational
-from .cycles import CycleClass, _Frozen, _signed_sum
+from .cycles import CycleClass, _Frozen, _signed_sum, as_rational
 from .errors import OutOfProvenDomainError, PreconditionError, _check_range, _check_space, shown
 
 __all__ = list(_EXPORTS["cones"])

@@ -13,7 +13,8 @@ integer arithmetic with one reduction per result; the ``Fraction``
 coefficients are built from them each time ``coeffs`` is read.  Every class,
 a divisor included, is a ``CycleClass``, and two classes are equal when these
 numbers are, however each was built.  A divisor a*theta - b*x is the
-codimension-1 class with coefficients (a, -b).
+codimension-1 class with coefficients (a, -b).  The package's one exact
+coercion, :func:`as_rational`, which refuses floats, lives here.
 Products are purely formal: coefficient vectors are convolved by Kronecker
 substitution (each vector is packed into one integer, one slot per
 coefficient, so a product or a power is one big-integer operation), and no
@@ -35,10 +36,17 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from . import _EXPORTS
-from .combinatorics import as_rational
 from .errors import PreconditionError, _check_space, shown
 
 __all__ = list(_EXPORTS["cycles"])
+
+
+def as_rational(value: int | Fraction | str) -> Fraction:
+    """Coerce ``value`` to an exact rational, rejecting floats outright."""
+    if isinstance(value, float):
+        raise TypeError("floating-point input would break exactness; pass an int, a Fraction, or a 'p/q' string")
+    return Fraction(value)
+
 
 # Fields of the frozen classes below are written only through this, or through
 # CycleClass's slot setters (after the class), which skip its name lookup.  Their
@@ -245,11 +253,7 @@ class CycleClass(_Frozen):
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise PreconditionError("class exponent must be a non-negative integer")
-        codim = self.codim * exponent
-        if codim > self.d:
-            raise PreconditionError(
-                f"product has codimension {shown(codim)}, beyond the dimension of C_{shown(self.d)}"
-            )
+        codim = _product_codim(self.codim * exponent, self.d)
         total = sum(map(abs, self.numerators))
         size = _slot_size(max(total**exponent, total))
         return CycleClass.from_numerators(
@@ -348,6 +352,13 @@ def _unpack(packed: int, size: int, count: int) -> list[int]:
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * count, size)]
 
 
+def _product_codim(codim: int, d: int) -> int:
+    """``codim``, a product's codimension on C_d, or the refusal of one past the dimension d."""
+    if codim > d:
+        raise PreconditionError(f"product has codimension {shown(codim)}, beyond the dimension of C_{shown(d)}")
+    return codim
+
+
 def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     """Formal product: convolution of coefficient vectors; codimensions add.
 
@@ -359,11 +370,7 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     the result is reduced once.
     """
     p._check_same_space(q)
-    codim = p.codim + q.codim
-    if codim > p.d:
-        raise PreconditionError(
-            f"product has codimension {codim}, beyond the dimension of C_{shown(p.d)}"
-        )
+    codim = _product_codim(p.codim + q.codim, p.d)
     left, right = p.numerators, q.numerators
     left_max, right_max = max(map(abs, left)), max(map(abs, right))
     size = _slot_size(max(left_max * right_max * min(len(left), len(right)), left_max, right_max))
@@ -402,9 +409,7 @@ def _evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> tuple[int,
         denominator *= factor.denominator
         terms = [(j, b) for j, b in enumerate(factor.numerators) if b]
     if codim != p.d:
-        raise PreconditionError(
-            f"only top-degree classes can be evaluated (codim {codim} on C_{shown(p.d)})"
-        )
+        raise PreconditionError(f"top-degree evaluation on C_{shown(p.d)} needs codimension {shown(p.d)} (got {codim})")
     nums = p.numerators
     offset, extra = p.genus - p.d, codim - p.codim
     total = 0

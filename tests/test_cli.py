@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symcd
+from symcd import cones
 from symcd.cli import main
 from symcd.cones import volume_general
 from symcd.cycles import CycleClass, evaluate_top, multiply, theta_class, x_class
@@ -300,8 +302,8 @@ def test_intersect_rational_scalars(capsys):
 
 def test_intersect_codim_mismatch(capsys):
     code, out, err = run_cli(capsys, "intersect", "theta^2", "--g", "4", "--d", "3")
-    assert code == 3
-    assert "codimension" in err
+    assert (code, out) == (3, "")
+    assert err == "error: top-degree evaluation on C_3 needs codimension 3 (got 2)\n"
 
 
 def test_intersect_scalar_expression_rejected(capsys):
@@ -1261,6 +1263,74 @@ def test_volume_prints_numbers_beyond_the_int_str_digit_limit(capsys):
         expected = str(volume_general(100, Fraction(t)))
     assert len(expected) > limit
     assert doc["result"]["value"] == expected
+
+
+def test_concurrent_calls_each_run_with_the_digit_cap_lifted(capsys, monkeypatch):
+    """The cap is one setting of the process.  Call B enters, call A enters,
+    then B leaves: had B put the cap back, A would run under it.  The calls
+    take turns instead, so A enters only after B has left (B's wait for A
+    times out), and each reads the cap lifted."""
+    b_inside, a_inside, b_done = threading.Event(), threading.Event(), threading.Event()
+    seen, codes = {}, {}
+
+    def volume_general(g, t, original=cones.volume_general):
+        call = threading.current_thread().name
+        if call == "B":
+            b_inside.set()
+            a_inside.wait(0.5)
+        else:
+            a_inside.set()
+            b_done.wait(0.5)
+        seen[call] = sys.get_int_max_str_digits()
+        return original(g, t)
+
+    def run():
+        codes[threading.current_thread().name] = main(["volume", "--g", "5", "--d", "4", "--t", "1/2"])
+
+    monkeypatch.setattr(cones, "volume_general", volume_general)
+    limit = sys.get_int_max_str_digits()
+    b, a = threading.Thread(target=run, name="B"), threading.Thread(target=run, name="A")
+    b.start()
+    b_inside.wait(0.5)
+    a.start()
+    b.join()
+    b_done.set()
+    a.join()
+    assert capsys.readouterr().out.count("value: 501/16") == 2
+    assert codes == {"A": 0, "B": 0}
+    assert seen == {"A": 0, "B": 0}
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_concurrent_calls_under_a_short_switch_interval_all_answer(capsys):
+    # Three threads print volumes of about 4,950 digits while a fourth runs cone calls;
+    # a call that ran under another's restored cap raised ValueError out of main.
+    t = "1/1" + "0" * 50
+    codes = []
+
+    def run(argv, times):
+        for _ in range(times):
+            try:
+                codes.append(main(argv))
+            except ValueError as exc:
+                codes.append(str(exc)[:60])
+
+    volume, cone = ["volume", "--g", "100", "--d", "99", "--t", t], ["cone", "--g", "4", "--d", "3"]
+    threads = [threading.Thread(target=run, args=(volume, 25)) for _ in range(3)]
+    threads.append(threading.Thread(target=run, args=(cone, 150)))
+    limit, interval = sys.get_int_max_str_digits(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    capsys.readouterr()
+    assert codes == [0] * 225
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_volume_at_genus_3000_answers_quickly(capsys):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcd.combinatorics import BivariateSeries, as_rational, gen_binomial
+from symcd.combinatorics import BivariateSeries, gen_binomial
+from symcd.cycles import as_rational
 
 
 def test_gen_binomial_values():

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -79,8 +80,12 @@ def test_evaluate_top_examples():
 
 
 def test_evaluate_top_requires_top_degree():
-    with pytest.raises(PreconditionError):
+    line = "top-degree evaluation on C_3 needs codimension 3 (got 1)"
+    with pytest.raises(PreconditionError, match=re.escape(line)):
         evaluate_top(theta_class(4, 3))
+    line = "top-degree evaluation on C_5 needs codimension 5 (got 4)"
+    with pytest.raises(PreconditionError, match=re.escape(line)):
+        evaluate_top(theta_class(6, 5) ** 2, x_class(6, 5) ** 2)
 
 
 @pytest.mark.parametrize("g", range(2, 21))

@@ -99,6 +99,8 @@ REFUSALS = {
     "subordinate_pencil_intersections": (lambda: subordinate_pencil_intersections(HUGE), PreconditionError, HUGE),
     "binomial_convolution_identity": (lambda: binomial_convolution_identity(HUGE), PreconditionError, HUGE),
     "run_all": (lambda: run_all("combsum", HUGE), PreconditionError, HUGE),
+    # its own range check is not a second home: without it, [0] * (d - 2) raises OverflowError first
+    "small_diagonal_class": (lambda: small_diagonal_class(4, HUGE), PreconditionError, HUGE),
 }
 
 

@@ -20,8 +20,8 @@ SRC = str(Path(symcd.__file__).resolve().parents[1])
 
 PUBLIC_NAMES = [
     "BivariateSeries",
-    "as_rational",
     "gen_binomial",
+    "as_rational",
     "CycleClass",
     "divisor_class",
     "evaluate_top",
@@ -125,20 +125,36 @@ def test_cone_does_not_load_verify(kind):
     assert "symcd.verify" not in loaded
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["class", "ramification", "--g", "4", "--d", "3"],
-        ["intersect", "smalldiag * ramification", "--g", "4", "--d", "3"],
-        ["cone", "--g", "4", "--d", "3", "--curve", "hyperelliptic"],
-        ["volume", "--g", "4", "--d", "3", "--t", "1/2"],
-        ["verify", "--suite", "all", "--max", "4"],
-    ],
-)
+# One answered call of each subcommand.
+ANSWERED_CALLS = [
+    ["class", "ramification", "--g", "4", "--d", "3"],
+    ["intersect", "smalldiag * ramification", "--g", "4", "--d", "3"],
+    ["cone", "--g", "4", "--d", "3", "--curve", "hyperelliptic"],
+    ["volume", "--g", "4", "--d", "3", "--t", "1/2"],
+    ["verify", "--suite", "all", "--max", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", ANSWERED_CALLS)
 def test_no_subcommand_loads_dataclasses_or_inspect(argv):
     # typing and enum are left out: site may load them before any symcd code runs.
     code = f"from symcd.cli import main\nassert main({argv!r}) == 0"
     assert _fresh(code, ("dataclasses", "inspect")) == []
+
+
+# combinatorics holds only the tests' references; the exact coercion lives in cycles.
+@pytest.mark.parametrize("argv", ANSWERED_CALLS)
+def test_no_subcommand_loads_combinatorics(argv):
+    loaded = _fresh(f"from symcd.cli import main\nassert main({argv!r}) == 0")
+    assert "symcd.cycles" in loaded
+    assert "symcd.combinatorics" not in loaded
+
+
+def test_as_rational_lives_in_cycles():
+    from symcd import combinatorics, cycles
+
+    assert symcd.as_rational.__module__ == "symcd.cycles"
+    assert combinatorics.as_rational is cycles.as_rational is symcd.as_rational
 
 
 def test_package_attribute_resolves_the_submodule():
