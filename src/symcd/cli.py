@@ -157,24 +157,22 @@ def _ray_document(ray) -> dict:
 # --------------------------------------------------------------------------
 # intersect expression parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()]))")
+# The last alternative takes the rest of the text from the first character no token starts with.
+# ``_tokenize`` scans the text with its trailing whitespace stripped: findall would try
+# the pattern again at each trailing blank, in time quadratic in their number.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()])|(?P<rest>\S.*))", re.S
+)
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise UsageError(f"cannot tokenize expression at: {remainder!r}")
-        if _too_long(match.group("number") or ""):
+    scanned = _TOKEN_RE.findall(text.rstrip())
+    for number, _, _, rest in scanned:
+        if _too_long(number):
             raise UsageError(f"a scalar in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
-        tokens.append(match.group("number") or match.group("name") or match.group("op"))
-        pos = match.end()
-    return tokens
+        if rest:
+            raise UsageError(f"cannot tokenize expression at: {rest!r}")
+    return [number or name or op for number, name, op, _ in scanned]
 
 
 def _too_long(text: str) -> bool:
@@ -314,7 +312,7 @@ class _ExpressionParser:
 
 def _bounded(value):
     """``value`` itself, unless a number it is built from exceeds 2^_MAX_SCALAR_BITS."""
-    if any(abs(n) > _MAX_SCALAR for n in (value.denominator, *value.numerators)):
+    if max(value.denominator, *map(abs, value.numerators)) > _MAX_SCALAR:
         what = "class coefficient" if value.codim else "scalar"
         raise UsageError(f"a {what} in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
     return value
@@ -331,9 +329,9 @@ def _bounded(value):
 # ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.3 s and prints 2.5 MB
 # as one CLI call.  ``intersect`` takes a genus up to that of the largest ``ek``
 # (genus 2k-1 at k = 1,000).  At the caps ``(theta-x)^1000`` answers in about
-# 0.1 s as one CLI call, but a power of a named class with larger coefficients
-# is slow: ``ramification^1000`` (31-bit coefficients) took 10-14 s on a 2-vCPU
-# VM; the ROADMAP direction "Exact powers at the caps" plans the faster power.
+# 0.1 s as one CLI call, and a power of a named class with larger coefficients,
+# ``ramification^1000`` (31-bit coefficients), in about 0.2 s on a 2-vCPU VM:
+# ``CycleClass.__pow__`` runs Miller's recurrence for such powers.
 _MAX_CLASS_FLAG = 1_000
 # The exact volume's cost grows about quadratically in g (0.2 s at g = 5,000,
 # 2 s at 20,000, for one CLI call), so larger genera are refused.

@@ -15,10 +15,14 @@ a divisor included, is a ``CycleClass``, and two classes are equal when these
 numbers are, however each was built.  A divisor a*theta - b*x is the
 codimension-1 class with coefficients (a, -b).  The package's one exact
 coercion, :func:`as_rational`, which refuses floats, lives here.
-Products are purely formal: coefficient vectors are convolved by Kronecker
-substitution (each vector is packed into one integer, one slot per
-coefficient, so a product or a power is one big-integer operation), and no
-relations are imposed below the top degree.  Only top-degree evaluation
+Products are purely formal, and no relations are imposed below the top
+degree.  How a product or a power is computed is read off the shapes of its
+factors: a factor with at most two nonzero coefficients scales and shifts
+the other, a power of a monomial is one entry, a large power of a
+low-codimension class runs J.C.P. Miller's recurrence, and everything else
+is convolved by Kronecker substitution (each vector is packed into one
+integer, one slot per coefficient, so the product or the power is one
+big-integer operation).  Only top-degree evaluation
 invokes the Poincare formula
 
     x^k * theta^(d-k) = g! / (g - d + k)!        (0 <= k <= d <= g)
@@ -32,8 +36,10 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import compress, repeat
 
 from . import _EXPORTS
 from .errors import PreconditionError, _check_space, shown
@@ -244,24 +250,38 @@ class CycleClass(_Frozen):
         return self.scale(other)
 
     def __pow__(self, exponent: int) -> "CycleClass":
-        """The exponent-th formal power: one built-in ``pow`` on the packed numerators.
+        """The exponent-th formal power, by one fixed rule on the base's shape.
 
-        With S the sum of |numerators|, each coefficient of the power is at
-        most S^exponent in absolute value and each numerator at most S; the
-        larger sets the slot width.  The codimension is checked before
-        anything is computed.
+        The codimension is checked before anything is computed.  Then, with c
+        the base's codimension and S the sum of |numerators|:
+
+        * a monomial base b * x^j * theta^(c-j), the zero class and every
+          codimension-0 scalar among them, gives the one entry b^exponent at
+          position j * exponent;
+        * when exponent > 2c and (c*exponent + 1) * exponent * bits(S) exceeds
+          2^19 -- a power well above the codimension whose packed integer would
+          be large -- :func:`_recurrence_power` computes it;
+        * otherwise it is one built-in ``pow`` on the packed numerators.  Each
+          coefficient of the power is at most S^exponent in absolute value and
+          each numerator at most S; the larger sets the slot width.
+
+        The denominator is the base's to the power, and the result is reduced once.
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise PreconditionError("class exponent must be a non-negative integer")
         codim = _product_codim(self.codim * exponent, self.d)
-        total = sum(map(abs, self.numerators))
-        size = _slot_size(max(total**exponent, total))
-        return CycleClass.from_numerators(
-            self.genus,
-            self.d,
-            _unpack(pow(_pack(self.numerators, size), exponent), size, codim + 1),
-            self.denominator**exponent,
-        )
+        numerators = self.numerators
+        if len(numerators) - numerators.count(0) <= 1:
+            j = next(compress(range(len(numerators)), numerators), 0)
+            powers = [0] * (j * exponent) + [numerators[j] ** exponent] + [0] * (codim - j * exponent)
+        else:
+            total = sum(map(abs, numerators))
+            if exponent > 2 * self.codim and (codim + 1) * exponent * total.bit_length() > _RECURRENCE_BITS:
+                powers = _recurrence_power(numerators, exponent)
+            else:
+                size = _slot_size(max(total**exponent, total))
+                powers = _unpack(pow(_pack(numerators, size), exponent), size, codim + 1)
+        return CycleClass.from_numerators(self.genus, self.d, powers, self.denominator**exponent)
 
     def __str__(self) -> str:
         return _signed_sum([(c, _monomial_name(k, self.codim - k)) for k, c in enumerate(self.coeffs)])
@@ -341,15 +361,49 @@ def _pack(numerators, size: int) -> int:
     taken off as one integer.
     """
     half = 1 << (8 * size - 1)
-    packed = b"".join([(n + half).to_bytes(size, "little") for n in numerators])
-    return int.from_bytes(packed, "little") - _offsets(size, len(numerators))
+    slots = map(int.to_bytes, map(operator.add, numerators, repeat(half)), repeat(size), repeat("little"))
+    return int.from_bytes(b"".join(slots), "little") - _offsets(size, len(numerators))
 
 
 def _unpack(packed: int, size: int, count: int) -> list[int]:
     """The ``count`` signed coefficients of a packed integer, each below 2^(8*size-1)."""
     half = 1 << (8 * size - 1)
     raw = (packed + _offsets(size, count)).to_bytes(size * count, "little")
-    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * count, size)]
+    slots = struct.unpack(f"{size}s" * count, raw)
+    return list(map(operator.sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
+
+
+# __pow__ runs the recurrence when the packed power would hold more bits than this.
+_RECURRENCE_BITS = 1 << 19
+
+
+def _recurrence_power(numerators: tuple[int, ...], exponent: int) -> list[int]:
+    """The numerators of a class's exponent-th power, by J.C.P. Miller's recurrence.
+
+    For a(t) = a_0 + a_1 t + ... + a_c t^c with a_0 != 0, the coefficients
+    q_m of a(t)^e satisfy a * q' = e * a' * q, that is (Knuth, TAOCP vol. 2,
+    section 4.7)
+
+        q_0 = a_0^e,   q_m = sum_{k=1..c} ((e+1)k - m) a_k q_(m-k) / (m a_0),
+
+    and every division is exact, since q_m is an integer.  Each step costs c
+    products of a large q by a small factor, where the packed ``pow`` ends by
+    squaring one integer as large as the whole result.  The zero coefficients
+    before the first and after the last nonzero one are shifted off first and
+    put back as zeros; the numerators must not all be zero.
+    """
+    nonzero = list(compress(range(len(numerators)), numerators))
+    first, last = nonzero[0], nonzero[-1]
+    a = numerators[first : last + 1]
+    a0, c = a[0], len(a) - 1
+    weights = [(exponent + 1) * k for k in range(c, 0, -1)]  # (e+1)k for k = c..1
+    tail = a[:0:-1]  # a_c, ..., a_1
+    q = [a0**exponent]
+    for m in range(1, c * exponent + 1):
+        skip = max(0, c - m)  # the a_k with k > m meet no q
+        factors = map(operator.mul, map(operator.sub, weights[skip:], repeat(m)), tail[skip:])
+        q.append(sum(map(operator.mul, factors, q[max(0, m - c) : m])) // (m * a0))
+    return [0] * (first * exponent) + q + [0] * ((len(numerators) - 1 - last) * exponent)
 
 
 def _product_codim(codim: int, d: int) -> int:
@@ -362,19 +416,28 @@ def _product_codim(codim: int, d: int) -> int:
 def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     """Formal product: convolution of coefficient vectors; codimensions add.
 
-    The convolution is one big-integer product of the packed numerators
-    (Kronecker substitution).  Each coefficient of the product is at most
-    max|p| * max|q| * min(len p, len q) in absolute value; that bound, or
-    the larger factor's largest numerator when one factor is zero, sets the
-    slot width.  The product's denominator is the product of the two, and
-    the result is reduced once.
+    When a factor has at most two nonzero numerators -- a monomial, a
+    divisor, a scalar or the zero class -- the product is the other
+    factor's numerators times each of them, shifted by its position, and
+    summed.  Otherwise the convolution is one big-integer product of the
+    packed numerators (Kronecker substitution).  Each coefficient of the
+    product is at most max|p| * max|q| * min(len p, len q) in absolute
+    value; with neither factor zero that bound is at least every numerator,
+    and it sets the slot width.  The product's denominator is the product
+    of the two, and the result is reduced once.
     """
     p._check_same_space(q)
     codim = _product_codim(p.codim + q.codim, p.d)
     left, right = p.numerators, q.numerators
-    left_max, right_max = max(map(abs, left)), max(map(abs, right))
-    size = _slot_size(max(left_max * right_max * min(len(left), len(right)), left_max, right_max))
-    sums = _unpack(_pack(left, size) * _pack(right, size), size, codim + 1)
+    if len(left) - left.count(0) > len(right) - right.count(0):
+        left, right = right, left
+    if len(left) - left.count(0) <= 2:
+        sums, width = [0] * (codim + 1), len(right)
+        for j in compress(range(len(left)), left):
+            sums[j : j + width] = map(operator.add, sums[j : j + width], map(operator.mul, right, repeat(left[j])))
+    else:
+        size = _slot_size(max(map(abs, left)) * max(map(abs, right)) * min(len(left), len(right)))
+        sums = _unpack(_pack(left, size) * _pack(right, size), size, codim + 1)
     return CycleClass.from_numerators(p.genus, p.d, sums, p.denominator * q.denominator)
 
 

@@ -3,6 +3,7 @@ import errno
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -334,8 +335,9 @@ def _assert_one_line(err):
         ("theta )", "usage error: trailing input in expression: ')'"),
         ("theta^x", "usage error: exponent must be a non-negative integer (got 'x')"),
         ("(theta theta)", "usage error: unbalanced parentheses in expression"),
+        ("theta +  % x  ", "usage error: cannot tokenize expression at: '% x'"),
     ],
-    ids=["zero-denominator", "trailing-input", "exponent", "unbalanced"],
+    ids=["zero-denominator", "trailing-input", "exponent", "unbalanced", "untokenizable"],
 )
 def test_intersect_zero_denominator_is_usage_error(capsys, expression, line):
     code, out, err = run_cli(capsys, "intersect", expression, "--g", "4", "--d", "3")
@@ -409,6 +411,8 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
         ("0" * 40_000 + "2 * theta^3", 48),
         ("(theta^0)^" + "9" * 30_103 + " * theta^3", 24),
         ("(-(theta^0))^" + "9" * 30_103 + " * theta^3", -24),
+        ("theta^3   ", 24),
+        ("theta^3" + " " * 100_000, 24),
     ],
     ids=[
         "2^10",
@@ -429,6 +433,8 @@ def test_intersect_scalar_power_is_capped(capsys, expression):
         "zero-padded-literal",
         "unit-class^longest-exponent",
         "negative-unit-class^longest-exponent",
+        "trailing-spaces",
+        "long-trailing-whitespace",
     ],
 )
 def test_intersect_scalar_powers_within_the_cap_answer(capsys, expression, value):
@@ -527,6 +533,38 @@ def test_intersect_answers_at_the_flag_caps_quickly(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 0, err
     assert doc["result"]["codimension"] == int(argv[argv.index("--d") + 1])
+
+
+def _divisor_power_value(g, d, a, b, exponent):
+    """The top-degree value of (a*theta + b*x)^exponent * theta^(d - exponent) on C_d, from the binomial theorem.
+
+    The sum over k of C(e, k) a^(e-k) b^k g!/(g-d+k)!, since x^k * theta^(d-k)
+    is g!/(g-d+k)!, the number of d-k ordered picks from g; it is taken by
+    Horner's rule in a, so each step multiplies the sum by a alone.
+    """
+    value = 0
+    for k in range(exponent + 1):
+        value = value * a + math.comb(exponent, k) * b**k * math.perm(g, d - k)
+    return value
+
+
+# Large powers at the flag caps, each with the divisor a*theta + b*x it raises and the exponent.
+POWERS_AT_CAP = {
+    "ramification^1000": (*symcd.ramification_divisor_class(1999, 1000).numerators, 1000),
+    "(2^99*(theta-x))^1000": (2**99, -(2**99), 1000),
+    "(3^60*theta-2^95*x)^1000": (3**60, -(2**95), 1000),
+    "(theta - 2^200*x)^500 * theta^500": (1, -(2**200), 500),
+}
+
+
+@pytest.mark.parametrize("expression, divisor", POWERS_AT_CAP.items(), ids=list(POWERS_AT_CAP))
+def test_large_powers_at_the_flag_caps_answer_quickly_and_exactly(capsys, expression, divisor):
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "intersect", expression, "--g", "1999", "--d", "1000")
+    assert time.perf_counter() - start < 1
+    assert code == 0, err
+    with _uncapped():
+        assert doc["result"]["value"] == str(_divisor_power_value(1999, 1000, *divisor))
 
 
 @pytest.mark.parametrize(

@@ -627,3 +627,168 @@ def test_a_power_has_a_numerator_at_least_the_largest_to_the_power_over_its_leng
     d = max(2, (len(vector) - 1) * max(1, exponent))
     power = CycleClass.from_numerators(d + 1, d, vector) ** exponent
     assert max(map(abs, power.numerators)) * len(power.numerators) >= max(map(abs, vector)) ** exponent
+
+
+# Each route of multiply and __pow__ -- a sparse factor's shifted sums, a
+# monomial power, Miller's recurrence, packed integers -- against the
+# schoolbook references.  A route that must not run is made to fail, so each
+# test runs the route it names.
+
+
+def _refused(*args):
+    raise AssertionError("this route should not run here")
+
+
+@st.composite
+def sparse_classes(draw, most=2, max_codim=6):
+    """A class on C_d with at most ``most`` nonzero numerators, the zero class among them, with d = 3 * max_codim."""
+    codim = draw(st.integers(min_value=0, max_value=max_codim))
+    places = draw(st.lists(st.integers(min_value=0, max_value=codim), max_size=most, unique=True))
+    values = dict(zip(places, draw(st.lists(numerators, min_size=len(places), max_size=len(places)))))
+    d = 3 * max_codim
+    return CycleClass.from_numerators(d + 1, d, [values.get(k, 0) for k in range(codim + 1)], draw(denominators))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_classes(), numerator_vectors(6), denominators)
+def test_a_factor_of_at_most_two_terms_shifts_the_other_in_either_order(sparse, vector, denominator):
+    other = CycleClass.from_numerators(sparse.genus, sparse.d, vector, denominator)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_pack", _refused)
+        assert multiply(sparse, other) == _reference_product(sparse, other)
+        assert multiply(other, sparse) == _reference_product(other, sparse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_classes(most=1), st.integers(min_value=0, max_value=3))
+def test_a_monomial_power_is_one_entry_wherever_it_is(monomial, exponent):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_pack", _refused)
+        patch.setattr(cycles, "_recurrence_power", _refused)
+        power = monomial**exponent
+    assert power == _reference_power(monomial, exponent)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ([0, 1, 1, 1], [1, 2, 3, 4]),  # three nonzero numerators or more in each: packed
+        ([5, -1, 0, 2], [0, 7, 0, 0, -2**200, 3]),
+    ],
+)
+def test_factors_of_three_terms_or_more_are_packed(left, right):
+    d = len(left) + len(right)
+    p, q = CycleClass.from_numerators(d, d, left), CycleClass.from_numerators(d, d, right)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_pack", _refused)
+        with pytest.raises(AssertionError, match="should not run"):
+            multiply(p, q)
+    assert multiply(p, q) == _reference_product(p, q)
+
+
+@pytest.mark.parametrize(
+    "base, exponent",
+    [
+        (CycleClass.from_numerators(9, 8, (-7,), 3), 5),  # a codimension-0 scalar
+        (CycleClass.from_numerators(9, 8, (0,)), 0),
+        (CycleClass.from_numerators(9, 8, (0, 0)), 0),  # the zero class to the 0th is 1
+        (CycleClass.from_numerators(9, 8, (0, 0)), 4),
+        (theta_class(9, 8), 8),
+        (x_class(9, 8), 8),
+        (CycleClass.from_numerators(9, 8, (0, -(2**90), 0), 5), 4),
+    ],
+)
+def test_a_monomial_power_is_one_entry(base, exponent):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_pack", _refused)
+        patch.setattr(cycles, "_recurrence_power", _refused)
+        power = base**exponent
+    assert power == _reference_power(base, exponent)
+    assert sum(map(bool, power.numerators)) <= 1
+    _assert_lowest_terms(power)
+
+
+def _recurrence_class(p, exponent):
+    """p^exponent with its numerators from the recurrence, called directly."""
+    return CycleClass.from_numerators(p.genus, p.d, cycles._recurrence_power(p.numerators, exponent), p.denominator**exponent)
+
+
+@pytest.mark.parametrize(
+    "vector, denominator, exponent",
+    [
+        ([0, 2, -3], 1, 5),  # a zero leading coefficient is shifted off
+        ([0, 0, 5, 0, -1, 0], 1, 3),  # zeros on both sides
+        ([-3, 1, 4], 1, 4),  # a negative a_0
+        ([-(2**70), 3, 0, 2**65], 1, 3),
+        ([4, -9, 2], 6, 5),  # a denominator
+        ([3, 5, -7], 1, 0),
+        ([0, 3, 5, -7], 10, 0),
+        ([3, 5, -7], 1, 1),
+        ([0, -3, 5], 7, 1),
+    ],
+)
+def test_the_recurrence_on_small_shapes(vector, denominator, exponent):
+    d = max(2, (len(vector) - 1) * max(1, exponent))
+    p = CycleClass.from_numerators(d + 1, d, vector, denominator)
+    assert _recurrence_class(p, exponent) == _reference_power(p, exponent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerator_vectors(4), denominators, st.integers(min_value=0, max_value=12))
+def test_the_recurrence_matches_the_reference_power(vector, denominator, exponent):
+    if not any(vector):
+        vector = [*vector[:-1], 1]
+    d = max(2, (len(vector) - 1) * max(1, exponent))
+    p = CycleClass.from_numerators(d + 1, d, vector, denominator)
+    assert _recurrence_class(p, exponent) == _reference_power(p, exponent)
+
+
+@pytest.mark.parametrize(
+    "vector, exponent",
+    [
+        ([1, -1], 1000),  # 1001 * 1000 * bits(2) > 2^19
+        ([2**300, 3, -(2**299)], 30),  # codimension 2: 61 * 30 * 301 > 2^19
+        ([0, 2**200 + 1, -5, 0], 40),  # the codimension counts its zeros: 121 * 40 * 201 > 2^19
+    ],
+)
+def test_a_large_power_of_a_low_codimension_class_runs_the_recurrence(vector, exponent):
+    d = (len(vector) - 1) * exponent
+    p = CycleClass.from_numerators(d + 1, d, vector, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_pack", _refused)
+        power = p**exponent
+    if exponent == 1000:
+        assert power.numerators == tuple((-1) ** k * math.comb(exponent, k) for k in range(exponent + 1))
+        assert power.denominator == 3**exponent
+    else:
+        assert power == _reference_power(p, exponent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerator_vectors(4), denominators, st.integers(min_value=0, max_value=12))
+def test_small_powers_never_run_the_recurrence(vector, denominator, exponent):
+    # At most (4e + 1) * e * 303 bits with e <= 8 = 2c, or (2e + 1) * e * 303 with c <= 2: below 2^19.
+    d = max(2, (len(vector) - 1) * max(1, exponent))
+    p = CycleClass.from_numerators(d + 1, d, vector, denominator)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_recurrence_power", _refused)
+        power = p**exponent
+    assert power == _reference_power(p, exponent)
+
+
+@pytest.mark.parametrize(
+    "vector, exponent",
+    [
+        ([1, -1], 100),  # 101 * 100 * bits(2) is below 2^19: intersect-large's (theta - x)^100
+        ([2**300, 1, -1], 4),  # exponent 4 is not above 2c = 4
+        ([1, 2, 3, 4, 5], 9),
+        ([7, 0, -(2**100)], 12),
+    ],
+)
+def test_a_small_or_low_exponent_power_stays_packed(vector, exponent):
+    d = (len(vector) - 1) * exponent
+    p = CycleClass.from_numerators(d + 1, d, vector)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_recurrence_power", _refused)
+        power = p**exponent
+    assert power == _reference_power(p, exponent)
