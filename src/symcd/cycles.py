@@ -17,10 +17,12 @@ codimension-1 class with coefficients (a, -b).  The package's one exact
 coercion, :func:`as_rational`, which refuses floats, lives here.
 Products are purely formal, and no relations are imposed below the top
 degree.  How a product or a power is computed is read off the shapes of its
-factors: a factor with at most two nonzero coefficients scales and shifts
-the other, a power of a monomial is one entry, a large power of a
-low-codimension class runs J.C.P. Miller's recurrence, and everything else
-is convolved by Kronecker substitution (each vector is packed into one
+factors, and a class with at most two nonzero coefficients is never packed:
+such a factor scales and shifts the other in one pass, a power of a
+monomial is one entry, and a power of two terms is stepped through its
+binomial coefficients.  A large power of a low-codimension class of three
+terms or more runs J.C.P. Miller's recurrence, and everything else is
+convolved by Kronecker substitution (each vector is packed into one
 integer, one slot per coefficient, so the product or the power is one
 big-integer operation).  Only top-degree evaluation
 invokes the Poincare formula
@@ -39,7 +41,7 @@ import operator
 import struct
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from . import _EXPORTS
 from .errors import PreconditionError, _check_space, shown
@@ -258,9 +260,16 @@ class CycleClass(_Frozen):
         * a monomial base b * x^j * theta^(c-j), the zero class and every
           codimension-0 scalar among them, gives the one entry b^exponent at
           position j * exponent;
-        * when exponent > 2c and (c*exponent + 1) * exponent * bits(S) exceeds
-          2^19 -- a power well above the codimension whose packed integer would
-          be large -- :func:`_recurrence_power` computes it;
+        * a base of two terms a*t^i + b*t^j (i < j), t standing for
+          x/theta, is stepped through the binomial theorem, for every
+          exponent: q_0 = a^exponent and
+          q_k = q_(k-1) * (exponent+1-k) * b / (k*a) -- Miller's recurrence
+          with one term -- goes at position i*exponent + (j-i)*k, and each
+          division is exact, since q_k = C(exponent, k) a^(exponent-k) b^k;
+        * for a base of three terms or more, when exponent > 2c and
+          (c*exponent + 1) * exponent * bits(S) exceeds 2^19 -- a power well
+          above the codimension whose packed integer would be large --
+          :func:`_recurrence_power` computes it;
         * otherwise it is one built-in ``pow`` on the packed numerators.  Each
           coefficient of the power is at most S^exponent in absolute value and
           each numerator at most S; the larger sets the slot width.
@@ -271,9 +280,20 @@ class CycleClass(_Frozen):
             raise PreconditionError("class exponent must be a non-negative integer")
         codim = _product_codim(self.codim * exponent, self.d)
         numerators = self.numerators
-        if len(numerators) - numerators.count(0) <= 1:
+        terms = len(numerators) - numerators.count(0)
+        if terms <= 1:
             j = next(compress(range(len(numerators)), numerators), 0)
             powers = [0] * (j * exponent) + [numerators[j] ** exponent] + [0] * (codim - j * exponent)
+        elif terms == 2:
+            i, j = compress(range(len(numerators)), numerators)
+            a, b = numerators[i], numerators[j]
+            term = a**exponent
+            binomial = [term]
+            for k in range(1, exponent + 1):
+                term = term * ((exponent + 1 - k) * b) // (k * a)
+                binomial.append(term)
+            powers = [0] * (codim + 1)
+            powers[i * exponent : j * exponent + 1 : j - i] = binomial
         else:
             total = sum(map(abs, numerators))
             if exponent > 2 * self.codim and (codim + 1) * exponent * total.bit_length() > _RECURRENCE_BITS:
@@ -417,10 +437,11 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     """Formal product: convolution of coefficient vectors; codimensions add.
 
     When a factor has at most two nonzero numerators -- a monomial, a
-    divisor, a scalar or the zero class -- the product is the other
-    factor's numerators times each of them, shifted by its position, and
-    summed.  Otherwise the convolution is one big-integer product of the
-    packed numerators (Kronecker substitution).  Each coefficient of the
+    divisor, a scalar or the zero class -- it is never packed: the product
+    is the other factor's numerators times each of them, shifted by its
+    position, and summed, all in one pass over the other factor.
+    Otherwise the convolution is one big-integer product of the packed
+    numerators (Kronecker substitution).  Each coefficient of the
     product is at most max|p| * max|q| * min(len p, len q) in absolute
     value; with neither factor zero that bound is at least every numerator,
     and it sets the slot width.  The product's denominator is the product
@@ -432,9 +453,15 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
     if len(left) - left.count(0) > len(right) - right.count(0):
         left, right = right, left
     if len(left) - left.count(0) <= 2:
-        sums, width = [0] * (codim + 1), len(right)
-        for j in compress(range(len(left)), left):
-            sums[j : j + width] = map(operator.add, sums[j : j + width], map(operator.mul, right, repeat(left[j])))
+        sums = [0] * (codim + 1)
+        places = list(compress(range(len(left)), left))
+        if places:
+            i, j = places[0], places[-1]
+            scaled = map(operator.mul, right, repeat(left[i]))
+            if j > i:
+                gap = [0] * (j - i)
+                scaled = map(operator.add, chain(scaled, gap), chain(gap, map(operator.mul, right, repeat(left[j]))))
+            sums[i : j + len(right)] = scaled
     else:
         size = _slot_size(max(map(abs, left)) * max(map(abs, right)) * min(len(left), len(right)))
         sums = _unpack(_pack(left, size) * _pack(right, size), size, codim + 1)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcd import cycles
@@ -630,9 +630,9 @@ def test_a_power_has_a_numerator_at_least_the_largest_to_the_power_over_its_leng
 
 
 # Each route of multiply and __pow__ -- a sparse factor's shifted sums, a
-# monomial power, Miller's recurrence, packed integers -- against the
-# schoolbook references.  A route that must not run is made to fail, so each
-# test runs the route it names.
+# monomial power, a two-term power's binomial step, Miller's recurrence,
+# packed integers -- against the schoolbook references.  A route that must
+# not run is made to fail, so each test runs the route it names.
 
 
 def _refused(*args):
@@ -651,6 +651,9 @@ def sparse_classes(draw, most=2, max_codim=6):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_classes(), numerator_vectors(6), denominators)
+@example(CycleClass.from_numerators(19, 18, (0, 0, 0)), [4, -5, 6], 1)  # the zero class
+@example(CycleClass.from_numerators(19, 18, (0, 0, 0, 0, 0, 0, -7), 2), [2**300, 0, -3], 5)  # a monomial at the far end
+@example(CycleClass.from_numerators(19, 18, (5, 0, 0, -(2**200)), 3), [-7], 1)  # two non-adjacent terms times a scalar
 def test_a_factor_of_at_most_two_terms_shifts_the_other_in_either_order(sparse, vector, denominator):
     other = CycleClass.from_numerators(sparse.genus, sparse.d, vector, denominator)
     with pytest.MonkeyPatch.context() as patch:
@@ -708,6 +711,65 @@ def test_a_monomial_power_is_one_entry(base, exponent):
     _assert_lowest_terms(power)
 
 
+@st.composite
+def two_term_classes(draw, max_codim=4, max_exponent=12):
+    """A class with exactly two nonzero numerators, adjacent or not, on C_d with d = max_codim * max_exponent."""
+    codim = draw(st.integers(min_value=1, max_value=max_codim))
+    places = draw(st.lists(st.integers(min_value=0, max_value=codim), min_size=2, max_size=2, unique=True))
+    values = dict(zip(places, draw(st.lists(numerators.filter(bool), min_size=2, max_size=2))))
+    d = max_codim * max_exponent
+    return CycleClass.from_numerators(d + 1, d, [values.get(k, 0) for k in range(codim + 1)], draw(denominators))
+
+
+def _binomial_power(p, exponent):
+    """p^exponent for a two-term p = a*t^i + b*t^j, summed as C(e, k) a^(e-k) b^k by math.comb."""
+    i, j = (k for k, n in enumerate(p.numerators) if n)
+    a, b = p.numerators[i], p.numerators[j]
+    sums = [0] * (p.codim * exponent + 1)
+    for k in range(exponent + 1):
+        sums[i * exponent + (j - i) * k] += math.comb(exponent, k) * a ** (exponent - k) * b**k
+    return CycleClass.from_numerators(p.genus, p.d, sums, p.denominator**exponent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_term_classes(), st.integers(min_value=0, max_value=12))
+@example(CycleClass.from_numerators(49, 48, (-5, 3)), 0)
+@example(CycleClass.from_numerators(49, 48, (0, -(2**300), 0, 7), 11), 1)
+@example(CycleClass.from_numerators(49, 48, (-(2**300), 0, 0, 0, 2**300 - 1), 2**80), 12)
+def test_a_two_term_power_takes_the_binomial_step(base, exponent):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_pack", _refused)
+        patch.setattr(cycles, "_recurrence_power", _refused)
+        power = base**exponent
+    assert power == _reference_power(base, exponent)
+    _assert_lowest_terms(power)
+
+
+@pytest.mark.parametrize(
+    "vector, denominator, exponent",
+    [
+        ([1, -1], 1, 100),  # intersect-large's (theta - x)^100
+        ([1, -1], 3, 1000),  # the powers of one binomial, (-1)^k C(1000, k), over 3^1000
+        ([-3, 1], 1, 300),  # a negative a
+        ([0, 2**31 - 1, 0, -5], 7, 300),  # non-adjacent, zeros on both sides
+        ([0, -(2**100), 3], 2**80, 300),  # a denominator
+    ],
+)
+def test_a_large_two_term_power_takes_the_binomial_step(vector, denominator, exponent):
+    d = (len(vector) - 1) * exponent
+    p = CycleClass.from_numerators(d + 1, d, vector, denominator)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_pack", _refused)
+        patch.setattr(cycles, "_recurrence_power", _refused)
+        power = p**exponent
+    assert power == _binomial_power(p, exponent)
+    if exponent == 100:
+        assert power == _reference_power(p, exponent)
+    if exponent == 1000 and denominator == 3:
+        assert power.numerators == tuple((-1) ** k * math.comb(exponent, k) for k in range(exponent + 1))
+        assert power.denominator == 3**exponent
+
+
 def _recurrence_class(p, exponent):
     """p^exponent with its numerators from the recurrence, called directly."""
     return CycleClass.from_numerators(p.genus, p.d, cycles._recurrence_power(p.numerators, exponent), p.denominator**exponent)
@@ -746,7 +808,6 @@ def test_the_recurrence_matches_the_reference_power(vector, denominator, exponen
 @pytest.mark.parametrize(
     "vector, exponent",
     [
-        ([1, -1], 1000),  # 1001 * 1000 * bits(2) > 2^19
         ([2**300, 3, -(2**299)], 30),  # codimension 2: 61 * 30 * 301 > 2^19
         ([0, 2**200 + 1, -5, 0], 40),  # the codimension counts its zeros: 121 * 40 * 201 > 2^19
     ],
@@ -757,11 +818,7 @@ def test_a_large_power_of_a_low_codimension_class_runs_the_recurrence(vector, ex
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cycles, "_pack", _refused)
         power = p**exponent
-    if exponent == 1000:
-        assert power.numerators == tuple((-1) ** k * math.comb(exponent, k) for k in range(exponent + 1))
-        assert power.denominator == 3**exponent
-    else:
-        assert power == _reference_power(p, exponent)
+    assert power == _reference_power(p, exponent)
 
 
 @settings(max_examples=150, deadline=None)
@@ -779,7 +836,6 @@ def test_small_powers_never_run_the_recurrence(vector, denominator, exponent):
 @pytest.mark.parametrize(
     "vector, exponent",
     [
-        ([1, -1], 100),  # 101 * 100 * bits(2) is below 2^19: intersect-large's (theta - x)^100
         ([2**300, 1, -1], 4),  # exponent 4 is not above 2c = 4
         ([1, 2, 3, 4, 5], 9),
         ([7, 0, -(2**100)], 12),
