@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import os
 import re
@@ -134,19 +135,19 @@ def _flag_values(entry: _Entry, args: argparse.Namespace, why: str) -> list:
 
 
 def _class_document(cls) -> dict:
-    codim = cls.codim
+    codim, coeffs = cls.codim, cls.coeffs  # each read of ``coeffs`` builds every Fraction again
     result = {
         "genus": cls.genus,
         "symmetric_power": cls.d,
         "codimension": codim,
         "monomials": [symcd.cycles._monomial_name(k, codim - k) or "1" for k in range(codim + 1)],
-        "coefficients": [str(c) for c in cls.coeffs],
-        "pretty": str(cls),
+        "coefficients": [str(c) for c in coeffs],
+        "pretty": symcd.cycles._pretty(coeffs),
     }
     if codim == 1:
         # a*theta - b*x convention
-        result["a"] = str(cls.coeffs[0])
-        result["b"] = str(-cls.coeffs[1])
+        result["a"] = str(coeffs[0])
+        result["b"] = str(-coeffs[1])
     return result
 
 
@@ -326,7 +327,7 @@ def _bounded(value):
 # absolute value, but for the genus of ``intersect``.  A class on C_d has up to
 # d+1 coefficients over one denominator as large as d!, so its cost and its
 # size grow without limit in --d; at the cap the largest,
-# ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.3 s and prints 2.5 MB
+# ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.17 s and prints 2.5 MB
 # as one CLI call.  ``intersect`` takes a genus up to that of the largest ``ek``
 # (genus 2k-1 at k = 1,000).  At the caps ``(theta-x)^1000`` answers in about
 # 0.1 s as one CLI call, and a power of a named class with larger coefficients,
@@ -696,7 +697,7 @@ def main(argv: list[str] | None = None) -> int:
 
     The exit code is 5 when the answer, or the text of ``--help`` or
     ``--version``, could not be written, else 1 when ``verify`` reports a
-    failure, else 0 for an answer.
+    failure, else 0 for an answer.  It leaves the collector alone: ``run`` is the process entry.
     """
     try:
         # Parsed under CPython's digit cap, so an integer flag of more than
@@ -723,5 +724,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if result.get("all_passed", True) else 1
 
 
+def run() -> int:
+    """The process entry: ``main()``, then ``gc.freeze()``, so the collections at exit skip every live object."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -304,7 +304,7 @@ class CycleClass(_Frozen):
         return CycleClass.from_numerators(self.genus, self.d, powers, self.denominator**exponent)
 
     def __str__(self) -> str:
-        return _signed_sum([(c, _monomial_name(k, self.codim - k)) for k, c in enumerate(self.coeffs)])
+        return _pretty(self.coeffs)
 
 
 _set_genus, _set_d, _set_numerators, _set_denominator = [CycleClass.__dict__[name].__set__ for name in CycleClass.__slots__]
@@ -329,6 +329,11 @@ def _signed_sum(terms) -> str:
         else:
             rendered = f"-{body}" if coeff < 0 else body
     return rendered or "0"
+
+
+def _pretty(coeffs) -> str:
+    """A class's text from its coefficients, ``coeffs[k]`` on x^k * theta^(codim - k)."""
+    return _signed_sum([(c, _monomial_name(k, len(coeffs) - 1 - k)) for k, c in enumerate(coeffs)])
 
 
 def _monomial_name(x_power: int, theta_power: int) -> str:

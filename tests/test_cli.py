@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import functools
+import gc
 import io
 import json
 import math
@@ -1048,6 +1049,33 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["class", "ramification", "--g", "4", "--d", "3"],
+        ["class", "subordinate", "--g", "6", "--d", "4", "--n", "6", "--r", "1"],
+        ["class", "small-diagonal", "--g", "4", "--d", "3"],
+    ],
+    ids=["codim-1", "codim-3", "codim-2"],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_class_document_builds_its_coefficients_once(monkeypatch, capsys, argv, fmt):
+    # Each read of ``coeffs`` builds every Fraction, reducing it against a denominator as large as d!.
+    builds = []
+    real = CycleClass.coeffs.fget
+
+    def counted(cls):
+        builds.append(None)
+        return real(cls)
+
+    monkeypatch.setattr(CycleClass, "coeffs", property(counted))
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert len(builds) == 1
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv, "--format", fmt) == (0, out, "")
+
+
 # argparse reads the terminal size for each formatter it builds, one per
 # add_argument, unless the parser's formatter is given a width.
 @pytest.mark.parametrize(
@@ -1186,11 +1214,51 @@ def test_help_or_version_text_that_cannot_be_written_exits_five(stdout, reason, 
     assert replaced.name == os.devnull
 
 
-def _cli_process(argv, stderr=subprocess.PIPE, **kwargs):
+def _cli_env():
+    """The environment of a fresh interpreter that imports this checkout's ``symcd``."""
     src = str(Path(symcd.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _cli_process(argv, stderr=subprocess.PIPE, **kwargs):
     command = [sys.executable, "-m", "symcd.cli", *argv]
-    return subprocess.Popen(command, env=dict(os.environ, PYTHONPATH=path), stderr=stderr, **kwargs)
+    return subprocess.Popen(command, env=_cli_env(), stderr=stderr, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv", [ANSWERED["intersect"], _REFUSED["precondition"][0], ["--help"]], ids=["answer", "refusal", "help"]
+)
+def test_main_never_freezes_the_collector(capsys, argv):
+    # In process, each call's argparse parsers are cyclic garbage the collector must still reach.
+    frozen = gc.get_freeze_count()
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv", [ANSWERED["intersect"], ["--help"]], ids=["answer", "help"])
+def test_the_process_entry_freezes_the_collector_before_exit(argv):
+    # An atexit hook runs after ``run`` returns or raises SystemExit, and before the exit-time collections.
+    code = (
+        "import atexit, gc, sys\n"
+        "from symcd import cli\n"
+        "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"sys.argv = ['symcd', *{argv!r}]\n"
+        "sys.exit(cli.run())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "frozen: True\n")
+    assert ("\nvalue: 24\n" if argv == ANSWERED["intersect"] else "usage: symcd") in done.stdout
+
+
+def test_a_profiled_call_still_prints_its_profile():
+    # The interpreter shuts down as usual after ``run``: a hard exit would lose cProfile's report.
+    command = [sys.executable, "-m", "cProfile", "-m", "symcd.cli", *ANSWERED["intersect"]]
+    done = subprocess.run(command, env=_cli_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "\nvalue: 24\n" in done.stdout
+    assert "function calls" in done.stdout
 
 
 def test_a_reader_that_stops_early_gets_exit_five_and_one_line():
