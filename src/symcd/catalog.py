@@ -153,18 +153,15 @@ def bipartition_diagonal_extraction(g: int, d: int) -> CycleClass:
             = n(n-1)ab + m(m-1)ce + nm(ae + bc)
 
     (only the t1 and t2 terms of each binomial series reach t1*t2), here with
-    (a, b) = (u, v), (c, e) = (u^2, v^2), u = g-d+1 and v = d.  This route
+    (a, b) = (u, v), (c, e) = (u^2, v^2), u = g-d+1 and v = d, and with
+    n = 2-g+b running over 2-g, ..., 1 and m = g-b = 2-n.  This route
     shares no algebra with :func:`bipartition_diagonal_class` and serves as
     its oracle.
     """
     _check_bipartition_range(g, d)
     u, v = g - d + 1, d
     ab, ce, ae_bc = u * v, u * u * v * v, u * v * (u + v)
-
-    def mixed_coefficient(n: int, m: int) -> int:
-        return n * (n - 1) * ab + m * (m - 1) * ce + n * m * ae_bc
-
-    differences = [mixed_coefficient(2 - g + beta, g - beta) for beta in range(g)]
+    differences = [n * (n - 1) * ab + (2 - n) * (1 - n) * ce + n * (2 - n) * ae_bc for n in range(2 - g, 2)]
     # Numerators over (g-1)!: the alpha-th difference at 0 times (g-1)!/alpha!,
     # which is perm(g-1, g-1-alpha).  Every row after an all-zero row is zero.
     numerators = [0] * g
@@ -222,7 +219,16 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     evaluation of the diagonal intersection against a*theta - b*x gives
     d*(a*d*g - b), hence the division by d before solving the 2x2 system; the
     system is never singular since its determinant is g(d-1) != 0 for d >= 2.
+    The two intersections are the ``Fraction``s of
+    :func:`_solve_test_curve_system`'s integers, built once.
     """
+    divisor, chi_side, diagonal_side = _solve_test_curve_system(g, d)
+    return TestCurveSolution(divisor, Fraction(*chi_side), Fraction(*diagonal_side))
+
+
+def _solve_test_curve_system(g: int, d: int) -> tuple[CycleClass, tuple[int, int], tuple[int, int]]:
+    """Integer core of :func:`solve_test_curve_system`: the solved class, and
+    the two intersections as ``(numerator, denominator)`` pairs, not reduced."""
     _check_range("ramification divisor", g, d, hyperelliptic=False)
     small_power = g - d + 1
     # The short subordinate class is p: Horner's rule runs over its 2 or 3 numerators.
@@ -232,18 +238,15 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     diagonal, diagonal_denominator = _evaluate_top(
         subordinate_class(g, g + 1, 2 * g - 2, g - 1), bipartition_diagonal_class(g, d)
     )
-    chi_side = Fraction((g - 2) * chi, chi_denominator)
-    diagonal_side = Fraction(_bipartition_halving(g, d) * diagonal, diagonal_denominator)
-    # Over the common denominator L of the two sides, chi_side = C/L and
-    # diagonal_side = D/L, so a = (D - dC)/(Ldg(d-1)) and b = a*g - chi_side
+    chi *= g - 2
+    diagonal *= _bipartition_halving(g, d)
+    # Over the common denominator L = chi_denominator * diagonal_denominator the
+    # sides are C/L and D/L, so a = (D - dC)/(Ldg(d-1)) and b = a*g - C/L
     # = g(D - d^2 C)/(Ldg(d-1)): one integer solve, reduced once.
-    common = math.lcm(chi_side.denominator, diagonal_side.denominator)
-    chi = chi_side.numerator * (common // chi_side.denominator)
-    diagonal = diagonal_side.numerator * (common // diagonal_side.denominator)
-    divisor = CycleClass.from_numerators(
-        g, d, [diagonal - d * chi, g * (d * d * chi - diagonal)], common * d * g * (d - 1)
-    )
-    return TestCurveSolution(divisor, chi_side, diagonal_side)
+    chi_common, diagonal_common = chi * diagonal_denominator, diagonal * chi_denominator
+    numerators = [diagonal_common - d * chi_common, g * (d * d * chi_common - diagonal_common)]
+    divisor = CycleClass.from_numerators(g, d, numerators, chi_denominator * diagonal_denominator * d * g * (d - 1))
+    return divisor, (chi, chi_denominator), (diagonal, diagonal_denominator)
 
 
 def pencil_residual_sums(k: int) -> tuple[int, int]:

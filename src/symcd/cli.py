@@ -136,17 +136,18 @@ def _flag_values(entry: _Entry, args: argparse.Namespace, why: str) -> list:
 
 def _class_document(cls) -> dict:
     codim, coeffs = cls.codim, cls.coeffs  # each read of ``coeffs`` builds every Fraction again
+    texts = [str(c) for c in coeffs]  # each coefficient converted to decimal once, shared by the keys
     result = {
         "genus": cls.genus,
         "symmetric_power": cls.d,
         "codimension": codim,
         "monomials": [symcd.cycles._monomial_name(k, codim - k) or "1" for k in range(codim + 1)],
-        "coefficients": [str(c) for c in coeffs],
-        "pretty": symcd.cycles._pretty(coeffs),
+        "coefficients": texts,
+        "pretty": symcd.cycles._pretty(texts),
     }
     if codim == 1:
         # a*theta - b*x convention
-        result["a"] = str(coeffs[0])
+        result["a"] = texts[0]
         result["b"] = str(-coeffs[1])
     return result
 
@@ -327,7 +328,7 @@ def _bounded(value):
 # absolute value, but for the genus of ``intersect``.  A class on C_d has up to
 # d+1 coefficients over one denominator as large as d!, so its cost and its
 # size grow without limit in --d; at the cap the largest,
-# ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.17 s and prints 2.5 MB
+# ``subordinate --g 2 --d 1000 --n 1000 --r 0``, takes 0.13 s and prints 2.5 MB
 # as one CLI call.  ``intersect`` takes a genus up to that of the largest ``ek``
 # (genus 2k-1 at k = 1,000).  At the caps ``(theta-x)^1000`` answers in about
 # 0.1 s as one CLI call, and a power of a named class with larger coefficients,

@@ -93,7 +93,7 @@ class Ray(_Frozen):
         return cls(*divisor.numerators)
 
     def __str__(self) -> str:
-        return _signed_sum(((self.theta, "theta"), (self.x, "x")))
+        return _signed_sum(((str(self.theta), "theta"), (str(self.x), "x")))
 
 
 class ConeStatus(enum.Enum):
@@ -165,11 +165,18 @@ def effective_slope_bound(g: int, d: int) -> Fraction:
     """The proven-effective slope r = 1 + (g-d)/(g^2 - dg + (d-2)).
 
     theta - r*x is the direction of the Gauss-map ramification divisor; at
-    d = g-1 the bound becomes 1 + 1/(2g-3) and is sharp.
+    d = g-1 the bound becomes 1 + 1/(2g-3) and is sharp.  The ``Fraction``
+    of :func:`_slope_bound`'s integers.
     """
+    return Fraction(*_slope_bound(g, d))
+
+
+def _slope_bound(g: int, d: int) -> tuple[int, int]:
+    """Integer core of :func:`effective_slope_bound`: (q + g - d, q) with
+    q = g^2 - dg + d - 2, not reduced."""
     _check_range("slope bound", g, d, hyperelliptic=False)
     q = g * g - d * g + d - 2
-    return Fraction(q + g - d, q)
+    return q + g - d, q
 
 
 def effective_cone(g: int, d: int, *, hyperelliptic: bool) -> Cone2D:

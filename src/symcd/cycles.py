@@ -300,11 +300,12 @@ class CycleClass(_Frozen):
                 powers = _recurrence_power(numerators, exponent)
             else:
                 size = _slot_size(max(total**exponent, total))
-                powers = _unpack(pow(_pack(numerators, size), exponent), size, codim + 1)
+                offsets = _offsets(size, max(len(numerators), codim + 1))
+                powers = _unpack(pow(_pack(numerators, size, offsets), exponent), size, codim + 1, offsets)
         return CycleClass.from_numerators(self.genus, self.d, powers, self.denominator**exponent)
 
     def __str__(self) -> str:
-        return _pretty(self.coeffs)
+        return _pretty(list(map(str, self.coeffs)))
 
 
 _set_genus, _set_d, _set_numerators, _set_denominator = [CycleClass.__dict__[name].__set__ for name in CycleClass.__slots__]
@@ -313,27 +314,31 @@ _set_genus, _set_d, _set_numerators, _set_denominator = [CycleClass.__dict__[nam
 def _signed_sum(terms) -> str:
     """``a*m - b*n + ...`` for (coefficient, monomial) pairs; "0" when all are zero.
 
-    Zero terms are left out, a unit coefficient is left off its monomial, and
-    a coefficient that is not an integer is parenthesized.
+    Each coefficient comes as its text, ``str`` of an int or a ``Fraction``,
+    so a caller that prints it elsewhere converts it to decimal once.  Zero
+    terms are left out, a unit coefficient is left off its monomial, and a
+    coefficient that is not an integer is parenthesized.
     """
     rendered = ""
-    for coeff, monomial in terms:
-        if not coeff:
+    for text, monomial in terms:
+        if text == "0":
             continue
-        magnitude = abs(coeff)
-        body = str(magnitude) if magnitude.denominator == 1 else f"({magnitude})"
+        negative = text[0] == "-"
+        body = text[1:] if negative else text
+        if "/" in body:
+            body = f"({body})"
         if monomial:
-            body = monomial if magnitude == 1 else f"{body}*{monomial}"
+            body = monomial if body == "1" else f"{body}*{monomial}"
         if rendered:
-            rendered += f" - {body}" if coeff < 0 else f" + {body}"
+            rendered += f" - {body}" if negative else f" + {body}"
         else:
-            rendered = f"-{body}" if coeff < 0 else body
+            rendered = f"-{body}" if negative else body
     return rendered or "0"
 
 
-def _pretty(coeffs) -> str:
-    """A class's text from its coefficients, ``coeffs[k]`` on x^k * theta^(codim - k)."""
-    return _signed_sum([(c, _monomial_name(k, len(coeffs) - 1 - k)) for k, c in enumerate(coeffs)])
+def _pretty(texts) -> str:
+    """A class's text from its coefficients' texts, ``texts[k]`` on x^k * theta^(codim - k)."""
+    return _signed_sum([(text, _monomial_name(k, len(texts) - 1 - k)) for k, text in enumerate(texts)])
 
 
 def _monomial_name(x_power: int, theta_power: int) -> str:
@@ -374,26 +379,32 @@ def _slot_size(bound: int) -> int:
 
 
 def _offsets(size: int, count: int) -> int:
-    """2^(8*size-1) in each of ``count`` slots of ``size`` bytes."""
+    """2^(8*size-1) in each of ``count`` slots of ``size`` bytes.
+
+    A packed product or power builds this once, for the most slots it packs
+    or unpacks.  Every slot holds the same bits, so the offsets of the first
+    n slots are this integer shifted down by the others.
+    """
     return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
-def _pack(numerators, size: int) -> int:
+def _pack(numerators, size: int, offsets: int) -> int:
     """sum(n_k * 2^(8*size*k)): the vector as one integer, with ``size``-byte slots.
 
     Each |n_k| must be below 2^(8*size-1).  The slots are written as bytes
     holding n_k + 2^(8*size-1), which is never negative, and the offsets are
-    taken off as one integer.
+    taken off as one integer, the low slots of ``offsets``.
     """
     half = 1 << (8 * size - 1)
     slots = map(int.to_bytes, map(operator.add, numerators, repeat(half)), repeat(size), repeat("little"))
-    return int.from_bytes(b"".join(slots), "little") - _offsets(size, len(numerators))
+    return int.from_bytes(b"".join(slots), "little") - (offsets >> (offsets.bit_length() - 8 * size * len(numerators)))
 
 
-def _unpack(packed: int, size: int, count: int) -> list[int]:
-    """The ``count`` signed coefficients of a packed integer, each below 2^(8*size-1)."""
+def _unpack(packed: int, size: int, count: int, offsets: int) -> list[int]:
+    """The ``count`` signed coefficients of a packed integer, each below 2^(8*size-1);
+    ``offsets`` holds at least ``count`` slots."""
     half = 1 << (8 * size - 1)
-    raw = (packed + _offsets(size, count)).to_bytes(size * count, "little")
+    raw = (packed + (offsets >> (offsets.bit_length() - 8 * size * count))).to_bytes(size * count, "little")
     slots = struct.unpack(f"{size}s" * count, raw)
     return list(map(operator.sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
 
@@ -469,7 +480,8 @@ def multiply(p: CycleClass, q: CycleClass) -> CycleClass:
             sums[i : j + len(right)] = scaled
     else:
         size = _slot_size(max(map(abs, left)) * max(map(abs, right)) * min(len(left), len(right)))
-        sums = _unpack(_pack(left, size) * _pack(right, size), size, codim + 1)
+        offsets = _offsets(size, codim + 1)
+        sums = _unpack(_pack(left, size, offsets) * _pack(right, size, offsets), size, codim + 1, offsets)
     return CycleClass.from_numerators(p.genus, p.d, sums, p.denominator * q.denominator)
 
 

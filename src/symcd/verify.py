@@ -11,11 +11,11 @@ The sweeps compute in integers from their inputs to their comparisons:
 binomials are stepped by exact ratios, classes are integer numerators over
 one denominator and are compared as classes, a product is evaluated in top
 degree without being built, and the formal expansion of the volume runs over
-Z[t] and is evaluated to integers.  The only ``Fraction``s in a check are
-public values, each built once from integers: the three per case that
-``orth`` takes from ``evaluate_top``, the slope ``effective_slope_bound``
-returns, the two intersection fields of a test-curve solution, and the
-coefficients ``diagonal_statement_discrepancy`` reads through ``.coeffs``.
+Z[t] and is evaluated to integers, and the test-curve solve and the slope
+bound are read through their integer cores.  The only ``Fraction``s in a
+check are public values, each built once from integers: the three per case
+that ``orth`` takes from ``evaluate_top``, and the coefficients
+``diagonal_statement_discrepancy`` reads through ``.coeffs``.
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from collections.abc import Callable, Iterable
 
 from . import _EXPORTS
 from .catalog import (
+    _solve_test_curve_system,
     binomial_convolution_identity,
     bipartition_diagonal_class,
     bipartition_diagonal_extraction,
     pencil_residual_divisor_class,
     pencil_residual_sums,
     ramification_divisor_class,
-    solve_test_curve_system,
     subordinate_class,
     subordinate_pencil_intersections,
 )
-from .cones import Ray, effective_slope_bound
+from .cones import Ray, _slope_bound
 from .cycles import CycleClass, _evaluate_top, _Frozen, evaluate_top, theta_class, x_class
 from .errors import PreconditionError, shown
 
@@ -178,14 +178,11 @@ def check_dd_system(g_max: int = 20) -> CheckReport:
 
     def sides(params: tuple[int, int]):
         g, d = params
-        solved = solve_test_curve_system(g, d).divisor
-        bound = effective_slope_bound(g, d)
-        # b == bound * a, over the solved class's denominator: numerators (a, -b)
+        solved = _solve_test_curve_system(g, d)[0]
+        slope, denominator = _slope_bound(g, d)
+        # b/a == slope/denominator, over the solved class's denominator: numerators (a, -b)
         a, minus_b = solved.numerators
-        return (
-            (solved, -minus_b * bound.denominator),
-            (ramification_divisor_class(g, d), bound.numerator * a),
-        )
+        return (solved, -minus_b * denominator), (ramification_divisor_class(g, d), slope * a)
 
     cases = ((g, d) for g in range(4, g_max + 1) for d in range(2, g))
     return sweep("ramification-test-curves", f"4 <= g <= {shown(g_max)}, 2 <= d <= g-1", cases, sides)
@@ -241,7 +238,7 @@ def _pencil_expansions(first: int):
             row[j] -= row[j - 1]
         if n + 1 >= first:
             # Over denominator 1 each value is the numerator of the integer core.
-            yield [_evaluate_top(CycleClass.from_numerators(n + 1, n, [row[j] for row in rows]))[0] for j in range(n + 1)]
+            yield [_evaluate_top(CycleClass.from_numerators(n + 1, n, column))[0] for column in zip(*rows)]
 
 
 def pencil_expansion_polynomial(g: int) -> list[int]:

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from symcd import catalog
+from symcd import catalog, cones
 from symcd.catalog import (
     binomial_convolution_identity,
     bipartition_diagonal_class,
@@ -339,15 +339,19 @@ def _fraction_test_curve_solution(g, d):
 @pytest.mark.parametrize("g", range(4, 41))
 def test_integer_solve_matches_fraction_solve(g):
     # Each intersection field is a Fraction equal to its side through the public
-    # evaluate_top, and the slope bound is a Fraction equal to 1 + (g-d)/q.
+    # evaluate_top, and the slope bound is a Fraction equal to 1 + (g-d)/q; each
+    # public value is the Fraction of its integer core.
     for d in range(2, g):
         solution = solve_test_curve_system(g, d)
         expected = _fraction_test_curve_solution(g, d)
         assert solution == expected, (g, d)
         assert type(solution.x_curve_intersection) is Fraction, (g, d)
         assert type(solution.diagonal_intersection) is Fraction, (g, d)
+        divisor, chi_side, diagonal_side = catalog._solve_test_curve_system(g, d)
+        assert solution == catalog.TestCurveSolution(divisor, Fraction(*chi_side), Fraction(*diagonal_side)), (g, d)
         bound = effective_slope_bound(g, d)
         assert type(bound) is Fraction and bound == 1 + Fraction(g - d, g * g - d * g + d - 2), (g, d)
+        assert bound == Fraction(*cones._slope_bound(g, d)), (g, d)
 
 
 def test_test_curve_solution_value_contract(value_contract):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcd import catalog, cli, verify
+from symcd import catalog, cli, cones, cycles, verify
 from symcd.catalog import binomial_convolution_identity
 from symcd.combinatorics import gen_binomial
 from symcd.cycles import CycleClass, evaluate_top, multiply, theta_class, x_class
@@ -37,6 +37,16 @@ def test_individual_checks_pass_on_small_ranges():
     assert check_diagonal_agreement(7).status is CheckStatus.PASS
     assert check_dd_system(8).status is CheckStatus.PASS
     assert check_volume_identity(8).status is CheckStatus.PASS
+
+
+def test_the_test_curve_sweep_builds_no_fraction(monkeypatch):
+    # The solve, the slope bound and the classes are compared as integers throughout.
+    def refused(*args):
+        raise AssertionError("check_dd_system should build no Fraction")
+
+    for module in (catalog, cones, cycles):
+        monkeypatch.setattr(module, "Fraction", refused)
+    assert check_dd_system(8).status is CheckStatus.PASS
 
 
 def test_sweep_reports_first_counterexample():
@@ -336,10 +346,7 @@ def test_check_report_value_contract(value_contract):
 
 def _first_plus_one(value):
     """``value`` with its first entry one unit larger: a number, or one
-    coefficient of a class, of a test-curve solution or of a sequence."""
-    if isinstance(value, catalog.TestCurveSolution):
-        divisor = _first_plus_one(value.divisor)
-        return catalog.TestCurveSolution(divisor, value.x_curve_intersection, value.diagonal_intersection)
+    coefficient of a class or of a sequence."""
     if isinstance(value, (tuple, list)):
         return type(value)([_first_plus_one(value[0]), *value[1:]])
     if hasattr(value, "numerators"):
@@ -381,9 +388,9 @@ MUTATIONS = [
     pytest.param("orth", 10, "evaluate_top", (5,), _orthogonality_plus_one, id="orth-evaluate_top"),
     pytest.param("diagonal", 8, "bipartition_diagonal_extraction", (6, 3), (6, 3), id="diagonal-bipartition_diagonal_extraction"),
     pytest.param("diagonal", 8, "bipartition_diagonal_class", (7, 5), (7, 5), id="diagonal-bipartition_diagonal_class"),
-    pytest.param("dd-system", 8, "solve_test_curve_system", (7, 3), (7, 3), id="dd-system-solve_test_curve_system"),
+    pytest.param("dd-system", 8, "_solve_test_curve_system", (7, 3), (7, 3), id="dd-system-solve_test_curve_system"),
     pytest.param("dd-system", 8, "ramification_divisor_class", (6, 4), (6, 4), id="dd-system-ramification_divisor_class"),
-    pytest.param("dd-system", 8, "effective_slope_bound", (8, 2), (8, 2), id="dd-system-effective_slope_bound"),
+    pytest.param("dd-system", 8, "_slope_bound", (8, 2), (8, 2), id="dd-system-effective_slope_bound"),
     pytest.param("volume", 8, "volume_polynomial", (6,), (6,), id="volume-volume_polynomial"),
     pytest.param("volume", 8, "_pencil_expansions", (7,), _expansion_plus_one_at_seven, id="volume-_pencil_expansions"),
 ]
