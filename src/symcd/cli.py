@@ -334,8 +334,9 @@ def _bounded(value):
 # 0.1 s as one CLI call, and a power of a named class with larger coefficients,
 # ``ramification^1000`` (31-bit coefficients), in about 0.2 s on a 2-vCPU VM:
 # ``CycleClass.__pow__`` steps a divisor's power through its binomial
-# coefficients, and runs Miller's recurrence for a large power of a class of
-# three terms or more, such as ``(2^99*(theta^2 - x*theta + x^2))^500``.
+# coefficients, and runs Miller's recurrence for a power of a class of three
+# terms or more when exponent * bits(S) > 16 * codimension (S the sum of
+# |numerators|), such as ``(2^99*(theta^2 - x*theta + x^2))^500``.
 _MAX_CLASS_FLAG = 1_000
 # The exact volume's cost grows about quadratically in g (0.2 s at g = 5,000,
 # 2 s at 20,000, for one CLI call), so larger genera are refused.

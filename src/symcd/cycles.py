@@ -20,8 +20,9 @@ degree.  How a product or a power is computed is read off the shapes of its
 factors, and a class with at most two nonzero coefficients is never packed:
 such a factor scales and shifts the other in one pass, a power of a
 monomial is one entry, and a power of two terms is stepped through its
-binomial coefficients.  A large power of a low-codimension class of three
-terms or more runs J.C.P. Miller's recurrence, and everything else is
+binomial coefficients.  A power of a class of three terms or more runs
+J.C.P. Miller's recurrence when its coefficients would be wide for its
+codimension (``CycleClass.__pow__`` states the rule); everything else is
 convolved by Kronecker substitution (each vector is packed into one
 integer, one slot per coefficient, so the product or the power is one
 big-integer operation).  Only top-degree evaluation
@@ -266,13 +267,13 @@ class CycleClass(_Frozen):
           q_k = q_(k-1) * (exponent+1-k) * b / (k*a) -- Miller's recurrence
           with one term -- goes at position i*exponent + (j-i)*k, and each
           division is exact, since q_k = C(exponent, k) a^(exponent-k) b^k;
-        * for a base of three terms or more, when exponent > 2c and
-          (c*exponent + 1) * exponent * bits(S) exceeds 2^19 -- a power well
-          above the codimension whose packed integer would be large --
-          :func:`_recurrence_power` computes it;
-        * otherwise it is one built-in ``pow`` on the packed numerators.  Each
-          coefficient of the power is at most S^exponent in absolute value and
-          each numerator at most S; the larger sets the slot width.
+        * a base of three terms or more is raised by :func:`_recurrence_power`
+          when exponent * bits(S) > 16c, that is when the power's
+          coefficients would take more than 16 bits per unit of the base's
+          codimension, and otherwise by one built-in ``pow`` on the packed
+          numerators.  Each coefficient of the power is at most S^exponent in
+          absolute value and each numerator at most S; the larger sets the
+          slot width.
 
         The denominator is the base's to the power, and the result is reduced once.
         """
@@ -296,7 +297,7 @@ class CycleClass(_Frozen):
             powers[i * exponent : j * exponent + 1 : j - i] = binomial
         else:
             total = sum(map(abs, numerators))
-            if exponent > 2 * self.codim and (codim + 1) * exponent * total.bit_length() > _RECURRENCE_BITS:
+            if exponent * total.bit_length() > 16 * self.codim:
                 powers = _recurrence_power(numerators, exponent)
             else:
                 size = _slot_size(max(total**exponent, total))
@@ -409,10 +410,6 @@ def _unpack(packed: int, size: int, count: int, offsets: int) -> list[int]:
     return list(map(operator.sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
 
 
-# __pow__ runs the recurrence when the packed power would hold more bits than this.
-_RECURRENCE_BITS = 1 << 19
-
-
 def _recurrence_power(numerators: tuple[int, ...], exponent: int) -> list[int]:
     """The numerators of a class's exponent-th power, by J.C.P. Miller's recurrence.
 
@@ -509,20 +506,21 @@ def _evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> tuple[int,
     integer, and the denominator is the product of the classes' denominators,
     so it is 1 when theirs are.
     """
-    codim, denominator, terms = p.codim, p.denominator, ((0, 1),)
+    codim, denominator, weights = p.codim, p.denominator, (1,)
     if factor is not None:
         p._check_same_space(factor)
         codim += factor.codim
         denominator *= factor.denominator
-        terms = [(j, b) for j, b in enumerate(factor.numerators) if b]
+        weights = factor.numerators
     if codim != p.d:
         raise PreconditionError(f"top-degree evaluation on C_{shown(p.d)} needs codimension {shown(p.d)} (got {codim})")
-    nums = p.numerators
-    offset, extra = p.genus - p.d, codim - p.codim
+    first, rest = p.numerators[0], p.numerators[1:]
+    extra = codim - p.codim
     total = 0
-    for j, b in terms:
-        partial = nums[0]
-        for k in range(1, len(nums)):
-            partial = partial * (offset + k + j) + nums[k]
-        total += b * partial * math.perm(p.genus, extra - j)
+    for j in compress(range(len(weights)), weights):
+        partial, step = first, p.genus - p.d + 1 + j
+        for n in rest:
+            partial = partial * step + n
+            step += 1
+        total += weights[j] * partial * math.perm(p.genus, extra - j)
     return total, denominator

@@ -805,11 +805,20 @@ def test_the_recurrence_matches_the_reference_power(vector, denominator, exponen
     assert _recurrence_class(p, exponent) == _reference_power(p, exponent)
 
 
+# The rule for a base of three terms or more: Miller's recurrence when
+# e * bits(S) > 16c, S the sum of |numerators| and c the codimension.
+_WIDE = [(-1) ** k * (2**299 + k) for k in range(11)]  # codimension 10, 300-bit numerators
+_NARROW = [(-1) ** k * (128 + k % 100) for k in range(301)]  # codimension 300, 8-bit numerators
+
+
 @pytest.mark.parametrize(
     "vector, exponent",
     [
-        ([2**300, 3, -(2**299)], 30),  # codimension 2: 61 * 30 * 301 > 2^19
-        ([0, 2**200 + 1, -5, 0], 40),  # the codimension counts its zeros: 121 * 40 * 201 > 2^19
+        ([2**300, 3, -(2**299)], 30),  # codimension 2: 30 * 301 > 32
+        ([0, 2**200 + 1, -5, 0], 40),  # the codimension counts its zeros: 40 * 201 > 48
+        ([2**300, 1, -1], 4),  # an exponent of at most 2c: 4 * 301 > 32
+        ([5, -2, 1], 9),  # one above the line: 9 * bits(8) = 36 > 32
+        (_WIDE, 20),  # 20 * 303 > 160
     ],
 )
 def test_a_large_power_of_a_low_codimension_class_runs_the_recurrence(vector, exponent):
@@ -821,14 +830,37 @@ def test_a_large_power_of_a_low_codimension_class_runs_the_recurrence(vector, ex
     assert power == _reference_power(p, exponent)
 
 
+@st.composite
+def powers_by_the_line(draw, above):
+    """A class and an exponent e with e * bits(S) above 16c if ``above``, at most 16c if not."""
+    vector = draw(numerator_vectors(4).filter(any) if above else numerator_vectors(4))
+    codim = len(vector) - 1
+    d = 4 * 70  # at least the codimension times the largest exponent drawn (64 + 6)
+    p = CycleClass.from_numerators(d + 1, d, vector, draw(denominators))  # reduced: read S after
+    bits = sum(map(abs, p.numerators)).bit_length()
+    line = 16 * codim // bits if bits else 40  # the largest exponent at or below the line
+    exponent = draw(st.integers(min_value=line + 1, max_value=line + 6) if above else st.integers(min_value=0, max_value=min(line, 40)))
+    return p, exponent
+
+
 @settings(max_examples=150, deadline=None)
-@given(numerator_vectors(4), denominators, st.integers(min_value=0, max_value=12))
-def test_small_powers_never_run_the_recurrence(vector, denominator, exponent):
-    # At most (4e + 1) * e * 303 bits with e <= 8 = 2c, or (2e + 1) * e * 303 with c <= 2: below 2^19.
-    d = max(2, (len(vector) - 1) * max(1, exponent))
-    p = CycleClass.from_numerators(d + 1, d, vector, denominator)
+@given(powers_by_the_line(above=False))
+def test_a_power_at_or_below_the_line_never_runs_the_recurrence(case):
+    p, exponent = case
+    assert exponent * sum(map(abs, p.numerators)).bit_length() <= 16 * p.codim
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cycles, "_recurrence_power", _refused)
+        power = p**exponent
+    assert power == _reference_power(p, exponent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(powers_by_the_line(above=True))
+def test_a_power_above_the_line_never_packs(case):
+    p, exponent = case
+    assert exponent * sum(map(abs, p.numerators)).bit_length() > 16 * p.codim
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_pack", _refused)
         power = p**exponent
     assert power == _reference_power(p, exponent)
 
@@ -836,9 +868,10 @@ def test_small_powers_never_run_the_recurrence(vector, denominator, exponent):
 @pytest.mark.parametrize(
     "vector, exponent",
     [
-        ([2**300, 1, -1], 4),  # exponent 4 is not above 2c = 4
-        ([1, 2, 3, 4, 5], 9),
+        ([1, 2, 3, 4, 5], 9),  # 9 * bits(15) = 36 <= 64
         ([7, 0, -(2**100)], 12),
+        ([5, -2, 1], 8),  # on the line: 8 * bits(8) = 32 = 16c
+        (_NARROW, 2),  # 2 * 16 = 32 <= 4,800
     ],
 )
 def test_a_small_or_low_exponent_power_stays_packed(vector, exponent):
