@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from . import _EXPORTS
-from .cycles import CycleClass, _evaluate_top, _Frozen, divisor_class
+from .cycles import CycleClass, _evaluate_top, _fraction, _Frozen, divisor_class
 from .errors import PreconditionError, _check_range, _check_space, shown
 
 __all__ = list(_EXPORTS["catalog"])
@@ -223,7 +222,7 @@ def solve_test_curve_system(g: int, d: int) -> TestCurveSolution:
     :func:`_solve_test_curve_system`'s integers, built once.
     """
     divisor, chi_side, diagonal_side = _solve_test_curve_system(g, d)
-    return TestCurveSolution(divisor, Fraction(*chi_side), Fraction(*diagonal_side))
+    return TestCurveSolution(divisor, _fraction(*chi_side), _fraction(*diagonal_side))
 
 
 def _solve_test_curve_system(g: int, d: int) -> tuple[CycleClass, tuple[int, int], tuple[int, int]]:

@@ -26,13 +26,11 @@ import argparse
 import contextlib
 import functools
 import gc
-import json
 import os
 import re
 import sys
 import threading
 from collections import namedtuple
-from fractions import Fraction
 
 import symcd
 
@@ -118,7 +116,7 @@ def _parse_fraction(text: str) -> Fraction:
         # At most 2^_MAX_SCALAR_BITS, by the digit rule ``_tokenize`` applies: a too long part is not read,
         if not _too_long(text):
             with _uncapped_int_digits():  # and a shorter one is read past CPython's 4,300-digit cap
-                value = Fraction(text)
+                value = symcd.cycles._fraction(text)
             if max(abs(value.numerator), value.denominator) <= _MAX_SCALAR:
                 return value
         raise ValueError(f"its numerator or denominator exceeds 2^{_MAX_SCALAR_BITS}")
@@ -135,8 +133,8 @@ def _flag_values(entry: _Entry, args: argparse.Namespace, why: str) -> list:
 
 
 def _class_document(cls) -> dict:
-    codim, coeffs = cls.codim, cls.coeffs  # each read of ``coeffs`` builds every Fraction again
-    texts = [str(c) for c in coeffs]  # each coefficient converted to decimal once, shared by the keys
+    codim = cls.codim
+    texts = cls._texts()  # each coefficient converted to decimal once, shared by the keys
     result = {
         "genus": cls.genus,
         "symmetric_power": cls.d,
@@ -148,7 +146,7 @@ def _class_document(cls) -> dict:
     if codim == 1:
         # a*theta - b*x convention
         result["a"] = texts[0]
-        result["b"] = str(-coeffs[1])
+        result["b"] = symcd.cycles._ratio_text(-cls.numerators[1], cls.denominator)
     return result
 
 
@@ -161,14 +159,13 @@ def _ray_document(ray) -> dict:
 
 # The last alternative takes the rest of the text from the first character no token starts with.
 # ``_tokenize`` scans the text with its trailing whitespace stripped: findall would try
-# the pattern again at each trailing blank, in time quadratic in their number.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()])|(?P<rest>\S.*))", re.S
-)
+# the pattern again at each trailing blank, in time quadratic in their number.  It is
+# compiled on first use, through ``re``'s cache, so a call that parses no expression skips it.
+_TOKEN_PATTERN = r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*^()])|(?P<rest>\S.*))"
 
 
 def _tokenize(text: str) -> list[str]:
-    scanned = _TOKEN_RE.findall(text.rstrip())
+    scanned = re.findall(_TOKEN_PATTERN, text.rstrip(), re.S)
     for number, _, _, rest in scanned:
         if _too_long(number):
             raise UsageError(f"a scalar in the expression is too large: it exceeds 2^{_MAX_SCALAR_BITS}")
@@ -484,6 +481,8 @@ def _render_text_value(value: dict, indent: str, lines: list[str]) -> None:
 
 def render(document: dict, fmt: str) -> str:
     if fmt == "json":
+        import json  # only JSON output loads it
+
         return json.dumps(document, sort_keys=True, indent=2)
     inputs, result = document["inputs"], document["result"]
     rendered = ", ".join(f"{key}={inputs[key]}" for key in sorted(inputs) if inputs[key] is not None)

@@ -13,10 +13,9 @@ no subcommand loads this module.  Both names stay until the benchmark refresh
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import _EXPORTS
-from .cycles import as_rational
+from .cycles import _fraction, as_rational
 
 __all__ = list(_EXPORTS["combinatorics"])
 
@@ -72,7 +71,7 @@ class BivariateSeries:
         return cls({(0, 0): constant, (1, 0): t1, (0, 1): t2})
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._coeffs.get((i, j), Fraction(0))
+        return self._coeffs.get((i, j)) or _fraction(0)
 
     def items(self):
         return self._coeffs.items()
@@ -101,7 +100,7 @@ class BivariateSeries:
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         coeffs = dict(self._coeffs)
         for key, value in other._coeffs.items():
-            coeffs[key] = coeffs.get(key, Fraction(0)) + value
+            coeffs[key] = coeffs.get(key, 0) + value
         return BivariateSeries(coeffs)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
@@ -111,7 +110,7 @@ class BivariateSeries:
                 i, j = i1 + i2, j1 + j2
                 if i + j > 2:
                     continue
-                coeffs[(i, j)] = coeffs.get((i, j), Fraction(0)) + v1 * v2
+                coeffs[(i, j)] = coeffs.get((i, j), 0) + v1 * v2
         return BivariateSeries(coeffs)
 
     def inverse(self) -> "BivariateSeries":

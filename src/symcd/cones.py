@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 
 from . import _EXPORTS
-from .cycles import CycleClass, _Frozen, _signed_sum, as_rational
+from .cycles import CycleClass, _fraction, _Frozen, _signed_sum, as_rational
 from .errors import OutOfProvenDomainError, PreconditionError, _check_range, _check_space, shown
 
 __all__ = list(_EXPORTS["cones"])
@@ -168,7 +167,7 @@ def effective_slope_bound(g: int, d: int) -> Fraction:
     d = g-1 the bound becomes 1 + 1/(2g-3) and is sharp.  The ``Fraction``
     of :func:`_slope_bound`'s integers.
     """
-    return Fraction(*_slope_bound(g, d))
+    return _fraction(*_slope_bound(g, d))
 
 
 def _slope_bound(g: int, d: int) -> tuple[int, int]:
@@ -195,9 +194,9 @@ def effective_cone(g: int, d: int, *, hyperelliptic: bool) -> Cone2D:
         return Cone2D(g, d, upper, Ray(3, -5), (DIAGONAL_RAY_PROVENANCE, PENCIL_RESIDUAL_RAY_PROVENANCE))
     candidates = [(effective_slope_bound(g, d), RAMIFICATION_BOUND_PROVENANCE)]
     if 3 <= d and 2 * d <= g:
-        candidates.append((Fraction(2), KOUVIDAKIS_BOUND_PROVENANCE))
+        candidates.append((_fraction(2), KOUVIDAKIS_BOUND_PROVENANCE))
     if g == 2 * d - 1 and d >= 3:
-        candidates.append((2 - Fraction(1, d), PENCIL_RESIDUAL_BOUND_PROVENANCE))
+        candidates.append((2 - _fraction(1, d), PENCIL_RESIDUAL_BOUND_PROVENANCE))
     inner_slope, inner_provenance = max(candidates, key=lambda item: item[0])
     return Cone2D(
         g,
@@ -251,7 +250,7 @@ def general_volume_limit(g: int) -> Fraction:
     """Right end of the proven interval [0, 1 + 1/(g^2-g-1)] of :func:`volume_general`,
     which is proven on C_(g-1) for g >= 4 only."""
     _check_range("general volume", g, g - 1, hyperelliptic=False)
-    return 1 + Fraction(1, g * g - g - 1)
+    return 1 + _fraction(1, g * g - g - 1)
 
 
 def hyperelliptic_volume_limit(g: int, d: int) -> int:
@@ -302,7 +301,7 @@ def volume_general(g: int, t: int | Fraction) -> Fraction:
     for k in range(g):
         total = total * (q - p) + term
         term = term * p * (g - 1 - k) // ((k + 1) * (k + 2))
-    return Fraction(total, q ** (g - 1))
+    return _fraction(total, q ** (g - 1))
 
 
 def volume_hyperelliptic(g: int, d: int, t: int | Fraction) -> Fraction:
@@ -319,7 +318,7 @@ def volume_hyperelliptic(g: int, d: int, t: int | Fraction) -> Fraction:
         raise OutOfProvenDomainError(
             f"t={shown(t)} is outside the proven interval [0, {shown(limit)}] for (g, d)=({shown(g)}, {shown(d)})"
         )
-    return Fraction(math.factorial(g), math.factorial(g - d)) * (1 - Fraction(t, limit)) ** d
+    return _fraction(math.factorial(g), math.factorial(g - d)) * (1 - _fraction(t, limit)) ** d
 
 
 def volume_integrality(g: int) -> tuple[Fraction, bool]:
@@ -332,5 +331,5 @@ def volume_integrality(g: int) -> tuple[Fraction, bool]:
     """
     if g < 2:
         raise PreconditionError(f"integrality check needs g >= 2 (got {shown(g)})")
-    value = Fraction(math.factorial(g), 2 ** (g - 1))
+    value = _fraction(math.factorial(g), 2 ** (g - 1))
     return value, value.denominator == 1

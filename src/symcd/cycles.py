@@ -10,11 +10,14 @@ A homogeneous class of codimension c is the coefficient vector of the
 monomials x^k * theta^(c-k), k = 0..c.  It is held as integer numerators over
 one positive denominator, in lowest terms, so sums, scalings and products are
 integer arithmetic with one reduction per result; the ``Fraction``
-coefficients are built from them each time ``coeffs`` is read.  Every class,
+coefficients are built from them each time ``coeffs`` is read, and a class's
+text is written from them, with no ``Fraction``.  Every class,
 a divisor included, is a ``CycleClass``, and two classes are equal when these
 numbers are, however each was built.  A divisor a*theta - b*x is the
 codimension-1 class with coefficients (a, -b).  The package's one exact
-coercion, :func:`as_rational`, which refuses floats, lives here.
+coercion, :func:`as_rational`, which refuses floats, lives here, and so does the
+package's one import of :mod:`fractions`, made on first use by it, :func:`evaluate_top`
+and :func:`_fraction` (which builds every other ``Fraction``), so a call that builds none skips it.
 Products are purely formal, and no relations are imposed below the top
 degree.  How a product or a power is computed is read off the shapes of its
 factors, and a class with at most two nonzero coefficients is never packed:
@@ -41,7 +44,6 @@ import math
 import operator
 import struct
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import chain, compress, repeat
 
 from . import _EXPORTS
@@ -54,7 +56,24 @@ def as_rational(value: int | Fraction | str) -> Fraction:
     """Coerce ``value`` to an exact rational, rejecting floats outright."""
     if isinstance(value, float):
         raise TypeError("floating-point input would break exactness; pass an int, a Fraction, or a 'p/q' string")
-    return Fraction(value)
+    import fractions  # not ``from fractions import Fraction``: once loaded, this is the cheaper lookup
+
+    return fractions.Fraction(value)
+
+
+def _fraction(numerator: int | Fraction | str, denominator: int | Fraction | None = None) -> Fraction:
+    """``Fraction(numerator, denominator)``, importing :mod:`fractions` on first use."""
+    import fractions
+
+    return fractions.Fraction(numerator, denominator)
+
+
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` for a positive denominator, reduced by one gcd."""
+    common = math.gcd(numerator, denominator)
+    if common == denominator:
+        return str(numerator // common)
+    return f"{numerator // common}/{denominator // common}"
 
 
 # Fields of the frozen classes below are written only through this, or through
@@ -192,7 +211,7 @@ class CycleClass(_Frozen):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(n, self.denominator) for n in self.numerators])
+        return tuple([_fraction(n, self.denominator) for n in self.numerators])
 
     @property
     def codim(self) -> int:
@@ -306,7 +325,11 @@ class CycleClass(_Frozen):
         return CycleClass.from_numerators(self.genus, self.d, powers, self.denominator**exponent)
 
     def __str__(self) -> str:
-        return _pretty(list(map(str, self.coeffs)))
+        return _pretty(self._texts())
+
+    def _texts(self) -> list[str]:
+        """Each coefficient's text, ``str`` of its ``Fraction``, written from the integers."""
+        return [_ratio_text(n, self.denominator) for n in self.numerators]
 
 
 _set_genus, _set_d, _set_numerators, _set_denominator = [CycleClass.__dict__[name].__set__ for name in CycleClass.__slots__]
@@ -489,7 +512,9 @@ def evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> Fraction:
     the product.  The ``Fraction`` of :func:`_evaluate_top`'s integers, built
     once; library routes that go on computing in integers call that core.
     """
-    return Fraction(*_evaluate_top(p, factor))
+    import fractions  # here, not through ``_fraction``: a frame fewer on a hot path
+
+    return fractions.Fraction(*_evaluate_top(p, factor))
 
 
 def _evaluate_top(p: CycleClass, factor: CycleClass | None = None) -> tuple[int, int]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class PreconditionError(ValueError):
     """A documented parameter precondition was violated."""

@@ -139,6 +139,16 @@ def test_string_rendering():
     assert str(CycleClass(4, 3, (Fraction(5, 2),))) == "(5/2)"
 
 
+# A class's text is written from its integers, with no Fraction built, yet reads as the Fraction's.
+@given(st.integers(min_value=-(2**200), max_value=2**200), st.integers(min_value=1, max_value=2**200))
+@example(0, 1)
+@example(0, 12)
+@example(-6, 4)
+@example(-(2**150) * 3, 2**150)
+def test_a_coefficient_text_is_the_text_of_its_fraction(numerator, denominator):
+    assert cycles._ratio_text(numerator, denominator) == str(Fraction(numerator, denominator))
+
+
 def _plain_convolution(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -753,6 +763,7 @@ def test_a_two_term_power_takes_the_binomial_step(base, exponent):
         ([-3, 1], 1, 300),  # a negative a
         ([0, 2**31 - 1, 0, -5], 7, 300),  # non-adjacent, zeros on both sides
         ([0, -(2**100), 3], 2**80, 300),  # a denominator
+        ([7, 0, -(2**100)], 1, 12),  # a low exponent of large coefficients
     ],
 )
 def test_a_large_two_term_power_takes_the_binomial_step(vector, denominator, exponent):
@@ -869,7 +880,6 @@ def test_a_power_above_the_line_never_packs(case):
     "vector, exponent",
     [
         ([1, 2, 3, 4, 5], 9),  # 9 * bits(15) = 36 <= 64
-        ([7, 0, -(2**100)], 12),
         ([5, -2, 1], 8),  # on the line: 8 * bits(8) = 32 = 16c
         (_NARROW, 2),  # 2 * 16 = 32 <= 4,800
     ],
@@ -880,4 +890,7 @@ def test_a_small_or_low_exponent_power_stays_packed(vector, exponent):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cycles, "_recurrence_power", _refused)
         power = p**exponent
+        patch.setattr(cycles, "_pack", _refused)  # so the row is one the packed pow answers
+        with pytest.raises(AssertionError, match="should not run"):
+            p**exponent
     assert power == _reference_power(p, exponent)

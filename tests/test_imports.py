@@ -65,12 +65,13 @@ PUBLIC_NAMES = [
 
 def _fresh(code: str, packages: tuple = ("symcd",)) -> list:
     """Run ``code`` in a fresh interpreter and return the sorted names of the
-    modules it loaded from ``packages``."""
+    modules it loaded from ``packages``, listed before the listing loads json."""
     script = (
         code
-        + "\nimport json, sys"
-        + f"\nwatched = {packages!r}"
-        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] in watched)))"
+        + "\nimport sys"
+        + f"\nloaded = sorted(m for m in sys.modules if m.partition('.')[0] in {packages!r})"
+        + "\nimport json"
+        + "\nprint(json.dumps(loaded))"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -133,6 +134,39 @@ ANSWERED_CALLS = [
     ["volume", "--g", "4", "--d", "3", "--t", "1/2"],
     ["verify", "--suite", "all", "--max", "4"],
 ]
+
+
+# fractions (with decimal and numbers, which it imports) and json are loaded by the calls that use them.
+NUMBER_MODULES = ("fractions", "decimal", "numbers")
+
+
+def test_importing_the_cli_loads_neither_fractions_nor_json():
+    watched = (*NUMBER_MODULES, "json")
+    assert _fresh("import symcd.cli", watched) == _fresh("pass", watched)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["class", "ramification", "--g", "6", "--d", "4"],
+        ["class", "subordinate", "--g", "2", "--d", "30", "--n", "30", "--r", "0"],  # a denominator of 30!
+        ["cone", "--g", "6", "--d", "4", "--kind", "nef"],
+        ["verify", "--suite", "combsum", "--max", "30"],
+    ],
+)
+def test_an_answer_of_integers_and_their_ratios_loads_no_fractions(argv):
+    code = f"from symcd.cli import main\nassert main(['--format', 'json', *{argv!r}]) == 0"
+    assert _fresh(code, NUMBER_MODULES) == _fresh("pass", NUMBER_MODULES)
+
+
+def test_a_text_answer_loads_no_json():
+    argv = ["--format", "text", "intersect", "theta^3", "--g", "4", "--d", "3"]
+    assert _fresh(f"from symcd.cli import main\nassert main({argv!r}) == 0", ("json",)) == _fresh("pass", ("json",))
+
+
+def test_a_volume_call_loads_fractions():
+    argv = ["--format", "text", "volume", "--g", "5", "--d", "4", "--t", "1/2"]
+    assert "fractions" in _fresh(f"from symcd.cli import main\nassert main({argv!r}) == 0", NUMBER_MODULES)
 
 
 @pytest.mark.parametrize("argv", ANSWERED_CALLS)
