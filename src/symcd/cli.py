@@ -514,8 +514,8 @@ class _Parser(argparse.ArgumentParser):
     flag sharing it is added.  Subparsers are of this class too.
 
     The help texts are argparse's own, without its repeated work: the terminal
-    is read once, for the width argparse computes, not once per argument, and
-    ``-h`` has its help line as written, not looked up in gettext's catalogs.
+    is read once, for the width argparse computes, not once per argument.  The
+    root declares its own ``-h``; a subcommand's is copied from ``_declared``.
     A word ``-p/q`` is a value, as ``-p`` and ``-p.q`` are, so ``--t -1/2``
     reads t."""
 
@@ -529,7 +529,6 @@ class _Parser(argparse.ArgumentParser):
             formatter_class=functools.partial(argparse.HelpFormatter, width=width),
             **kwargs,
         )
-        self.add_argument("-h", "--help", action="help", help="show this help message and exit")
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
@@ -542,17 +541,94 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Subparser:
-    """A subcommand's ``_Parser``, built from ``add_parser``'s keywords and ``add_arguments`` when argparse
-    first uses it, so a call builds only its own; every attribute is the built parser's, whichever argparse reads."""
+    """A subcommand's ``_Parser``, built from ``add_parser``'s keywords and the actions ``_declared(add_arguments)``
+    holds when argparse first uses it, so a call builds only its own; every attribute is the built parser's."""
 
     def __init__(self, add_arguments, **kwargs):
         self._add_arguments, self._kwargs, self._parser = add_arguments, kwargs, None
 
     def __getattr__(self, name):
         if self._parser is None:
-            self._parser = _Parser(**self._kwargs)
-            self._add_arguments(self._parser)
+            self._parser = _Parser(parents=[_declared(self._add_arguments)], **self._kwargs)
         return getattr(self._parser, name)
+
+
+@functools.cache
+def _declared(add_arguments) -> argparse.ArgumentParser:
+    """``-h`` and ``add_arguments``' arguments, declared once per process for each call's subcommand parser to
+    copy.  The copies share the Action objects, and each sets their ``container`` to itself, which only conflict
+    resolution reads.  Two first calls at once may each build one; either serves."""
+    fixed = functools.partial(argparse.HelpFormatter, width=80)  # only checks declarations; reads no terminal
+    parser = argparse.ArgumentParser(add_help=False, formatter_class=fixed)
+    parser.add_argument("-h", "--help", action="help", help="show this help message and exit")
+    add_arguments(parser)
+    return parser
+
+
+_INTEGER_FLAGS = {
+    "g": "genus",
+    "d": "symmetric power index",
+    "n": "degree of the linear series",
+    "r": "dimension of the linear series",
+    "k": "pencil parameter",
+}
+
+
+def _add_flags(sub, integers: str, required: str = ""):
+    # Also accepted after the subcommand; SUPPRESS keeps a root-level
+    # --format from being clobbered by the subparser default.
+    sub.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
+    for flag in integers:
+        sub.add_argument(f"--{flag}", type=int, required=flag in required, help=_INTEGER_FLAGS[flag])
+
+
+def _add_curve(sub):
+    sub.add_argument("--curve", choices=("general", "hyperelliptic"), default="general", help="curve type")
+
+
+def _add_class(sub):
+    sub.add_argument("name", choices=tuple(_CLASSES))
+    _add_flags(sub, "gdnrk")
+    sub.add_argument(
+        "--statement-variant",
+        action="store_true",
+        help="build the statement variant of the bipartition diagonal (documented discrepancy)",
+    )
+    sub.set_defaults(handler=_cmd_class)
+
+
+def _add_intersect(sub):
+    sub.add_argument("expression")
+    _add_flags(sub, "gdnrk", required="gd")
+    sub.set_defaults(handler=_cmd_intersect)
+
+
+def _add_cone(sub):
+    _add_flags(sub, "gd", required="gd")
+    _add_curve(sub)
+    sub.add_argument("--kind", choices=("effective", "nef"), default="effective")
+    sub.set_defaults(handler=_cmd_cone)
+
+
+def _add_volume(sub):
+    _add_flags(sub, "gd", required="gd")
+    sub.add_argument("--t", type=_parse_fraction, required=True, help="rational 'p/q' literal")
+    _add_curve(sub)
+    sub.set_defaults(handler=_cmd_volume)
+
+
+# ``verify --suite``'s choices, read from ``symcd.verify.SUITES`` at each use (``in`` iterates), so a
+# suite added to the runner is offered though the declaration is built once per process.
+class _SuiteChoices:
+    def __iter__(self):
+        return iter(("all", *symcd.verify.SUITES))
+
+
+def _add_verify(sub):
+    _add_flags(sub, "")
+    sub.add_argument("--suite", choices=_SuiteChoices(), default="all")
+    sub.add_argument("--max", type=int, default=None, help="sweep bound override")
+    sub.set_defaults(handler=_cmd_verify)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -560,6 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="symcd",
         description="Exact divisor classes, intersection numbers, cones, and volumes on symmetric powers of curves.",
     )
+    parser.add_argument("-h", "--help", action="help", help="show this help message and exit")  # not from gettext
     parser.add_argument(
         "--version",
         action="version",
@@ -571,63 +648,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # the prog argparse would find by formatting the root's usage line
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser, prog="symcd")
-
-    integer_flags = {
-        "g": "genus",
-        "d": "symmetric power index",
-        "n": "degree of the linear series",
-        "r": "dimension of the linear series",
-        "k": "pencil parameter",
-    }
-
-    def add_flags(sub, integers: str, required: str = ""):
-        # Also accepted after the subcommand; SUPPRESS keeps a root-level
-        # --format from being clobbered by the subparser default.
-        sub.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-        for flag in integers:
-            sub.add_argument(f"--{flag}", type=int, required=flag in required, help=integer_flags[flag])
-
-    def add_curve(sub):
-        sub.add_argument("--curve", choices=("general", "hyperelliptic"), default="general", help="curve type")
-
-    def add_class(sub):
-        sub.add_argument("name", choices=tuple(_CLASSES))
-        add_flags(sub, "gdnrk")
-        sub.add_argument(
-            "--statement-variant",
-            action="store_true",
-            help="build the statement variant of the bipartition diagonal (documented discrepancy)",
-        )
-        sub.set_defaults(handler=_cmd_class)
-
-    def add_intersect(sub):
-        sub.add_argument("expression")
-        add_flags(sub, "gdnrk", required="gd")
-        sub.set_defaults(handler=_cmd_intersect)
-
-    def add_cone(sub):
-        add_flags(sub, "gd", required="gd")
-        add_curve(sub)
-        sub.add_argument("--kind", choices=("effective", "nef"), default="effective")
-        sub.set_defaults(handler=_cmd_cone)
-
-    def add_volume(sub):
-        add_flags(sub, "gd", required="gd")
-        sub.add_argument("--t", type=_parse_fraction, required=True, help="rational 'p/q' literal")
-        add_curve(sub)
-        sub.set_defaults(handler=_cmd_volume)
-
-    def add_verify(sub):
-        add_flags(sub, "")
-        sub.add_argument("--suite", choices=("all", *symcd.verify.SUITES), default="all")
-        sub.add_argument("--max", type=int, default=None, help="sweep bound override")
-        sub.set_defaults(handler=_cmd_verify)
-
-    subparsers.add_parser("class", help="print a named class from the catalog", add_arguments=add_class)
-    subparsers.add_parser("intersect", help="evaluate a top-degree product expression", add_arguments=add_intersect)
-    subparsers.add_parser("cone", help="cone boundary data", add_arguments=add_cone)
-    subparsers.add_parser("volume", help="exact volume of theta - t*x", add_arguments=add_volume)
-    subparsers.add_parser("verify", help="run the exact identity suite", add_arguments=add_verify)
+    # A row per subcommand: its name, help line and declaring function, which keys ``_declared``'s cache.
+    for name, help_line, add_arguments in (
+        ("class", "print a named class from the catalog", _add_class),
+        ("intersect", "evaluate a top-degree product expression", _add_intersect),
+        ("cone", "cone boundary data", _add_cone),
+        ("volume", "exact volume of theta - t*x", _add_volume),
+        ("verify", "run the exact identity suite", _add_verify),
+    ):
+        subparsers.add_parser(name, help=help_line, add_arguments=add_arguments)
     return parser
 
 

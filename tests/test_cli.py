@@ -1081,14 +1081,23 @@ def test_a_class_document_builds_no_fraction(monkeypatch, capsys, argv, fmt):
     assert run_cli(capsys, *argv, "--format", fmt) == (0, out, "")
 
 
+@pytest.fixture
+def cleared_declarations():
+    """Each subcommand's declarations dropped, so that the test's first call of it builds them."""
+    from symcd import cli
+
+    cli._declared.cache_clear()
+
+
 # argparse reads the terminal size for each formatter it builds, one per
-# add_argument, unless the parser's formatter is given a width.
+# add_argument, unless the parser's formatter is given a width; the declarations
+# are built too, at the first call of a subcommand.
 @pytest.mark.parametrize(
     "argv",
     [*ANSWERED.values(), ["--help"], ["volume", "--help"], ["--version"]],
     ids=[*ANSWERED, "help", "volume-help", "version"],
 )
-def test_a_call_reads_the_terminal_size_at_most_once_per_parser_it_builds(monkeypatch, argv):
+def test_a_call_reads_the_terminal_size_at_most_once_per_parser_it_builds(monkeypatch, cleared_declarations, argv):
     import shutil
 
     from symcd import cli
@@ -1098,6 +1107,16 @@ def test_a_call_reads_the_terminal_size_at_most_once_per_parser_it_builds(monkey
     with contextlib.suppress(SystemExit):
         _outcome(argv)
     assert built and len(reads) <= len(built)
+
+
+@pytest.mark.parametrize("argv", ANSWERED.values(), ids=ANSWERED)
+def test_a_repeated_call_declares_the_roots_three_arguments_only(monkeypatch, argv):
+    import argparse
+
+    assert _outcome(argv)[0] == 0
+    declared = _count_calls(monkeypatch, argparse.ArgumentParser, "add_argument")
+    assert _outcome(argv)[0] == 0
+    assert len(declared) == 3  # -h, --version and --format; the subcommand's were declared at the first call
 
 
 # argparse formats the root's usage line to name the subcommands' prog, unless it is given.
@@ -1442,6 +1461,42 @@ def test_concurrent_calls_under_a_short_switch_interval_all_answer(capsys):
     capsys.readouterr()
     assert codes == [0] * 225
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_concurrent_first_calls_answer_as_serial_calls_do(monkeypatch, cleared_declarations):
+    # Threads that start with no declarations built race to build them, and then
+    # share their Action objects; each answer must be the one a serial call writes.
+    from symcd import cli
+
+    written = {}
+    monkeypatch.setattr(cli, "_write", lambda text, stream="stdout": written.setdefault(stream, []).append(text))
+    argvs = [ANSWERED["intersect"], ANSWERED["class"], ["intersect", "(theta-x)^5*ramification", "--g", "9", "--d", "6"]]
+    serial = []
+    for argv in argvs:
+        assert main(argv) == 0
+        (answer,) = written.pop("stdout")
+        serial.append(answer)
+    assert written == {}
+    cli._declared.cache_clear()
+    answers = {}
+
+    def run(argv):
+        answers[threading.current_thread().name] = [main(argv) for _ in range(20)]
+
+    threads = [threading.Thread(target=run, args=(argv,), name=str(i)) for i, argv in enumerate(argvs * 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == {str(i): [0] * 20 for i in range(len(threads))}
+    assert sorted(written) == ["stdout"]
+    assert sorted(written["stdout"]) == sorted(serial * 40)
 
 
 def test_volume_at_genus_3000_answers_quickly(capsys):

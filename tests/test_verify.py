@@ -176,6 +176,9 @@ def test_all_passed_counts_injected_failures():
 
 
 def test_the_cli_offers_a_suite_added_to_the_runner_with_no_edit_of_its_own(monkeypatch, capsys):
+    # A verify call first, so that a declaration kept from it must read the suites added after it.
+    assert cli.main(["verify", "--suite", "combsum", "--max", "3"]) == 0
+    capsys.readouterr()
     monkeypatch.setattr(verify, "SUITES", {**SUITES, "extra": SUITES["combsum"]})
     assert cli.main(["--format", "json", "verify", "--suite", "extra", "--max", "3"]) == 0
     reports = json.loads(capsys.readouterr().out)["result"]["reports"]
