@@ -81,22 +81,6 @@ class BivariateSeries:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "BivariateSeries(0)"
-        terms = []
-        for (i, j), value in sorted(self._coeffs.items()):
-            parts = [str(value)]
-            if i:
-                parts.append("t1" if i == 1 else f"t1^{i}")
-            if j:
-                parts.append("t2" if j == 1 else f"t2^{j}")
-            terms.append("*".join(parts))
-        return "BivariateSeries(" + " + ".join(terms) + ")"
-
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         coeffs = dict(self._coeffs)
         for key, value in other._coeffs.items():

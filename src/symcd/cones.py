@@ -291,17 +291,23 @@ def volume_general(g: int, t: int | Fraction) -> Fraction:
             f"t={shown(t)} is outside the proven interval [0, {shown(limit)}] for genus {shown(g)}"
         )
     # With t = p/q the sum is one integer over q^(g-1): the sum of
-    # T_k p^k (q-p)^(g-1-k), taken by Horner's rule in q-p.  The integer
-    # T_k p^k, with T_k = C(g-1, k) g!/(k+1)!, steps by the factor
-    # p (g-1-k)/((k+1)(k+2)), an exact division since the next term is an
-    # integer; so each step multiplies the growing numbers only by p, q-p and
-    # small factors.
+    # T_k p^k (q-p)^(g-1-k), taken by Horner's rule in q-p, so each step
+    # multiplies the growing numbers only by p, q-p and small factors.
     p, q = t.numerator, t.denominator
-    total, term = 0, math.factorial(g)
-    for k in range(g):
+    total = 0
+    for term in _volume_terms(g, p):
         total = total * (q - p) + term
-        term = term * p * (g - 1 - k) // ((k + 1) * (k + 2))
     return _fraction(total, q ** (g - 1))
+
+
+def _volume_terms(g: int, p: int):
+    """T_k p^k for k = 0 .. g-1, T_k = C(g-1, k) g!/(k+1)!: the terms of
+    :func:`volume_general`.  Each steps to the next by p (g-1-k)/((k+1)(k+2)),
+    an exact division since the next term is an integer."""
+    term = math.factorial(g)
+    for k in range(g):
+        yield term
+        term = term * p * (g - 1 - k) // ((k + 1) * (k + 2))
 
 
 def volume_hyperelliptic(g: int, d: int, t: int | Fraction) -> Fraction:

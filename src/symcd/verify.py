@@ -5,7 +5,9 @@ exact values; there are no tolerances anywhere.  A failing check reports the
 first counterexample with both values.  The known published discrepancy in the
 two-part diagonal class is reported as its own first-class outcome
 (``documented-discrepancy``) so that it is neither hidden nor counted as a
-failure.
+failure.  The ``volume`` suite checks the terms that ``symcd volume`` sums:
+:func:`volume_polynomial` takes them from the generator that
+:func:`symcd.cones.volume_general` sums.
 
 The sweeps compute in integers from their inputs to their comparisons:
 binomials are stepped by exact ratios, classes are integer numerators over
@@ -21,7 +23,6 @@ that ``orth`` takes from ``evaluate_top``, and the coefficients
 from __future__ import annotations
 
 import enum
-import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
@@ -37,7 +38,7 @@ from .catalog import (
     subordinate_class,
     subordinate_pencil_intersections,
 )
-from .cones import Ray, _slope_bound
+from .cones import Ray, _slope_bound, _volume_terms
 from .cycles import CycleClass, _evaluate_top, _Frozen, evaluate_top, theta_class, x_class
 from .errors import PreconditionError, shown
 
@@ -191,21 +192,18 @@ def check_dd_system(g_max: int = 20) -> CheckReport:
 def volume_polynomial(g: int) -> list[int]:
     """Coefficients in t of sum_k C(g-1,k) * g!/(k+1)! * t^k (1-t)^(g-1-k), for g >= 3.
 
-    The scale T_k = C(g-1,k) g!/(k+1)! of term k steps by
-    T_(k+1) = T_k (g-1-k)/((k+1)(k+2)), and t^k (1-t)^n, n = g-1-k, adds
-    T_k (-1)^j C(n, j) at degree k+j, stepped by (-1)(n-j)/(j+1); every
-    division is exact, since each quotient is an integer.
+    The terms T_k t^k are those :func:`symcd.cones.volume_general` sums, taken
+    from the same generator, and the sum runs by the same Horner's rule, here
+    in 1-t over Z[t]: multiply by 1-t, then add T_k at degree k.
     """
     if g < 3:
         raise PreconditionError(f"the volume polynomial needs g >= 3 (got {shown(g)})")
     coeffs = [0] * g
-    scale = math.factorial(g)
-    for k in range(g):
-        term, n = scale, g - 1 - k
-        for j in range(n + 1):
-            coeffs[k + j] += term
-            term = -term * (n - j) // (j + 1)
-        scale = scale * n // ((k + 1) * (k + 2))
+    for k, term in enumerate(_volume_terms(g, 1)):
+        # Times 1-t: walking j down reads coeffs[j-1] before it changes.
+        for j in range(k, 0, -1):
+            coeffs[j] -= coeffs[j - 1]
+        coeffs[k] += term
     return coeffs
 
 

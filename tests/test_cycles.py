@@ -71,6 +71,11 @@ def test_multiply_rejects_codimension_overflow():
 def test_addition_rejects_mixed_codimension():
     with pytest.raises(PreconditionError):
         theta_class(4, 3) + theta_class(4, 3) ** 2
+    # A class adds to classes only: a number is refused on either side and in a difference.
+    theta = theta_class(4, 3)
+    for sums in (lambda: theta + 1, lambda: 1 + theta, lambda: theta - 1):
+        with pytest.raises(TypeError):
+            sums()
 
 
 def test_evaluate_top_examples():

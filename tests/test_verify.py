@@ -294,6 +294,10 @@ def _binomial_volume_polynomial(g):
     return coeffs
 
 
+def test_the_volume_suite_steps_the_terms_that_volume_general_sums():
+    assert verify._volume_terms is cones._volume_terms
+
+
 def test_stepped_volume_polynomial_matches_binomial_terms():
     for g in range(4, 41):
         assert volume_polynomial(g) == _binomial_volume_polynomial(g), g
@@ -379,6 +383,16 @@ def _expansion_plus_one_at_seven(pencil_expansions):
     return mutated
 
 
+def _terms_plus_one_at_six(volume_terms):
+    """``_volume_terms``, one unit off in the first term it yields for g = 6."""
+
+    def mutated(g, p):
+        terms = volume_terms(g, p)
+        return _first_plus_one(list(terms)) if g == 6 else terms
+
+    return mutated
+
+
 # (suite, --max, route that verify calls, case, the route's arguments at that case
 # or a function that mutates the route), each with an explicit id so that
 # removing a row renames no other case
@@ -396,6 +410,7 @@ MUTATIONS = [
     pytest.param("dd-system", 8, "ramification_divisor_class", (6, 4), (6, 4), id="dd-system-ramification_divisor_class"),
     pytest.param("dd-system", 8, "_slope_bound", (8, 2), (8, 2), id="dd-system-effective_slope_bound"),
     pytest.param("volume", 8, "volume_polynomial", (6,), (6,), id="volume-volume_polynomial"),
+    pytest.param("volume", 8, "_volume_terms", (6,), _terms_plus_one_at_six, id="volume-_volume_terms"),
     pytest.param("volume", 8, "_pencil_expansions", (7,), _expansion_plus_one_at_seven, id="volume-_pencil_expansions"),
 ]
 
