@@ -10,10 +10,11 @@ The other side is settled exactly in three situations:
   ramification divisor, slope 1 + 1/(2g-3);
 * general curves of genus 5, d = 3: the pencil-residual ray theta - (5/3)x.
 
-Elsewhere only a bracket is known: an inner (proven effective) ray, taken as
-the best of the ramification slope, theta - 2x for 2d <= g (Kouvidakis), and
-theta - (2 - 1/k)x at (g, d) = (2k-1, k); and an outer ray theta - (g-d+1)x
-obtained by degenerating to the hyperelliptic cone.
+Elsewhere only a bracket is known: an inner (proven effective) ray, which is
+theta - 2x for 2d <= g (Kouvidakis), theta - (2 - 1/k)x at (g, d) = (2k-1, k),
+and the ramification ray otherwise, since both are proven steeper than the
+ramification ray where they apply; and an outer ray theta - (g-d+1)x obtained
+by degenerating to the hyperelliptic cone.
 
 The functions take g and d directly, and ``effective_cone`` and ``nef_facts``
 a keyword ``hyperelliptic`` for the curve type; each proven (g, d) range is
@@ -28,7 +29,7 @@ import enum
 import math
 
 from . import _EXPORTS
-from .cycles import CycleClass, _fraction, _Frozen, _signed_sum, as_rational
+from .cycles import CycleClass, _fraction, _Frozen, _set, _signed_sum, as_rational
 from .errors import OutOfProvenDomainError, PreconditionError, _check_range, _check_space, shown
 
 __all__ = list(_EXPORTS["cones"])
@@ -75,14 +76,8 @@ class Ray(_Frozen):
             raise PreconditionError("the zero vector spans no ray")
         g = math.gcd(self.theta, self.x)
         if g != 1:
-            object.__setattr__(self, "theta", self.theta // g)
-            object.__setattr__(self, "x", self.x // g)
-
-    @classmethod
-    def from_rationals(cls, theta: int | Fraction, x: int | Fraction) -> "Ray":
-        theta, x = as_rational(theta), as_rational(x)
-        scale = theta.denominator * x.denominator // math.gcd(theta.denominator, x.denominator)
-        return cls(int(theta * scale), int(x * scale))
+            _set(self, "theta", self.theta // g)
+            _set(self, "x", self.x // g)
 
     @classmethod
     def from_class(cls, divisor: CycleClass) -> "Ray":
@@ -185,27 +180,25 @@ def effective_cone(g: int, d: int, *, hyperelliptic: bool) -> Cone2D:
     upper = Ray(-1, g + d - 1)
     if hyperelliptic:
         return Cone2D(g, d, upper, Ray(1, -(g - d + 1)), (DIAGONAL_RAY_PROVENANCE, HYPERELLIPTIC_RAY_PROVENANCE))
+    slope, q = _slope_bound(g, d)
     if d == g - 1:
-        slope = effective_slope_bound(g, d)
-        return Cone2D(
-            g, d, upper, Ray.from_rationals(1, -slope), (DIAGONAL_RAY_PROVENANCE, RAMIFICATION_RAY_PROVENANCE)
-        )
+        return Cone2D(g, d, upper, Ray(q, -slope), (DIAGONAL_RAY_PROVENANCE, RAMIFICATION_RAY_PROVENANCE))
     if g == 5 and d == 3:
         return Cone2D(g, d, upper, Ray(3, -5), (DIAGONAL_RAY_PROVENANCE, PENCIL_RESIDUAL_RAY_PROVENANCE))
-    candidates = [(effective_slope_bound(g, d), RAMIFICATION_BOUND_PROVENANCE)]
+    # The inner ray is the steepest proven one, and the algebra orders them.  The
+    # ramification slope is r = slope/q with q = g^2 - dg + d - 2 > 0, and
+    # 2 - r = (g-2)(g-d+1)/q > 0, so theta - 2x is steeper wherever it applies; at
+    # g = 2d-1, (2 - 1/d) - r = (2d^3 - 5d^2 + 2d + 1)/(d(2d^2 - 2d - 1)) > 0, so
+    # the pencil-residual ray is steeper there too.  The two never apply together,
+    # since 2d <= g excludes g = 2d-1, and d = 2 puts g = 2d-1 below the range.
     if 3 <= d and 2 * d <= g:
-        candidates.append((_fraction(2), KOUVIDAKIS_BOUND_PROVENANCE))
-    if g == 2 * d - 1 and d >= 3:
-        candidates.append((2 - _fraction(1, d), PENCIL_RESIDUAL_BOUND_PROVENANCE))
-    inner_slope, inner_provenance = max(candidates, key=lambda item: item[0])
-    return Cone2D(
-        g,
-        d,
-        upper,
-        Ray.from_rationals(1, -inner_slope),
-        (DIAGONAL_RAY_PROVENANCE, inner_provenance, OUTER_BOUND_PROVENANCE),
-        lower_outer=Ray(1, -(g - d + 1)),
-    )
+        inner, inner_provenance = Ray(1, -2), KOUVIDAKIS_BOUND_PROVENANCE
+    elif g == 2 * d - 1:
+        inner, inner_provenance = Ray(d, 1 - 2 * d), PENCIL_RESIDUAL_BOUND_PROVENANCE
+    else:
+        inner, inner_provenance = Ray(q, -slope), RAMIFICATION_BOUND_PROVENANCE
+    provenance = (DIAGONAL_RAY_PROVENANCE, inner_provenance, OUTER_BOUND_PROVENANCE)
+    return Cone2D(g, d, upper, inner, provenance, lower_outer=Ray(1, -(g - d + 1)))
 
 
 class NefFacts(_Frozen):

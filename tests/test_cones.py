@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcd.cones import (
+    KOUVIDAKIS_BOUND_PROVENANCE,
+    PENCIL_RESIDUAL_BOUND_PROVENANCE,
+    RAMIFICATION_BOUND_PROVENANCE,
     Cone2D,
     ConeStatus,
     Membership,
@@ -32,7 +35,7 @@ from symcd.errors import OutOfProvenDomainError, PreconditionError
 def test_ray_normalizes_to_primitive():
     assert Ray(2, -4) == Ray(1, -2)
     assert Ray(-3, 21) == Ray(-1, 7)
-    assert Ray.from_rationals(1, Fraction(-6, 5)) == Ray(5, -6)
+    assert Ray.from_class(divisor_class(6, 4, 1, Fraction(6, 5))) == Ray(5, -6)
     assert str(Ray(-1, 7)) == "-theta + 7*x"
     assert str(Ray(1, 0)) == "theta"
     assert str(Ray(3, -5)) == "3*theta - 5*x"
@@ -45,7 +48,8 @@ def test_ray_normalizes_to_primitive():
 )
 def test_ray_from_class_matches_the_ray_of_its_coefficients(a, b):
     if a or b:
-        assert Ray.from_class(divisor_class(6, 4, a, b)) == Ray.from_rationals(a, -b)
+        scale = math.lcm(a.denominator, b.denominator)
+        assert Ray.from_class(divisor_class(6, 4, a, b)) == Ray(int(a * scale), int(-b * scale))
 
 
 def test_ray_from_class_refuses_classes_that_are_not_divisors():
@@ -134,9 +138,33 @@ def test_bracket_cone_with_pencil_residual_inner_bound():
 def test_bracket_cone_with_ramification_inner_bound():
     cone = effective_cone(9, 7, hyperelliptic=False)
     assert cone.status is ConeStatus.BRACKET
-    assert cone.lower == Ray.from_rationals(1, -effective_slope_bound(9, 7))
+    slope = effective_slope_bound(9, 7)
+    assert cone.lower == Ray(slope.denominator, -slope.numerator)
     assert cone.lower == Ray(23, -25)
     assert cone.lower_outer == Ray(1, -3)
+
+
+def _inner_ray_by_slope_race(g, d):
+    """The bracket's inner ray found the long way: the steepest proven slope,
+    compared as Fractions, turned back into integers."""
+    candidates = [(effective_slope_bound(g, d), RAMIFICATION_BOUND_PROVENANCE)]
+    if 3 <= d and 2 * d <= g:
+        candidates.append((Fraction(2), KOUVIDAKIS_BOUND_PROVENANCE))
+    if g == 2 * d - 1 and d >= 3:
+        candidates.append((2 - Fraction(1, d), PENCIL_RESIDUAL_BOUND_PROVENANCE))
+    slope, provenance = max(candidates, key=lambda item: item[0])
+    return Ray(slope.denominator, -slope.numerator), provenance
+
+
+def test_bracket_inner_ray_is_the_steepest_proven_slope():
+    # effective_cone picks the inner ray by the proven order of the slopes;
+    # every bracket with g <= 120 agrees with the race of the slopes themselves.
+    for g in range(4, 121):
+        for d in range(2, g - 1):
+            if (g, d) == (5, 3):
+                continue
+            cone = effective_cone(g, d, hyperelliptic=False)
+            assert (cone.lower, cone.provenance[1]) == _inner_ray_by_slope_race(g, d), (g, d)
 
 
 def test_effective_cone_range_errors():

@@ -151,6 +151,12 @@ def test_importing_the_cli_loads_neither_fractions_nor_json():
         ["class", "ramification", "--g", "6", "--d", "4"],
         ["class", "subordinate", "--g", "2", "--d", "30", "--n", "30", "--r", "0"],  # a denominator of 30!
         ["cone", "--g", "6", "--d", "4", "--kind", "nef"],
+        ["cone", "--g", "8", "--d", "4"],  # Kouvidakis's inner ray theta - 2x
+        ["cone", "--g", "9", "--d", "7"],  # the ramification inner ray
+        ["cone", "--g", "11", "--d", "6"],  # the pencil-residual inner ray
+        ["cone", "--g", "6", "--d", "5"],  # d = g-1: the ramification ray is exact
+        ["cone", "--g", "5", "--d", "3"],
+        ["cone", "--g", "6", "--d", "4", "--curve", "hyperelliptic"],
         ["verify", "--suite", "combsum", "--max", "30"],
     ],
 )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from symcd import residuation_pullback
 from symcd.cones import Ray, general_volume_limit, nef_facts
+from symcd.cycles import CycleClass
 
 
 def test_pullback_on_basis():
@@ -54,5 +55,5 @@ def test_pullback_returns_fractions_and_refuses_floats():
 def test_volume_interval_ends_where_the_residual_class_meets_the_diagonal_nef_ray(g):
     # theta - t*x at the right end t of the proven interval goes to the ray of
     # -theta + g(g-1)x, Pacienza's nef boundary ray of C_(g-1).
-    residual = Ray.from_rationals(*residuation_pullback(1, -general_volume_limit(g)))
+    residual = Ray.from_class(CycleClass(g, g - 1, residuation_pullback(1, -general_volume_limit(g))))
     assert residual == nef_facts(g, g - 1, hyperelliptic=False).diagonal_nef_ray

@@ -276,6 +276,37 @@ def test_two_part_diagonal_closed_forms_match_the_kernels(g, d):
     assert list(bipartition_diagonal_class(g, d, "statement").coeffs) == expected
 
 
+# ------------------------------------------------------------ order of the inner rays
+
+RAMIFICATION_Q = g_**2 - d_ * g_ + d_ - 2
+
+
+def _positive_from(polynomial, shifts):
+    """Whether ``polynomial`` is positive on a range written as ``shifts`` in
+    p, q >= 0: shifted there, it has nonnegative coefficients and a positive constant."""
+    shifted = sympy.Poly(sympy.expand(polynomial.subs(shifts, simultaneous=True)), p_, q_)
+    return shifted.coeff_monomial(1) > 0 and all(c >= 0 for c in shifted.coeffs())
+
+
+def test_kouvidakis_ray_is_steeper_than_the_ramification_ray_for_every_g_and_d():
+    gap = (g_ - 2) * (g_ - d_ + 1) / RAMIFICATION_Q
+    assert sympy.cancel(2 - SLOPE_BOUND - gap) == 0
+    # Every factor is positive for 2 <= d <= g-2: d = 2 + p, g = d + 2 + q.
+    bracket = {d_: 2 + p_, g_: 4 + p_ + q_}
+    assert all(_positive_from(factor, bracket) for factor in (g_ - 2, g_ - d_ + 1, RAMIFICATION_Q))
+
+
+def test_pencil_residual_ray_is_steeper_than_the_ramification_ray_at_g_2d_minus_1():
+    at_odd_genus = {g_: 2 * d_ - 1}
+    numerator, denominator = 2 * d_**3 - 5 * d_**2 + 2 * d_ + 1, d_ * (2 * d_**2 - 2 * d_ - 1)
+    assert sympy.cancel(2 - 1 / d_ - SLOPE_BOUND.subs(at_odd_genus) - numerator / denominator) == 0
+    assert sympy.expand(numerator - (d_ - 1) * (2 * d_**2 - 3 * d_ - 1)) == 0
+    assert sympy.expand(denominator - d_ * RAMIFICATION_Q.subs(at_odd_genus)) == 0
+    # Every factor is positive for d >= 3: d = 3 + p.
+    factors = (d_ - 1, 2 * d_**2 - 3 * d_ - 1, d_, 2 * d_**2 - 2 * d_ - 1)
+    assert all(_positive_from(factor, {d_: 3 + p_}) for factor in factors)
+
+
 # ------------------------------------------------------------ test-curve system in g and d
 
 
