@@ -513,22 +513,13 @@ class _Parser(argparse.ArgumentParser):
     and takes flags spelled in full only: a prefix would change meaning once a
     flag sharing it is added.  Subparsers are of this class too.
 
-    The help texts are argparse's own, without its repeated work: the terminal
-    is read once, for the width argparse computes, not once per argument.  The
-    root declares its own ``-h``; a subcommand's is copied from ``_declared``.
-    A word ``-p/q`` is a value, as ``-p`` and ``-p.q`` are, so ``--t -1/2``
-    reads t."""
+    The help texts are argparse's own, at the width argparse reads from the
+    terminal.  The root declares its own ``-h``, and a subcommand's is
+    argparse's, copied from ``_declared``.  A word ``-p/q`` is a value, as
+    ``-p`` and ``-p.q`` are, so ``--t -1/2`` reads t."""
 
     def __init__(self, **kwargs):
-        import shutil  # here, as in argparse, so that importing the CLI loads no more
-
-        width = shutil.get_terminal_size().columns - 2
-        super().__init__(
-            allow_abbrev=False,
-            add_help=False,
-            formatter_class=functools.partial(argparse.HelpFormatter, width=width),
-            **kwargs,
-        )
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
@@ -555,12 +546,10 @@ class _Subparser:
 
 @functools.cache
 def _declared(add_arguments) -> argparse.ArgumentParser:
-    """``-h`` and ``add_arguments``' arguments, declared once per process for each call's subcommand parser to
-    copy.  The copies share the Action objects, and each sets their ``container`` to itself, which only conflict
-    resolution reads.  Two first calls at once may each build one; either serves."""
-    fixed = functools.partial(argparse.HelpFormatter, width=80)  # only checks declarations; reads no terminal
-    parser = argparse.ArgumentParser(add_help=False, formatter_class=fixed)
-    parser.add_argument("-h", "--help", action="help", help="show this help message and exit")
+    """argparse's ``-h`` and ``add_arguments``' arguments, declared once per process for each call's subcommand
+    parser to copy.  The copies share the Action objects, and each sets their ``container`` to itself, which only
+    conflict resolution reads.  Two first calls at once may each build one; either serves."""
+    parser = argparse.ArgumentParser()
     add_arguments(parser)
     return parser
 

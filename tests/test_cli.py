@@ -1024,12 +1024,18 @@ def test_help_still_exits_zero(monkeypatch, capsys, argv):
 HELP_TEXTS_BY_WIDTH = json.loads((Path(__file__).resolve().parent / "help_texts_by_width.json").read_text())
 
 
+def _help_text(argv, columns):
+    """The pinned help text of ``argv`` at ``columns``, in the running Python's variant."""
+    texts = HELP_TEXTS_BY_WIDTH[columns]
+    if sys.version_info >= (3, 13):
+        texts = {**texts, **HELP_TEXTS_BY_WIDTH.get(f"{columns} since Python 3.13", {})}
+    return texts[argv]
+
+
 @pytest.mark.parametrize("columns", ["40", "200"])
 @pytest.mark.parametrize("argv", HELP_TEXTS)
 def test_help_texts_follow_the_terminal_width(monkeypatch, capsys, argv, columns):
-    expected = HELP_TEXTS_BY_WIDTH[columns][argv]
-    if sys.version_info >= (3, 13):
-        expected = HELP_TEXTS_BY_WIDTH.get(f"{columns} since Python 3.13", {}).get(argv, expected)
+    expected = _help_text(argv, columns)
     monkeypatch.setenv("COLUMNS", columns)
     with pytest.raises(SystemExit) as excinfo:
         main(argv.split())
@@ -1089,24 +1095,33 @@ def cleared_declarations():
     cli._declared.cache_clear()
 
 
-# argparse reads the terminal size for each formatter it builds, one per
-# add_argument, unless the parser's formatter is given a width; the declarations
-# are built too, at the first call of a subcommand.
+# argparse reads the terminal size for each formatter it builds: one per
+# add_argument, so one for each of the root's three arguments once a first call
+# has declared the subcommand's, and one more to format a help or version text.
 @pytest.mark.parametrize(
-    "argv",
-    [*ANSWERED.values(), ["--help"], ["volume", "--help"], ["--version"]],
+    ("argv", "count"),
+    [*[(argv, 3) for argv in ANSWERED.values()], (["--help"], 4), (["volume", "--help"], 4), (["--version"], 4)],
     ids=[*ANSWERED, "help", "volume-help", "version"],
 )
-def test_a_call_reads_the_terminal_size_at_most_once_per_parser_it_builds(monkeypatch, cleared_declarations, argv):
+def test_a_repeated_call_reads_the_terminal_size_once_per_root_argument_and_once_to_format(monkeypatch, argv, count):
     import shutil
 
-    from symcd import cli
-
-    built = _count_calls(monkeypatch, cli._Parser, "__init__")
+    with contextlib.suppress(SystemExit):
+        _outcome(argv)
     reads = _count_calls(monkeypatch, shutil, "get_terminal_size")
     with contextlib.suppress(SystemExit):
         _outcome(argv)
-    assert built and len(reads) <= len(built)
+    assert len(reads) == count
+
+
+# argparse reads the width at each formatting, so one process prints each width's text.
+def test_the_root_help_follows_a_width_changed_between_calls(monkeypatch, capsys):
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr() == (_help_text("--help", columns), "")
 
 
 @pytest.mark.parametrize("argv", ANSWERED.values(), ids=ANSWERED)

@@ -158,6 +158,10 @@ def test_importing_the_cli_loads_neither_fractions_nor_json():
         ["cone", "--g", "5", "--d", "3"],
         ["cone", "--g", "6", "--d", "4", "--curve", "hyperelliptic"],
         ["verify", "--suite", "combsum", "--max", "30"],
+        ["verify", "--suite", "pencil-link", "--max", "6"],
+        ["verify", "--suite", "diagonal", "--max", "4"],  # the discrepancy too, written from the integers
+        ["verify", "--suite", "dd-system", "--max", "5"],
+        ["verify", "--suite", "volume", "--max", "5"],
     ],
 )
 def test_an_answer_of_integers_and_their_ratios_loads_no_fractions(argv):

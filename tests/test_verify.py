@@ -97,10 +97,25 @@ def _statement_one_unit_off_in_theta_cubed(bipartition_diagonal_class):
     return mutated
 
 
+def _statement_off_by_a_fifth_of_the_erratum(bipartition_diagonal_class):
+    def mutated(g, d, variant="proof"):
+        value = bipartition_diagonal_class(g, d)
+        shift = CycleClass.from_numerators(value.genus, value.d, (0, 0, -12, 0), 5)
+        return value + shift if variant == "statement" else value
+
+    return mutated
+
+
 # The discrepancy is documented only while the statement differs from the
-# extraction by the erratum alone, -12 in the x^2*theta coefficient at (4, 3).
+# extraction by the erratum alone, -12 in the x^2*theta coefficient at (4, 3),
+# not by -12 over some denominator.
 @pytest.mark.parametrize(
-    "mutate, lhs", [(_statement_as_the_proof, "-90"), (_statement_one_unit_off_in_theta_cubed, "-102")]
+    "mutate, lhs",
+    [
+        (_statement_as_the_proof, "-90"),
+        (_statement_one_unit_off_in_theta_cubed, "-102"),
+        (_statement_off_by_a_fifth_of_the_erratum, "-462/5"),
+    ],
 )
 def test_the_discrepancy_report_fails_without_the_erratum(monkeypatch, capsys, mutate, lhs):
     monkeypatch.setattr(verify, "bipartition_diagonal_class", mutate(verify.bipartition_diagonal_class))
