@@ -10,9 +10,10 @@ Subcommands
 
 All rationals are printed as "p/q" strings (plain decimal strings for
 integers); JSON output is deterministic, uses sorted keys, and never contains
-a floating-point literal.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 violated precondition, 4 out of the proven domain, 5 the
-answer could not be written (a closed stdout, a broken pipe, a full disk).
+a floating-point literal: its writer, ``_json``, refuses one.  Exit codes: 0
+success, 1 verification failure, 2 usage error, 3 violated precondition, 4 out
+of the proven domain, 5 the answer could not be written (a closed stdout, a
+broken pipe, a full disk).
 Every line goes through one writer, ``_write``; a refusal that cannot be
 written on stderr is lost, and its exit code stays.
 
@@ -479,11 +480,43 @@ def _render_text_value(value: dict, indent: str, lines: list[str]) -> None:
             lines.append(f"{indent}{key}: {inner}")
 
 
+@functools.cache
+def _escapes() -> dict:
+    """``str.translate``'s table for a JSON string as ``json`` writes one with ``ensure_ascii``, built on first use:
+    printable ASCII is kept, seven characters take short escapes, and any other code point is missing: ``\\uXXXX``."""
+
+    class Escapes(dict):
+        def __missing__(self, code: int) -> str:
+            high, low = divmod(code - 0x10000, 0x400)  # above U+FFFF, a surrogate pair
+            return f"\\u{code:04x}" if code <= 0xFFFF else f"\\u{0xD800 + high:04x}\\u{0xDC00 + low:04x}"
+
+    short = {ord(c): "\\" + e for c, e in zip('"\\\b\t\n\f\r', '"\\btnfr')}
+    return Escapes({code: code for code in range(0x20, 0x7F)} | short)
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, for a dict with str keys, a list,
+    a tuple, a str, an int, a bool and None.  Any other value or key (a float, a ``Fraction``) raises ``TypeError``."""
+    if isinstance(value, str):
+        return f'"{value.translate(_escapes())}"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f'"{str.translate(key, _escapes())}": {_json(value[key], inner)}' for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json(item, inner) for item in value], "[]"
+    else:
+        raise TypeError(f"a JSON answer holds no {type(value).__name__}")
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}" if items else brackets
+
+
 def render(document: dict, fmt: str) -> str:
     if fmt == "json":
-        import json  # only JSON output loads it
-
-        return json.dumps(document, sort_keys=True, indent=2)
+        return _json(document)
     inputs, result = document["inputs"], document["result"]
     rendered = ", ".join(f"{key}={inputs[key]}" for key in sorted(inputs) if inputs[key] is not None)
     lines = [f"command: {document['command']}", f"inputs: {rendered}"]

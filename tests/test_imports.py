@@ -136,7 +136,7 @@ ANSWERED_CALLS = [
 ]
 
 
-# fractions (with decimal and numbers, which it imports) and json are loaded by the calls that use them.
+# fractions (with decimal and numbers, which it imports) is loaded by the calls that use it; no call loads json.
 NUMBER_MODULES = ("fractions", "decimal", "numbers")
 
 
@@ -172,6 +172,12 @@ def test_an_answer_of_integers_and_their_ratios_loads_no_fractions(argv):
 def test_a_text_answer_loads_no_json():
     argv = ["--format", "text", "intersect", "theta^3", "--g", "4", "--d", "3"]
     assert _fresh(f"from symcd.cli import main\nassert main({argv!r}) == 0", ("json",)) == _fresh("pass", ("json",))
+
+
+@pytest.mark.parametrize("argv", ANSWERED_CALLS)
+def test_a_json_answer_loads_no_json(argv):
+    code = f"from symcd.cli import main\nassert main(['--format', 'json', *{argv!r}]) == 0"
+    assert _fresh(code, ("json",)) == _fresh("pass", ("json",))
 
 
 def test_a_volume_call_loads_fractions():
